@@ -39,6 +39,8 @@ SUITE_ORDER = (
 
 FORMAT_VERSION = 1
 
+DEFAULT_K = (1, 2, 1, 3)
+
 
 @dataclass
 class RunConfig:
@@ -52,10 +54,13 @@ def make_config(args) -> RunConfig:
         q = parse_rational(args.q)
     except ZeroDivisionError:
         raise ValueError(f"q has a zero denominator: {args.q!r}")
-    try:
-        k = tuple(int(x) for x in args.k.split(","))
-    except ValueError:
-        raise ValueError(f"k must be comma-separated integers, got {args.k!r}")
+    if args.k is None:
+        k = DEFAULT_K[: args.legs]
+    else:
+        try:
+            k = tuple(int(x) for x in args.k.split(","))
+        except ValueError:
+            raise ValueError(f"k must be comma-separated integers, got {args.k!r}")
     params = RepParams(q=q, k=k, legs=args.legs, n_max=args.nmax)
     basis = TruncatedBasis(params.legs, params.n_max)
     return RunConfig(params=params, basis=basis, q_text=to_text(q))
@@ -90,14 +95,12 @@ class _Realizations:
 
     @property
     def probe(self):
-        """Small-truncation registry used to pre-screen orientation
-        assignments; the real truncation always confirms."""
-        p = self.cfg.params
-        if p.n_max <= 3:
+        """Weight blocks <= 3 of the registry, used to pre-screen
+        orientation assignments; the full registry always confirms."""
+        if self.cfg.params.n_max <= 3:
             return None
         if self._probe is None:
-            small = RepParams(q=p.q, k=p.k, legs=p.legs, n_max=3)
-            self._probe = build_registry(small, TruncatedBasis(p.legs, 3))
+            self._probe = self.reg.restricted(3)
         return self._probe
 
     @property
@@ -297,9 +300,12 @@ def cmd_tables(args, cfg=None) -> int:
 
 
 def _add_params(sub, nmax_default=6):
-    sub.add_argument("--q", default="5/3", help="deformation parameter, a/b")
     sub.add_argument(
-        "--k", default="1,2,1,3", help="weight labels, comma separated"
+        "--q", default="5/3", help="deformation parameter, a/b or -a/b"
+    )
+    sub.add_argument(
+        "--k",
+        help="weight labels, comma separated (default: the first --legs of 1,2,1,3)",
     )
     sub.add_argument("--legs", type=int, default=4, choices=(2, 3, 4))
     sub.add_argument("--nmax", type=int, default=nmax_default, help="truncation")
@@ -341,10 +347,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_q(argv) -> list:
+    """argparse reads a separate "-a/b" as an option, so "--q -a/b"
+    becomes "--q=-a/b"."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--q" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"--q={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_q(argv))
     except SystemExit as exit_:
         return exit_.code if isinstance(exit_.code, int) else 2
     cfg = None

@@ -9,8 +9,6 @@ weight-preserving operators visibly block diagonal.
 
 from __future__ import annotations
 
-from math import comb
-
 
 def compositions(total, parts):
     """Occupation tuples of the given total, ascending lex order."""
@@ -69,12 +67,3 @@ class TruncatedBasis:
     def block_size(self, w: int) -> int:
         return len(self.weight_block(w))
 
-
-def block_dimension(w: int, legs: int) -> int:
-    """Number of occupation tuples of exact weight w."""
-    return comb(w + legs - 1, legs - 1)
-
-
-def total_dimension(n_max: int, legs: int) -> int:
-    """Number of occupation tuples of weight <= n_max."""
-    return comb(n_max + legs, legs)

@@ -107,10 +107,6 @@ def commutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     return a * b - b * a
 
 
-def anticommutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:
-    return a * b + b * a
-
-
 class GeneratorRegistry:
     """All labeled generators of one realization, plus a product cache
     for the consecutive/central labels that the relation suites reuse
@@ -149,15 +145,38 @@ class GeneratorRegistry:
         q = self.params.q
         return self.product(la, lb).scale(q) - self.product(lb, la).scale(inverse(q))
 
-    def commutator_of(self, la: str, lb: str) -> SparseOperator:
-        return self.product(la, lb) - self.product(lb, la)
-
     def monomial(self, labels) -> SparseOperator:
         """Ordered product of labeled generators (empty = identity)."""
-        out = SparseOperator.identity(self.basis)
-        for la in labels:
+        if not labels:
+            return -self["Q0"]  # Q0 is minus the identity
+        out = self[labels[0]]
+        for la in labels[1:]:
             out = out * self[la]
         return out
+
+    def restricted(self, max_weight: int) -> GeneratorRegistry:
+        """The same realization with every generator restricted to the
+        columns of weight <= max_weight.
+
+        Sound because every generator has weight degree 0, i.e. is block
+        diagonal in the graded basis: a degree-0 operator maps the
+        columns of weight <= max_weight into themselves, so for degree-0
+        A, B the restriction of A B is (A restricted) (B restricted),
+        and sums and scalings commute with restriction.  Every product
+        and every residual built from the restricted generators is
+        therefore the restriction of the one built from the full
+        generators, so a nonzero restricted residual proves a nonzero
+        full residual.  Blocks do not depend on the truncation either,
+        so this equals the realization at n_max = max_weight.
+        """
+        odd = [x for x, op in self.table.items() if op.degree != 0]
+        if odd:
+            raise ValueError(
+                f"cannot restrict by weight: {', '.join(odd)} not of degree 0"
+            )
+        cols = range(0, self.basis.weight_block(max_weight).stop)
+        table = {x: op.restricted(cols) for x, op in self.table.items()}
+        return GeneratorRegistry(self.params, self.basis, table)
 
 
 def is_derived_label(label: str) -> bool:

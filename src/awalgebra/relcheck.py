@@ -623,19 +623,16 @@ def check_independence(reg: GeneratorRegistry) -> RelationReport:
         raise ValueError("rank check needs n_max >= 2")
     basis = reg.basis
     n = len(basis)
-    weights = basis.weights
     rank = 0
     cap = min(2, basis.n_max)
     while True:
+        leading = range(0, basis.weight_block(cap).stop)
         rows = []
         for label in NONCENTRAL_LABELS:
-            op = reg[label]
-            row = {}
-            for j, col in op.cols.items():
-                if weights[j] <= cap:
-                    for i, v in col.items():
-                        row[i * n + j] = v
-            rows.append(row)
+            op = reg[label].restricted(leading)
+            rows.append(
+                {i * n + j: v for j, col in op.cols.items() for i, v in col.items()}
+            )
         rank = fraction_free_rank(rows)
         if rank == len(NONCENTRAL_LABELS) or cap == basis.n_max:
             break

@@ -56,7 +56,10 @@ def residual_report(
     less (used when a relation is only exact away from the truncation
     edge); the restriction is recorded in the summary.
     """
-    count, sample = residual.nonzero_in_columns(max_weight)
+    if max_weight is not None:
+        leading = range(0, residual.basis.weight_block(max_weight).stop)
+        residual = residual.restricted(leading)
+    count, sample = residual.nonzero_in_columns()
     summary = {"nonzero_entries": count, "sample": sample}
     if max_weight is not None:
         summary["column_weight_limit"] = max_weight

@@ -68,16 +68,12 @@ class SparseOperator:
             for i in sorted(col):
                 yield i, j, col[i]
 
-    def nonzero_in_columns(self, max_weight=None):
-        """(count, sample) of stored entries, restricted to columns of
-        weight <= max_weight when given.  sample is a text rendering of
-        one offending entry, or None."""
-        weights = self.basis.weights
+    def nonzero_in_columns(self):
+        """(count, sample) of stored entries.  sample is a text rendering
+        of one offending entry, or None."""
         count = 0
         sample = None
         for j in sorted(self.cols):
-            if max_weight is not None and weights[j] > max_weight:
-                continue
             col = self.cols[j]
             count += len(col)
             if sample is None and col:
@@ -85,17 +81,17 @@ class SparseOperator:
                 sample = f"[{i},{j}] = {col[i]}"
         return count, sample
 
-    def degree_is_consistent(self) -> bool:
-        """True when every stored entry obeys the declared degree."""
-        if self.degree is None:
-            return True
-        weights = self.basis.weights
-        d = self.degree
-        return all(
-            weights[i] == weights[j] + d
-            for j, col in self.cols.items()
-            for i in col
-        )
+    def restricted(self, cols: range) -> SparseOperator:
+        """The operator with only the columns in the contiguous index
+        range cols kept.  Column dicts are shared, not copied.
+
+        Weight blocks are contiguous, so basis.weight_block(w) selects
+        block w and range(0, basis.weight_block(w).stop) every weight
+        <= w.
+        """
+        mine = self.cols
+        kept = {j: mine[j] for j in cols if j in mine}
+        return SparseOperator(self.basis, kept, self.degree)
 
     # -- ring operations -----------------------------------------------
 
@@ -103,26 +99,28 @@ class SparseOperator:
         if self.basis is not other.basis:
             raise ValueError("operators live on different bases")
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
+        """self + other, or self - other when sign is -1, in one pass."""
         if not isinstance(other, SparseOperator):
             return NotImplemented
         self._require_same_basis(other)
+        neg = sign < 0
         if self.is_zero():
-            return other
+            return other.scale(-ONE) if neg else other
         if other.is_zero():
             return self
         cols = {j: dict(col) for j, col in self.cols.items()}
         for j, col in other.cols.items():
             acc = cols.get(j)
             if acc is None:
-                cols[j] = dict(col)
+                cols[j] = {i: -v for i, v in col.items()} if neg else dict(col)
                 continue
             for i, v in col.items():
                 w = acc.get(i)
                 if w is None:
-                    acc[i] = v
+                    acc[i] = -v if neg else v
                 else:
-                    w = w + v
+                    w = w - v if neg else w + v
                     if w:
                         acc[i] = w
                     else:
@@ -138,7 +136,7 @@ class SparseOperator:
     def __sub__(self, other):
         if not isinstance(other, SparseOperator):
             return NotImplemented
-        return self + other.scale(-ONE)
+        return self.__add__(other, -1)
 
     def scale(self, c):
         if not c:
@@ -183,25 +181,6 @@ class SparseOperator:
 
     def __rmul__(self, c):
         return self.scale(c)
-
-    def apply_to_column(self, col):
-        """Image of a sparse vector {index: value} under the operator."""
-        acc = {}
-        for i, v in col.items():
-            acol = self.cols.get(i)
-            if acol is None:
-                continue
-            for r, a in acol.items():
-                w = acc.get(r)
-                if w is None:
-                    acc[r] = a * v
-                else:
-                    w = w + a * v
-                    if w:
-                        acc[r] = w
-                    else:
-                        del acc[r]
-        return acc
 
     def __eq__(self, other):
         if not isinstance(other, SparseOperator):

@@ -13,9 +13,10 @@ entirely in rational arithmetic.
 
 from __future__ import annotations
 
-from .exactnum import ONE, inverse
+from .exactnum import inverse
 from .opalgebra import label_of_subset
 from .reporting import RelationReport
+from .sparse import SparseOperator
 from .uqrep import check_interval
 
 
@@ -40,42 +41,23 @@ def predicted_eigenvalues(p, interval, weight: int) -> list:
 
 
 def annihilating_residual(op, eigenvalues, block) -> int:
-    """Nonzero entries of prod_x (op - lambda_x) applied to the block.
+    """Nonzero entries of prod_x (op - lambda_x) on the block's columns.
 
-    The product is evaluated column by column: each basis column of the
-    block is swept through every factor, so nothing outside the block's
-    columns is ever touched.
+    op must have degree 0, so that it maps the block into itself; the
+    factors are then applied to the block's columns only, and each one
+    is op restricted to the block with lambda_x folded into its
+    diagonal.
     """
-    cols = {j: {j: ONE} for j in block}
-    opcols = op.cols
+    if op.degree != 0:
+        raise ValueError("the annihilating polynomial needs a degree-0 operator")
+    op_b = op.restricted(block)
+    iden_b = SparseOperator.identity(op.basis).restricted(block)
+    r = iden_b
     for lam in eigenvalues:
-        nxt = {}
-        for j, col in cols.items():
-            acc = {}
-            for i, v in col.items():
-                c = opcols.get(i)
-                if c is not None:
-                    for r, a in c.items():
-                        w = acc.get(r)
-                        if w is None:
-                            acc[r] = a * v
-                        else:
-                            w = w + a * v
-                            if w:
-                                acc[r] = w
-                            else:
-                                del acc[r]
-                nv = acc.get(i, 0) - lam * v
-                if nv:
-                    acc[i] = nv
-                elif i in acc:
-                    del acc[i]
-            if acc:
-                nxt[j] = acc
-        cols = nxt
-        if not cols:
+        r = (op_b - iden_b.scale(lam)) * r
+        if r.is_zero():
             break
-    return sum(len(c) for c in cols.values())
+    return r.nnz()
 
 
 def check_annihilating(reg, interval, weight: int) -> RelationReport:

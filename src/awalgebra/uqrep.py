@@ -38,6 +38,7 @@ are exact on columns of weight <= n_max - 1 and are checked there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import ONE, Rational
@@ -48,7 +49,11 @@ GENERATOR_NAMES = ("E", "F", "K", "Kinv")
 
 @dataclass(frozen=True)
 class RepParams:
-    """Deformation parameter q and one integer weight label per leg."""
+    """Deformation parameter q and one integer weight label per leg.
+
+    q must be exact (int, Fraction or the backend's Rational) and is
+    stored as the backend's Rational; bools are rejected in q and k.
+    """
 
     q: object
     k: tuple[int, ...]
@@ -63,9 +68,13 @@ class RepParams:
             raise ValueError(
                 f"need one weight label per leg: got {len(self.k)} for {self.legs}"
             )
-        if not all(isinstance(x, int) and x >= 1 for x in self.k):
+        if not all(_is_integer(x) and x >= 1 for x in self.k):
             raise ValueError(f"weight labels must be integers >= 1, got {self.k}")
         q = self.q
+        if not (_is_integer(q) or isinstance(q, (Fraction, Rational))):
+            raise ValueError(f"q must be an exact rational, got {q!r}")
+        q = Rational(q)
+        object.__setattr__(self, "q", q)
         if q == 0 or q == 1 or q == -1:
             raise ValueError("q must be nonzero and not a root of unity")
         if self.n_max < 1:
@@ -75,6 +84,10 @@ class RepParams:
         """Sum of the weight labels over an interval of legs."""
         lo, hi = check_interval(self, interval)
         return sum(self.k[lo - 1 : hi])
+
+
+def _is_integer(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def check_interval(p: RepParams, interval):
@@ -163,14 +176,6 @@ def interval_ops(p: RepParams, basis, interval, assembly: str = "left") -> dict:
         for prev in reversed(per_leg[:-1]):
             acc = _couple(prev, acc)
     return acc
-
-
-def interval_generator(
-    p: RepParams, basis, interval, which: str, assembly: str = "left"
-) -> SparseOperator:
-    if which not in GENERATOR_NAMES:
-        raise ValueError(f"unknown generator {which!r}")
-    return interval_ops(p, basis, interval, assembly)[which]
 
 
 @lru_cache(maxsize=None)

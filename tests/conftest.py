@@ -1,5 +1,5 @@
 """Shared fixtures: session-scoped operator registries at the two reference
-parameter sets, plus small-truncation probes for orientation searches."""
+parameter sets, plus the leading-block probe for orientation searches."""
 
 import pytest
 
@@ -27,9 +27,9 @@ def alt_registry():
 
 
 @pytest.fixture(scope="session")
-def default_probe():
-    """Same parameters as default_registry at a shallow truncation."""
-    return _registry(rational(5, 3), (1, 2, 1, 3), legs=4, n_max=3)
+def default_probe(default_registry):
+    """Weight blocks <= 3 of default_registry."""
+    return default_registry.restricted(3)
 
 
 @pytest.fixture(scope="session")

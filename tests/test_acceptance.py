@@ -160,8 +160,8 @@ def test_A8_spectra(default_registry, announce):
     )
 
 
-def test_A9_independence(default_probe, announce):
-    report = relcheck.check_independence(default_probe)
+def test_A9_independence(default_registry, announce):
+    report = relcheck.check_independence(default_registry)
     note = report.residual_summary["note"]
     announce(
         "A9",

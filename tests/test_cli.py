@@ -92,6 +92,13 @@ def test_verify_rejects_bad_q(capsys):
         assert err.startswith("error:")
 
 
+def test_verify_negative_q_spaced_form(capsys):
+    code, out, _ = run(capsys, "verify", "--q", "-2/5", "--legs", "3", "--nmax", "2")
+    assert code == 0
+    assert "params: q=-2/5 k=1,2,1 legs=3" in out  # default k cut to --legs
+    assert main(["verify", "--q=-2/5", "--legs", "3", "--nmax", "2"]) == 0
+
+
 def test_verify_rejects_mismatched_k(capsys):
     code, _, err = run(capsys, "verify", "--k", "1,2", "--nmax", "1")
     assert code == 2

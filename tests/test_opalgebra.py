@@ -5,7 +5,6 @@ from awalgebra.fockspace import TruncatedBasis
 from awalgebra.opalgebra import (
     DERIVED_DEFS,
     GeneratorRegistry,
-    anticommutator,
     build_registry,
     commutator,
     consecutive_subsets,
@@ -20,6 +19,7 @@ from awalgebra.opalgebra import (
 )
 from awalgebra.sparse import SparseOperator
 from awalgebra.uqrep import RepParams, casimir
+from helpers import degree_is_consistent
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +88,7 @@ def test_commutator_and_anticommutator(reg):
     x = reg["Q12"]
     iden = SparseOperator.identity(reg.basis)
     assert commutator(x, x).is_zero()
-    assert anticommutator(iden, x) == x.scale(rational(2))
+    assert iden * x + x * iden == x.scale(rational(2))
     assert commutator(reg["Q1"], reg["Q23"]).is_zero()
 
 
@@ -140,7 +140,7 @@ def test_derived_generators_are_degree_zero(reg):
     for label in reg.labels():
         op = reg[label]
         assert op.degree == 0
-        assert op.degree_is_consistent()
+        assert degree_is_consistent(op)
 
 
 def test_derived_differs_from_involuted_partner(reg):
@@ -188,3 +188,31 @@ def test_product_cache(reg):
 def test_monomial(reg):
     assert reg.monomial(()) == SparseOperator.identity(reg.basis)
     assert reg.monomial(("Q1", "Q12")) == reg["Q1"] * reg["Q12"]
+
+
+@pytest.mark.parametrize("name", ["default_registry", "alt_registry"])
+def test_restricted_equals_shallow_truncation(name, request):
+    # blocks <= 3 of the nmax=6 realization are the nmax=3 realization
+    full = request.getfixturevalue(name)
+    p = full.params
+    small = RepParams(q=p.q, k=p.k, legs=p.legs, n_max=3)
+    shallow = build_registry(small, TruncatedBasis(p.legs, 3))
+    probe = full.restricted(3)
+    assert probe.labels() == shallow.labels() == full.labels()
+    for label in full.labels():
+        assert probe[label].cols == shallow[label].cols, label
+
+
+def test_restricted_shares_parameters_and_basis(reg):
+    probe = reg.restricted(1)
+    assert probe.params is reg.params and probe.basis is reg.basis
+    leading = range(0, reg.basis.weight_block(1).stop)
+    assert probe.monomial(()) == SparseOperator.identity(reg.basis).restricted(leading)
+    assert probe.monomial(("Q12", "Q23")) == (reg["Q12"] * reg["Q23"]).restricted(leading)
+
+
+def test_restricted_needs_degree_zero(reg):
+    table = dict(reg.table)
+    table["Q13"] = SparseOperator(reg.basis, {0: {1: ONE}}, degree=1)
+    with pytest.raises(ValueError):
+        GeneratorRegistry(reg.params, reg.basis, table).restricted(1)

@@ -174,8 +174,17 @@ def test_aw3_search_recovers_swapped_orientation(reg4):
     assert reports[0].inputs["assignment"] == {"Q13": "IQ13"}
 
 
+def test_aw3_restricted_probe_recovers_swapped_orientation(default_registry):
+    table = dict(default_registry.table)
+    table["Q13"], table["IQ13"] = table["IQ13"], table["Q13"]
+    swapped = GeneratorRegistry(default_registry.params, default_registry.basis, table)
+    reports = check_aw3_symmetric(swapped, ((1,), (2,), (3,)), swapped.restricted(3))
+    assert [r.status for r in reports] == ["pass"] * 3
+    assert reports[0].inputs["assignment"] == {"Q13": "IQ13"}
+
+
 def test_aw3_probe_registry_agrees(reg4):
-    probe = registry("5/3", (1, 2, 1, 3), 1)
+    probe = reg4.restricted(1)
     triple = ((1,), (2, 4), (3,))
     with_probe = check_aw3_symmetric(reg4, triple, probe_reg=probe)
     without = check_aw3_symmetric(reg4, triple)

@@ -5,6 +5,7 @@ import pytest
 from awalgebra.exactnum import ONE, rational
 from awalgebra.fockspace import TruncatedBasis
 from awalgebra.sparse import SparseOperator
+from helpers import degree_is_consistent
 
 
 @pytest.fixture()
@@ -89,7 +90,7 @@ def test_diagonal(basis):
     d = SparseOperator.diagonal(basis, lambda j: rational(j))
     assert d.get(0, 0) == 0 and 0 not in d.cols
     assert d.get(2, 2) == rational(2)
-    assert d.degree == 0 and d.degree_is_consistent()
+    assert d.degree == 0 and degree_is_consistent(d)
 
 
 def test_degree_bookkeeping(basis):
@@ -99,9 +100,9 @@ def test_degree_bookkeeping(basis):
         if sum(m) < basis.n_max:
             up[j] = {basis.index_of((m[0], m[1] + 1)): ONE}
     raise_op = SparseOperator(basis, up, degree=1)
-    assert raise_op.degree_is_consistent()
+    assert degree_is_consistent(raise_op)
     assert (raise_op * raise_op).degree == 2
-    assert (raise_op * raise_op).degree_is_consistent()
+    assert degree_is_consistent(raise_op * raise_op)
     iden = SparseOperator.identity(basis)
     assert (raise_op + iden).degree is None
     assert (raise_op + raise_op).degree == 1
@@ -109,21 +110,7 @@ def test_degree_bookkeeping(basis):
 
 def test_degree_audit_detects_lies(basis):
     op = SparseOperator(basis, {0: {1: ONE}}, degree=0)
-    assert not op.degree_is_consistent()
-
-
-def test_apply_to_column(basis):
-    rng = random.Random(11)
-    a = random_operator(basis, rng)
-    col = {0: rational(2), 3: rational(-1, 2)}
-    image = a.apply_to_column(col)
-    n = len(basis)
-    expect = {}
-    for i in range(n):
-        v = a.get(i, 0) * col[0] + a.get(i, 3) * col[3]
-        if v:
-            expect[i] = v
-    assert image == expect
+    assert not degree_is_consistent(op)
 
 
 def test_nonzero_in_columns_restriction(basis):
@@ -131,8 +118,34 @@ def test_nonzero_in_columns_restriction(basis):
     cols = {top.start: {0: ONE}, 0: {0: ONE}}
     op = SparseOperator(basis, cols)
     assert op.nonzero_in_columns() == (2, "[0,0] = 1")
-    count, sample = op.nonzero_in_columns(max_weight=basis.n_max - 1)
+    below = op.restricted(range(0, top.start))
+    count, sample = below.nonzero_in_columns()
     assert count == 1 and sample == "[0,0] = 1"
+
+
+def test_restricted_keeps_a_column_range(basis):
+    rng = random.Random(5)
+    a = random_operator(basis, rng)
+    block = basis.weight_block(1)
+    r = a.restricted(block)
+    assert r.basis is a.basis and r.degree == a.degree
+    assert sorted(r.cols) == [j for j in block if j in a.cols]
+    assert all(r.cols[j] is a.cols[j] for j in r.cols)  # shared, not copied
+    assert a.restricted(range(len(basis))) == a
+    assert a.restricted(range(0)).is_zero()
+
+
+def test_subtraction_in_one_pass(basis):
+    rng = random.Random(13)
+    for _ in range(4):
+        a = random_operator(basis, rng)
+        b = random_operator(basis, rng)
+        assert dense(a - b) == [
+            [x - y for x, y in zip(ra, rb)] for ra, rb in zip(dense(a), dense(b))
+        ]
+        assert a - b == a + b.scale(-ONE)
+    z = SparseOperator.zero(basis)
+    assert z - a == a.scale(-ONE) and a - z == a
 
 
 def test_basis_mismatch_rejected(basis):

@@ -85,3 +85,13 @@ def test_weight_out_of_range():
     reg = registry(rational(2), (1, 1), 1)
     with pytest.raises(ValueError):
         check_annihilating(reg, (1, 2), 5)
+
+
+def test_annihilating_needs_degree_zero():
+    from awalgebra.spectra import annihilating_residual
+    from awalgebra.uqrep import interval_ops
+
+    reg = registry(rational(2), (1, 1), 2)
+    raise_op = interval_ops(reg.params, reg.basis, (1, 2))["E"]
+    with pytest.raises(ValueError):
+        annihilating_residual(raise_op, [rational(1)], reg.basis.weight_block(1))

@@ -1,16 +1,18 @@
+from fractions import Fraction
+
 import pytest
 
-from awalgebra.exactnum import ONE, inverse, parse, rational
+from awalgebra.exactnum import ONE, Rational, inverse, parse, rational
 from awalgebra.fockspace import TruncatedBasis
 from awalgebra.sparse import SparseOperator
 from awalgebra.uqrep import (
     RepParams,
     casimir,
     casimir_unshifted,
-    interval_generator,
     interval_ops,
     primitive_generator,
 )
+from helpers import below_top, degree_is_consistent
 
 Q2 = rational(2)
 Q53 = parse("5/3")
@@ -32,6 +34,27 @@ def test_params_validation():
         RepParams(q=Q2, k=(0, 1), legs=2, n_max=2)
     with pytest.raises(ValueError):
         RepParams(q=Q2, k=(1, 1), legs=2, n_max=0)
+
+
+def test_params_reject_float_q():
+    with pytest.raises(ValueError):
+        RepParams(q=1.5, k=(1, 1), legs=2, n_max=2)
+
+
+def test_params_reject_bool_q():
+    with pytest.raises(ValueError):
+        RepParams(q=True, k=(1, 1), legs=2, n_max=2)
+
+
+def test_params_reject_bool_weight():
+    with pytest.raises(ValueError):
+        RepParams(q=Q2, k=(True, 1), legs=2, n_max=2)
+
+
+def test_params_store_q_as_backend_rational():
+    for q in (2, Fraction(5, 3), Q53):
+        p = RepParams(q=q, k=(1, 1), legs=2, n_max=2)
+        assert type(p.q) is Rational and p.q == q
 
 
 def test_interval_weight():
@@ -60,7 +83,7 @@ def test_raising_coefficients_frozen():
     E = primitive_generator(p, b, 1, "E")
     assert E.get(b.index_of((1, 0)), b.index_of((0, 0))) == rational(-5, 2)
     assert E.get(b.index_of((2, 0)), b.index_of((1, 0))) == rational(-105, 8)
-    assert E.degree == 1 and E.degree_is_consistent()
+    assert E.degree == 1 and degree_is_consistent(E)
 
 
 def test_lowering_is_unit_shift():
@@ -71,7 +94,7 @@ def test_lowering_is_unit_shift():
     for j, m in enumerate(b.states):
         if m[0] == 0:
             assert j not in F.cols
-    assert F.degree == -1 and F.degree_is_consistent()
+    assert F.degree == -1 and degree_is_consistent(F)
 
 
 def test_single_leg_defining_relations():
@@ -88,7 +111,7 @@ def test_single_leg_defining_relations():
         # [E,F] = (K^2 - K^-2)/(q - q^-1), exact below the top block
         lhs = E * F - F * E
         rhs = (K * K - Ki * Ki).scale(inverse(q - inverse(q)))
-        count, _ = (lhs - rhs).nonzero_in_columns(max_weight=b.n_max - 1)
+        count, _ = below_top(lhs - rhs).nonzero_in_columns()
         assert count == 0
 
 
@@ -103,7 +126,7 @@ def test_commutator_truncation_artifact_is_confined():
     Ki = primitive_generator(p, b, 1, "Kinv")
     resid = (E * F - F * E) - (K * K - Ki * Ki).scale(inverse(p.q - inverse(p.q)))
     total, _ = resid.nonzero_in_columns()
-    below, _ = resid.nonzero_in_columns(max_weight=b.n_max - 1)
+    below, _ = below_top(resid).nonzero_in_columns()
     assert below == 0 and total > 0
 
 
@@ -130,7 +153,7 @@ def explicit_interval_sum(p, basis, interval, which):
 def test_interval_generator_matches_explicit_sum(which):
     p, b = make(Q53, (1, 2, 1), 3)
     for interval in [(1, 2), (2, 3), (1, 3)]:
-        assert interval_generator(p, b, interval, which) == explicit_interval_sum(
+        assert interval_ops(p, b, interval)[which] == explicit_interval_sum(
             p, b, interval, which
         )
 
@@ -140,7 +163,7 @@ def test_interval_k_is_product():
     prod = SparseOperator.identity(b)
     for leg in (1, 2, 3):
         prod = prod * primitive_generator(p, b, leg, "K")
-    assert interval_generator(p, b, (1, 3), "K") == prod
+    assert interval_ops(p, b, (1, 3))["K"] == prod
 
 
 def test_coassociativity_left_vs_right():
@@ -162,7 +185,7 @@ def test_interval_defining_relations():
     rhs = (ops["K"] * ops["K"] - ops["Kinv"] * ops["Kinv"]).scale(
         inverse(q - inverse(q))
     )
-    count, _ = (lhs - rhs).nonzero_in_columns(max_weight=b.n_max - 1)
+    count, _ = below_top(lhs - rhs).nonzero_in_columns()
     assert count == 0
 
 
@@ -188,7 +211,7 @@ def test_two_leg_casimir_vacuum_block():
     p, b = make(Q2, (1, 1), 2)
     c = casimir(p, b, (1, 2))
     assert c.get(0, 0) == rational(-13, 4)
-    assert c.degree == 0 and c.degree_is_consistent()
+    assert c.degree == 0 and degree_is_consistent(c)
 
 
 def test_shift_identity_between_casimirs():
@@ -212,7 +235,7 @@ def test_casimir_commutes_with_interval_algebra():
     ops = interval_ops(p, b, (1, 2))
     for w in ("E", "F", "K"):
         resid = c * ops[w] - ops[w] * c
-        count, _ = resid.nonzero_in_columns(max_weight=b.n_max - 1)
+        count, _ = below_top(resid).nonzero_in_columns()
         assert count == 0
 
 
