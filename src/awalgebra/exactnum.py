@@ -1,9 +1,12 @@
-"""Exact rational scalars used for every operator entry.
+"""Exact rational scalars: parameters, eigenvalues, operator entries as
+read and written at the boundaries of the sparse kernel.
 
-gmpy2's mpq is preferred (C implementation, several times faster on the
-multi-hundred-bit entries that Casimir products produce); stdlib
-fractions.Fraction is a drop-in fallback.  Both keep values canonical:
-positive denominator, gcd(numerator, denominator) = 1, and both raise
+The operator arithmetic itself runs on Python ints over a shared
+denominator (see sparse.py), so the choice of backend here matters only
+for scalar work: q and its powers, eigenvalue predictions, parsing and
+printing.  gmpy2's mpq is used when installed, stdlib
+fractions.Fraction otherwise; both keep values canonical (positive
+denominator, gcd(numerator, denominator) = 1) and both raise
 ZeroDivisionError on a zero denominator.
 """
 
@@ -34,13 +37,6 @@ def rational(num, den=1):
 def inverse(a):
     """Multiplicative inverse; ZeroDivisionError at zero."""
     return ONE / a
-
-
-def power(a, e):
-    """a**e for an integer exponent (negative e needs a != 0)."""
-    if e < 0 and not a:
-        raise ZeroDivisionError("zero has no negative powers")
-    return a ** e
 
 
 def parse(text):

@@ -63,7 +63,3 @@ class TruncatedBasis:
         if not 0 <= w <= self.n_max:
             raise KeyError(f"no weight-{w} block (n_max={self.n_max})")
         return self._blocks[w]
-
-    def block_size(self, w: int) -> int:
-        return len(self.weight_block(w))
-

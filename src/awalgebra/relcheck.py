@@ -96,7 +96,9 @@ def check_coassociativity(p: RepParams, basis) -> list[RelationReport]:
         if hi - lo < 2:
             continue
         label = label_of_subset(range(lo, hi + 1))
-        left = interval_ops(p, basis, (lo, hi), "left")
+        # the default assembly, so this shares the cache key of every
+        # other left fold
+        left = interval_ops(p, basis, (lo, hi))
         right = interval_ops(p, basis, (lo, hi), "right")
         for name in ("E", "F", "K", "Kinv"):
             out.append(
@@ -236,18 +238,6 @@ def enumerate_allowable() -> list[tuple]:
         rest = sorted(set(range(1, 5)) - set(pair))
         triples.append(((rest[0],), pair, (rest[1],)))
     return triples
-
-
-def canonical_rotation(triple) -> tuple | None:
-    """Canonical representative of an ordered triple under rotation, or
-    None when no rotation is allowable."""
-    slots = tuple(tuple(sorted(s)) for s in triple)
-    allowed = set(enumerate_allowable())
-    for shift in range(3):
-        rot = slots[shift:] + slots[:shift]
-        if rot in allowed:
-            return rot
-    return None
 
 
 def triple_text(triple) -> str:
@@ -630,6 +620,7 @@ def check_independence(reg: GeneratorRegistry) -> RelationReport:
         rows = []
         for label in NONCENTRAL_LABELS:
             op = reg[label].restricted(leading)
+            # integer numerators: dropping the row's den keeps the rank
             rows.append(
                 {i * n + j: v for j, col in op.cols.items() for i, v in col.items()}
             )

@@ -29,11 +29,6 @@ def casimir_eigenvalue(q, kappa: int):
     return -(q ** (2 * kappa - 1) + q ** (1 - 2 * kappa)) / (q + inverse(q))
 
 
-def casimir_eigenvalue_unshifted(q, kappa: int):
-    """Unshifted eigenvalue (q^(2 kappa - 1) + q^(1 - 2 kappa) - 2)/(q - q^-1)^2."""
-    return (q ** (2 * kappa - 1) + q ** (1 - 2 * kappa) - 2) / (q - inverse(q)) ** 2
-
-
 def predicted_eigenvalues(p, interval, weight: int) -> list:
     """lambda(k_A + x) for x = 0..weight on the weight block."""
     k_a = p.interval_weight(interval)

@@ -46,6 +46,15 @@ from .sparse import SparseOperator
 
 GENERATOR_NAMES = ("E", "F", "K", "Kinv")
 
+# Entries kept by each of the four operator caches below.  They are keyed
+# on basis identity and every configuration builds its own basis, so the
+# bound only drops earlier configurations and keeps a long-lived process
+# from holding all of them.  One default verify run fills at most 19
+# entries of any of them (interval_ops: 10 left and 3 right folds at four
+# legs, 6 left folds for the three-leg sub-realization; casimir 16,
+# _leg_ops 7, casimir_unshifted 6).
+CACHE_SIZE = 32
+
 
 @dataclass(frozen=True)
 class RepParams:
@@ -149,12 +158,12 @@ def _couple(left: dict, right: dict) -> dict:
     }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _leg_ops(p: RepParams, basis, leg: int) -> dict:
     return {w: primitive_generator(p, basis, leg, w) for w in GENERATOR_NAMES}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def interval_ops(p: RepParams, basis, interval, assembly: str = "left") -> dict:
     """All four generators on a consecutive interval of legs.
 
@@ -178,7 +187,7 @@ def interval_ops(p: RepParams, basis, interval, assembly: str = "left") -> dict:
     return acc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def casimir(p: RepParams, basis, interval) -> SparseOperator:
     """Shifted Casimir of an interval:
 
@@ -199,7 +208,7 @@ def casimir(p: RepParams, basis, interval) -> SparseOperator:
     return (k2.scale(iq) + ki2.scale(q) + ef.scale(s2)).scale(-ONE / t)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def casimir_unshifted(p: RepParams, basis, interval) -> SparseOperator:
     """Unshifted Casimir of an interval:
 

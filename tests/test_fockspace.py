@@ -28,7 +28,7 @@ def test_graded_lex_order_three_legs():
 def test_default_size():
     b = TruncatedBasis(legs=4, n_max=6)
     assert len(b) == 210 == comb(6 + 4, 4)
-    assert b.block_size(6) == 84 == comb(6 + 3, 3)
+    assert len(b.weight_block(6)) == 84 == comb(6 + 3, 3)
 
 
 def test_blocks_are_contiguous_and_sorted():
@@ -84,4 +84,4 @@ def test_dimensions(legs, n_max):
     assert len(b) == comb(n_max + legs, legs)
     assert len(set(b.states)) == len(b)
     for w in range(n_max + 1):
-        assert b.block_size(w) == comb(w + legs - 1, legs - 1)
+        assert len(b.weight_block(w)) == comb(w + legs - 1, legs - 1)

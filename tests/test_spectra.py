@@ -5,7 +5,6 @@ from awalgebra.fockspace import TruncatedBasis
 from awalgebra.opalgebra import build_registry
 from awalgebra.spectra import (
     casimir_eigenvalue,
-    casimir_eigenvalue_unshifted,
     check_annihilating,
     predicted_eigenvalues,
 )
@@ -32,6 +31,11 @@ def test_eigenvalues_frozen_at_q_two():
 def test_eigenvalue_reflection_symmetry(q):
     for kappa in range(-3, 5):
         assert casimir_eigenvalue(q, kappa) == casimir_eigenvalue(q, 1 - kappa)
+
+
+def casimir_eigenvalue_unshifted(q, kappa: int):
+    """Unshifted eigenvalue (q^(2 kappa - 1) + q^(1 - 2 kappa) - 2)/(q - q^-1)^2."""
+    return (q ** (2 * kappa - 1) + q ** (1 - 2 * kappa) - 2) / (q - 1 / q) ** 2
 
 
 @pytest.mark.parametrize("q", [parse("5/3"), rational(2)])

@@ -5,8 +5,12 @@ import pytest
 from awalgebra.exactnum import ONE, Rational, inverse, parse, rational
 from awalgebra.fockspace import TruncatedBasis
 from awalgebra.sparse import SparseOperator
+from awalgebra.opalgebra import build_registry
+from awalgebra.relcheck import check_coassociativity, check_defining_relations
 from awalgebra.uqrep import (
+    CACHE_SIZE,
     RepParams,
+    _leg_ops,
     casimir,
     casimir_unshifted,
     interval_ops,
@@ -242,3 +246,28 @@ def test_casimir_commutes_with_interval_algebra():
 def test_casimir_caching_returns_same_object():
     p, b = make(Q53, (1, 2), 2)
     assert casimir(p, b, (1, 2)) is casimir(p, b, (1, 2))
+
+
+CACHES = (_leg_ops, interval_ops, casimir, casimir_unshifted)
+
+
+def test_caches_stay_bounded():
+    for q in range(2, CACHE_SIZE + 4):
+        p, b = make(rational(q), (1, 2), 1)
+        casimir(p, b, (1, 2))
+        casimir_unshifted(p, b, (1, 2))
+        interval_ops(p, b, (1, 2), "right")
+    for cached in CACHES:
+        info = cached.cache_info()
+        assert info.maxsize == CACHE_SIZE
+        assert info.currsize <= CACHE_SIZE, cached
+
+
+def test_left_folds_share_one_cache_key():
+    # defining suite and registry at four legs: 10 left folds, 3 right
+    p, b = make(Q53, (1, 2, 1, 3), 1)
+    before = interval_ops.cache_info().misses
+    check_defining_relations(p, b)
+    check_coassociativity(p, b)
+    build_registry(p, b)
+    assert interval_ops.cache_info().misses - before == 13
