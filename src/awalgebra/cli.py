@@ -15,13 +15,12 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import replace
 from pathlib import Path
 
 from . import relcheck
 from .compass import CompassError, build_compass, export_dot
 from .exactnum import parse as parse_rational, to_text
-from .fockspace import TruncatedBasis
 from .opalgebra import build_registry, is_consecutive, label_of_subset, subset_of_label
 from .spectra import annihilating_residual, predicted_eigenvalues
 from .uqrep import RepParams, casimir
@@ -42,14 +41,7 @@ FORMAT_VERSION = 1
 DEFAULT_K = (1, 2, 1, 3)
 
 
-@dataclass
-class RunConfig:
-    params: RepParams
-    basis: TruncatedBasis
-    q_text: str
-
-
-def make_config(args) -> RunConfig:
+def make_config(args) -> RepParams:
     try:
         q = parse_rational(args.q)
     except ZeroDivisionError:
@@ -61,97 +53,59 @@ def make_config(args) -> RunConfig:
             k = tuple(int(x) for x in args.k.split(","))
         except ValueError:
             raise ValueError(f"k must be comma-separated integers, got {args.k!r}")
-    params = RepParams(q=q, k=k, legs=args.legs, n_max=args.nmax)
-    basis = TruncatedBasis(params.legs, params.n_max)
-    return RunConfig(params=params, basis=basis, q_text=to_text(q))
+    return RepParams(q=q, k=k, legs=args.legs, n_max=args.nmax)
 
 
-def suite_obstacle(name: str, cfg: RunConfig) -> str | None:
+def suite_obstacle(name: str, p: RepParams) -> str | None:
     """Why a suite cannot run at this configuration, or None."""
-    legs = cfg.params.legs
-    if name in ("prop2", "master", "independence") and legs != 4:
+    if name in ("prop2", "master", "independence") and p.legs != 4:
         return "needs legs=4"
-    if name in ("aw3", "aw3-quadratic") and legs < 3:
+    if name in ("aw3", "aw3-quadratic") and p.legs < 3:
         return "needs legs>=3"
-    if name == "independence" and cfg.params.n_max < 2:
+    if name == "independence" and p.n_max < 2:
         return "needs nmax>=2"
     return None
 
 
-class _Realizations:
-    """Lazy shared registries for one verify run."""
-
-    def __init__(self, cfg: RunConfig):
-        self.cfg = cfg
-        self._reg = None
-        self._probe = None
-        self._reg3 = None
-
-    @property
-    def reg(self):
-        if self._reg is None:
-            self._reg = build_registry(self.cfg.params, self.cfg.basis)
-        return self._reg
-
-    @property
-    def probe(self):
-        """Weight blocks <= 3 of the registry, used to pre-screen
-        orientation assignments; the full registry always confirms."""
-        if self.cfg.params.n_max <= 3:
-            return None
-        if self._probe is None:
-            self._probe = self.reg.restricted(3)
-        return self._probe
-
-    @property
-    def reg3(self):
-        """Three-leg sub-realization on the first three legs."""
-        p = self.cfg.params
-        if p.legs == 3:
-            return self.reg
-        if self._reg3 is None:
-            sub = RepParams(q=p.q, k=p.k[:3], legs=3, n_max=p.n_max)
-            self._reg3 = build_registry(sub, TruncatedBasis(3, p.n_max))
-        return self._reg3
-
-
-def run_suite(name: str, real: _Realizations) -> list:
-    cfg = real.cfg
+def run_suite(name: str, p: RepParams) -> list:
+    """Reports of one suite at p; registries come from build_registry's
+    cache, and the defining suite needs none."""
     if name == "defining":
-        return relcheck.check_defining_relations(
-            cfg.params, cfg.basis
-        ) + relcheck.check_coassociativity(cfg.params, cfg.basis)
+        return relcheck.check_defining_relations(p) + relcheck.check_coassociativity(p)
+    if name == "aw3-quadratic":
+        # three-leg sub-realization on the first three legs
+        return relcheck.check_aw3_quadratic(
+            build_registry(replace(p, legs=3, k=p.k[:3]))
+        )
+    if name not in SUITE_ORDER:
+        raise ValueError(f"unknown suite {name!r}")
+    reg = build_registry(p)
     if name == "prop1":
-        return relcheck.check_prop1(real.reg)
+        return relcheck.check_prop1(reg)
     if name == "prop2":
-        return relcheck.check_prop2(real.reg)
+        return relcheck.check_prop2(reg)
     if name == "aw3":
         reports = []
-        if cfg.params.legs == 4:
+        if p.legs == 4:
+            # weight blocks <= 3 pre-screen orientation assignments; the
+            # full registry always confirms
+            probe = reg.restricted(3) if p.n_max > 3 else None
             for triple in relcheck.enumerate_allowable():
-                reports.extend(
-                    relcheck.check_aw3_symmetric(real.reg, triple, real.probe)
-                )
+                reports.extend(relcheck.check_aw3_symmetric(reg, triple, probe))
             tag = "linear-embedded"
         else:
-            reports.extend(
-                relcheck.check_aw3_symmetric(real.reg, ((1,), (2,), (3,)))
-            )
+            reports.extend(relcheck.check_aw3_symmetric(reg, ((1,), (2,), (3,))))
             tag = "linear"
-        reports.extend(relcheck.check_aw3_linear(real.reg, tag=tag))
+        reports.extend(relcheck.check_aw3_linear(reg, tag=tag))
         return reports
-    if name == "aw3-quadratic":
-        return relcheck.check_aw3_quadratic(real.reg3)
     if name == "master":
-        return relcheck.check_master_all(real.reg)
+        return relcheck.check_master_all(reg)
     if name == "spectra":
-        return relcheck.check_spectra(real.reg)
-    if name == "independence":
-        return [relcheck.check_independence(real.reg)]
-    raise ValueError(f"unknown suite {name!r}")
+        return relcheck.check_spectra(reg)
+    return [relcheck.check_independence(reg)]
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
+def cmd_verify(args, p: RepParams) -> int:
     requested = args.suite.split(",")
     for name in requested:
         if name != "all" and name not in SUITE_ORDER:
@@ -165,7 +119,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     if "all" in requested:
         names = []
         for name in SUITE_ORDER:
-            reason = suite_obstacle(name, cfg)
+            reason = suite_obstacle(name, p)
             if reason is None:
                 names.append(name)
             else:
@@ -173,21 +127,21 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     else:
         names = [n for n in SUITE_ORDER if n in requested]
         for name in names:
-            reason = suite_obstacle(name, cfg)
+            reason = suite_obstacle(name, p)
             if reason is not None:
                 print(f"error: suite {name} {reason}", file=sys.stderr)
                 return 2
 
+    q_text = to_text(p.q)
     print(
-        f"params: q={cfg.q_text} k={','.join(map(str, cfg.params.k))} "
-        f"legs={cfg.params.legs} nmax={cfg.params.n_max}"
+        f"params: q={q_text} k={','.join(map(str, p.k))} "
+        f"legs={p.legs} nmax={p.n_max}"
     )
-    real = _Realizations(cfg)
     all_reports = []
     timings = {}
     for name in names:
         start = time.perf_counter()
-        reports = run_suite(name, real)
+        reports = run_suite(name, p)
         timings[name] = int((time.perf_counter() - start) * 1000)
         all_reports.extend(reports)
         ok = sum(r.ok for r in reports)
@@ -216,10 +170,10 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         payload = {
             "format_version": FORMAT_VERSION,
             "params": {
-                "q": cfg.q_text,
-                "k": list(cfg.params.k),
-                "legs": cfg.params.legs,
-                "nmax": cfg.params.n_max,
+                "q": q_text,
+                "k": list(p.k),
+                "legs": p.legs,
+                "nmax": p.n_max,
             },
             "suites": names,
             "skipped_suites": skipped,
@@ -235,37 +189,35 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     return 0 if not problems else 1
 
 
-def cmd_spectrum(args, cfg: RunConfig) -> int:
+def cmd_spectrum(args, p: RepParams) -> int:
     try:
         subset = subset_of_label(args.op)
         if not subset or not is_consecutive(subset):
             raise ValueError
         interval = (subset[0], subset[-1])
-        if interval[1] > cfg.params.legs or args.op != label_of_subset(subset):
+        if interval[1] > p.legs or args.op != label_of_subset(subset):
             raise ValueError
     except ValueError:
         print(
             f"error: {args.op!r} is not an interval Casimir label at "
-            f"legs={cfg.params.legs}",
+            f"legs={p.legs}",
             file=sys.stderr,
         )
         return 2
-    if args.weight is not None and not 0 <= args.weight <= cfg.params.n_max:
+    if args.weight is not None and not 0 <= args.weight <= p.n_max:
         print(
-            f"error: weight {args.weight} outside 0..{cfg.params.n_max}",
+            f"error: weight {args.weight} outside 0..{p.n_max}",
             file=sys.stderr,
         )
         return 2
-    op = casimir(cfg.params, cfg.basis, interval)
-    k_a = cfg.params.interval_weight(interval)
-    print(f"operator {args.op}, interval weight k_A = {k_a}, q = {cfg.q_text}")
-    weights = (
-        range(cfg.params.n_max + 1) if args.weight is None else [args.weight]
-    )
+    op = casimir(p, interval)
+    k_a = p.interval_weight(interval)
+    print(f"operator {args.op}, interval weight k_A = {k_a}, q = {to_text(p.q)}")
+    weights = range(p.n_max + 1) if args.weight is None else [args.weight]
     failures = 0
     for w in weights:
-        lams = predicted_eigenvalues(cfg.params, interval, w)
-        block = cfg.basis.weight_block(w)
+        lams = predicted_eigenvalues(p, interval, w)
+        block = op.basis.weight_block(w)
         nonzero = annihilating_residual(op, lams, block)
         status = "ok" if nonzero == 0 else "NONZERO RESIDUAL"
         failures += nonzero != 0
@@ -274,8 +226,8 @@ def cmd_spectrum(args, cfg: RunConfig) -> int:
     return 0 if failures == 0 else 1
 
 
-def cmd_compass(args, cfg: RunConfig) -> int:
-    reg = build_registry(cfg.params, cfg.basis)
+def cmd_compass(args, p: RepParams) -> int:
+    reg = build_registry(p)
     try:
         graph = build_compass(reg)
     except CompassError as e:
@@ -290,7 +242,7 @@ def cmd_compass(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_tables(args, cfg=None) -> int:
+def cmd_tables(args, p=None) -> int:
     for row in relcheck.load_master_rows():
         cells = " | ".join(
             "(" + ", ".join(triple) + ")" for triple in row.triples
@@ -367,15 +319,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(_join_negative_q(argv))
     except SystemExit as exit_:
         return exit_.code if isinstance(exit_.code, int) else 2
-    cfg = None
+    p = None
     if args.needs_config:
         try:
-            cfg = make_config(args)
+            p = make_config(args)
         except (ValueError, ZeroDivisionError) as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
     try:
-        return args.func(args, cfg)
+        return args.func(args, p)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

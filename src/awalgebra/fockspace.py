@@ -24,8 +24,9 @@ class TruncatedBasis:
     """Ordered basis of occupation tuples with contiguous weight blocks.
 
     len() is the state count; states are addressed both ways through
-    .states[i] and .index_of(state).  Compared and hashed by identity:
-    two bases are interchangeable only if they are the same object.
+    .states[i] and .index_of(state).  Compared and hashed by shape
+    (legs, n_max), which fixes every state and its position, so two
+    bases of one shape are interchangeable.
     """
 
     def __init__(self, legs: int, n_max: int):
@@ -48,6 +49,14 @@ class TruncatedBasis:
 
     def __len__(self) -> int:
         return len(self.states)
+
+    def __eq__(self, other):
+        if not isinstance(other, TruncatedBasis):
+            return NotImplemented
+        return (self.legs, self.n_max) == (other.legs, other.n_max)
+
+    def __hash__(self) -> int:
+        return hash((self.legs, self.n_max))
 
     def __repr__(self) -> str:
         return f"TruncatedBasis(legs={self.legs}, n_max={self.n_max})"

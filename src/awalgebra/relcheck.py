@@ -28,7 +28,7 @@ from functools import lru_cache
 from importlib import resources
 from itertools import combinations, product
 
-from .exactnum import ONE, inverse
+from .exactnum import inverse
 from .opalgebra import (
     GeneratorRegistry,
     commutator,
@@ -49,7 +49,7 @@ from .uqrep import RepParams, casimir_unshifted, interval_ops
 # -- defining relations ----------------------------------------------
 
 
-def check_defining_relations(p: RepParams, basis) -> list[RelationReport]:
+def check_defining_relations(p: RepParams) -> list[RelationReport]:
     """K Kinv = 1, K E = q E K, q K F = F K and the E, F commutator on
     every leg and every consecutive interval.
 
@@ -59,11 +59,11 @@ def check_defining_relations(p: RepParams, basis) -> list[RelationReport]:
     """
     q = p.q
     s_inv = inverse(q - inverse(q))
-    iden = SparseOperator.identity(basis)
+    iden = SparseOperator.identity(p.basis)
     out = []
     for lo, hi in consecutive_subsets(p.legs):
         label = label_of_subset(range(lo, hi + 1))
-        ops = interval_ops(p, basis, (lo, hi))
+        ops = interval_ops(p, (lo, hi))
         e, f, k, ki = ops["E"], ops["F"], ops["K"], ops["Kinv"]
         pairs = [
             ("KKinv", k * ki - iden, None),
@@ -72,7 +72,7 @@ def check_defining_relations(p: RepParams, basis) -> list[RelationReport]:
             (
                 "EF",
                 commutator(e, f) - (k * k - ki * ki).scale(s_inv),
-                basis.n_max - 1,
+                p.n_max - 1,
             ),
         ]
         for name, resid, max_w in pairs:
@@ -88,7 +88,7 @@ def check_defining_relations(p: RepParams, basis) -> list[RelationReport]:
     return out
 
 
-def check_coassociativity(p: RepParams, basis) -> list[RelationReport]:
+def check_coassociativity(p: RepParams) -> list[RelationReport]:
     """Left-bracketed vs right-bracketed coproduct assembly agree on
     every interval of three or more legs."""
     out = []
@@ -98,8 +98,8 @@ def check_coassociativity(p: RepParams, basis) -> list[RelationReport]:
         label = label_of_subset(range(lo, hi + 1))
         # the default assembly, so this shares the cache key of every
         # other left fold
-        left = interval_ops(p, basis, (lo, hi))
-        right = interval_ops(p, basis, (lo, hi), "right")
+        left = interval_ops(p, (lo, hi))
+        right = interval_ops(p, (lo, hi), "right")
         for name in ("E", "F", "K", "Kinv"):
             out.append(
                 residual_report(
@@ -412,19 +412,18 @@ def check_aw3_quadratic(reg3: GeneratorRegistry) -> list[RelationReport]:
     p = reg3.params
     if p.legs != 3:
         raise ValueError("quadratic relation pair is stated on three legs")
-    basis = reg3.basis
     q = p.q
     s2 = (q - inverse(q)) ** 2
     t = q + inverse(q)
     u = {
-        "U1": casimir_unshifted(p, basis, (1, 1)),
-        "U2": casimir_unshifted(p, basis, (2, 2)),
-        "U3": casimir_unshifted(p, basis, (3, 3)),
-        "U12": casimir_unshifted(p, basis, (1, 2)),
-        "U23": casimir_unshifted(p, basis, (2, 3)),
-        "U123": casimir_unshifted(p, basis, (1, 3)),
+        "U1": casimir_unshifted(p, (1, 1)),
+        "U2": casimir_unshifted(p, (2, 2)),
+        "U3": casimir_unshifted(p, (3, 3)),
+        "U12": casimir_unshifted(p, (1, 2)),
+        "U23": casimir_unshifted(p, (2, 3)),
+        "U123": casimir_unshifted(p, (1, 3)),
     }
-    iden = SparseOperator.identity(basis)
+    iden = SparseOperator.identity(reg3.basis)
     central_sum = u["U1"] + u["U2"] + u["U3"] + u["U123"]
     gg = u["U1"] * u["U3"] + u["U2"] * u["U123"]
     b = gg.scale(s2) + central_sum.scale(2)

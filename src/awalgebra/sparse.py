@@ -149,7 +149,7 @@ class SparseOperator:
     # -- ring operations -----------------------------------------------
 
     def _require_same_basis(self, other):
-        if self.basis is not other.basis:
+        if self.basis is not other.basis and self.basis != other.basis:
             raise ValueError("operators live on different bases")
 
     def __add__(self, other, sign=1):
@@ -234,10 +234,10 @@ class SparseOperator:
         return self.scale(c)
 
     def __eq__(self, other):
-        """Same basis and the same values; denominators may differ."""
+        """Equal bases and the same values; denominators may differ."""
         if not isinstance(other, SparseOperator):
             return NotImplemented
-        if self.basis is not other.basis:
+        if self.basis is not other.basis and self.basis != other.basis:
             return False
         da, db = self.den, other.den
         ocols = other.cols

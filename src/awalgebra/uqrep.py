@@ -39,29 +39,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .exactnum import ONE, Rational
+from .fockspace import TruncatedBasis
 from .sparse import SparseOperator
 
 GENERATOR_NAMES = ("E", "F", "K", "Kinv")
 
 # Entries kept by each of the four operator caches below.  They are keyed
-# on basis identity and every configuration builds its own basis, so the
-# bound only drops earlier configurations and keeps a long-lived process
-# from holding all of them.  One default verify run fills at most 19
-# entries of any of them (interval_ops: 10 left and 3 right folds at four
-# legs, 6 left folds for the three-leg sub-realization; casimir 16,
-# _leg_ops 7, casimir_unshifted 6).
+# on parameter values, so equal parameters share one entry across runs in
+# a process; the bound drops the least recently used parameter sets and
+# keeps a long-lived process from holding all of them.  One default
+# verify run fills at most 19 entries of any of them (interval_ops: 10
+# left and 3 right folds at four legs, 6 left folds for the three-leg
+# sub-realization; casimir 16, _leg_ops 7, casimir_unshifted 6).
 CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
 class RepParams:
-    """Deformation parameter q and one integer weight label per leg.
+    """One realization: deformation parameter q, one integer weight label
+    per leg, the number of legs and the truncation n_max.
 
     q must be exact (int, Fraction or the backend's Rational) and is
     stored as the backend's Rational; bools are rejected in q and k.
+    Compared and hashed by these values, which key the operator caches.
     """
 
     q: object
@@ -89,6 +92,11 @@ class RepParams:
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
 
+    @cached_property
+    def basis(self) -> TruncatedBasis:
+        """The truncated occupation basis every operator lives on."""
+        return TruncatedBasis(self.legs, self.n_max)
+
     def interval_weight(self, interval) -> int:
         """Sum of the weight labels over an interval of legs."""
         lo, hi = check_interval(self, interval)
@@ -106,12 +114,11 @@ def check_interval(p: RepParams, interval):
     return lo, hi
 
 
-def primitive_generator(p: RepParams, basis, leg: int, which: str) -> SparseOperator:
+def primitive_generator(p: RepParams, leg: int, which: str) -> SparseOperator:
     """Generator acting on a single leg, identity on all others."""
     if not 1 <= leg <= p.legs:
         raise ValueError(f"leg {leg} not within 1..{p.legs}")
-    if basis.legs != p.legs:
-        raise ValueError("basis and parameters disagree on the number of legs")
+    basis = p.basis
     q = p.q
     k = p.k[leg - 1]
     ax = leg - 1
@@ -159,12 +166,12 @@ def _couple(left: dict, right: dict) -> dict:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _leg_ops(p: RepParams, basis, leg: int) -> dict:
-    return {w: primitive_generator(p, basis, leg, w) for w in GENERATOR_NAMES}
+def _leg_ops(p: RepParams, leg: int) -> dict:
+    return {w: primitive_generator(p, leg, w) for w in GENERATOR_NAMES}
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def interval_ops(p: RepParams, basis, interval, assembly: str = "left") -> dict:
+def interval_ops(p: RepParams, interval, assembly: str = "left") -> dict:
     """All four generators on a consecutive interval of legs.
 
     assembly picks the coproduct folding order, "left" for
@@ -175,7 +182,7 @@ def interval_ops(p: RepParams, basis, interval, assembly: str = "left") -> dict:
     lo, hi = check_interval(p, interval)
     if assembly not in ("left", "right"):
         raise ValueError(f"unknown assembly order {assembly!r}")
-    per_leg = [_leg_ops(p, basis, leg) for leg in range(lo, hi + 1)]
+    per_leg = [_leg_ops(p, leg) for leg in range(lo, hi + 1)]
     if assembly == "left":
         acc = per_leg[0]
         for nxt in per_leg[1:]:
@@ -188,7 +195,7 @@ def interval_ops(p: RepParams, basis, interval, assembly: str = "left") -> dict:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def casimir(p: RepParams, basis, interval) -> SparseOperator:
+def casimir(p: RepParams, interval) -> SparseOperator:
     """Shifted Casimir of an interval:
 
         -(q^-1 K^2 + q K^-2 + (q - q^-1)^2 E F) / (q + q^-1)
@@ -197,7 +204,7 @@ def casimir(p: RepParams, basis, interval) -> SparseOperator:
     since F acts before the truncated E.  On a single leg of weight
     label k it is the scalar -(q^(2k-1) + q^(1-2k)) / (q + q^-1).
     """
-    ops = interval_ops(p, basis, interval)
+    ops = interval_ops(p, interval)
     q = p.q
     iq = ONE / q
     s2 = (q - iq) ** 2
@@ -209,20 +216,17 @@ def casimir(p: RepParams, basis, interval) -> SparseOperator:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def casimir_unshifted(p: RepParams, basis, interval) -> SparseOperator:
+def casimir_unshifted(p: RepParams, interval) -> SparseOperator:
     """Unshifted Casimir of an interval:
 
         (q^-1 K^2 + q K^-2 - 2) / (q - q^-1)^2 + E F
 
-    Related to the shifted one by
+    computed as the affine image of the shifted one, inverting
     shifted = -((q - q^-1)^2 unshifted + 2) / (q + q^-1).
     """
-    ops = interval_ops(p, basis, interval)
     q = p.q
     iq = ONE / q
     s2 = (q - iq) ** 2
-    iden = SparseOperator.identity(basis)
-    k2 = ops["K"] * ops["K"]
-    ki2 = ops["Kinv"] * ops["Kinv"]
-    ef = ops["E"] * ops["F"]
-    return (k2.scale(iq) + ki2.scale(q) - iden.scale(2)).scale(ONE / s2) + ef
+    t = q + iq
+    iden = SparseOperator.identity(p.basis, 2)
+    return (casimir(p, interval).scale(t) + iden).scale(-ONE / s2)

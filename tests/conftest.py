@@ -4,14 +4,12 @@ parameter sets, plus the leading-block probe for orientation searches."""
 import pytest
 
 from awalgebra.exactnum import rational
-from awalgebra.fockspace import TruncatedBasis
 from awalgebra.opalgebra import build_registry
 from awalgebra.uqrep import RepParams
 
 
 def _registry(q, k, legs, n_max):
-    params = RepParams(q=q, k=k, legs=legs, n_max=n_max)
-    return build_registry(params, TruncatedBasis(legs, n_max))
+    return build_registry(RepParams(q=q, k=k, legs=legs, n_max=n_max))
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,9 @@ import json
 
 from awalgebra import relcheck
 from awalgebra.cli import main
+from awalgebra.opalgebra import build_registry
 from awalgebra.reporting import RelationReport
+from awalgebra.uqrep import _leg_ops, casimir, interval_ops
 
 
 def run(capsys, *argv):
@@ -176,6 +178,26 @@ def test_spectrum_rejects_out_of_range_weight(capsys):
     )
     assert code == 2
     assert "outside" in err
+
+
+def test_repeated_spectrum_calls_share_one_realization(capsys):
+    argv = ["spectrum", "--op", "Q12", "--nmax", "3"]
+    assert main(argv) == 0
+    caches = (_leg_ops, interval_ops, casimir)
+    before = [c.cache_info().misses for c in caches]
+    assert main(argv) == 0
+    assert [c.cache_info().misses for c in caches] == before
+    capsys.readouterr()
+
+
+def test_compass_after_verify_reuses_the_registry(capsys):
+    params = ["--q", "3/7", "--k", "2,1,2,1", "--nmax", "2"]
+    assert main(["verify", "--suite", "prop1", *params]) == 0
+    before = build_registry.cache_info()
+    assert main(["compass", *params]) == 0
+    after = build_registry.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+    capsys.readouterr()
 
 
 def test_compass_stdout_and_file_agree(capsys, tmp_path):

@@ -1,7 +1,6 @@
 import pytest
 
 from awalgebra.exactnum import parse
-from awalgebra.fockspace import TruncatedBasis
 from awalgebra.compass import CompassError, VERTICES, build_compass, export_dot
 from awalgebra.opalgebra import GeneratorRegistry, build_registry
 from awalgebra.uqrep import RepParams
@@ -10,7 +9,7 @@ from awalgebra.uqrep import RepParams
 @pytest.fixture(scope="module")
 def graph():
     p = RepParams(q=parse("5/3"), k=(1, 2, 1, 3), legs=4, n_max=2)
-    reg = build_registry(p, TruncatedBasis(4, 2))
+    reg = build_registry(p)
     return build_compass(reg)
 
 
@@ -51,7 +50,7 @@ def test_centers(graph):
 
 def test_dot_is_deterministic(graph):
     p = RepParams(q=parse("5/3"), k=(1, 2, 1, 3), legs=4, n_max=2)
-    reg = build_registry(p, TruncatedBasis(4, 2))
+    reg = build_registry(p)
     assert export_dot(graph) == export_dot(build_compass(reg))
 
 
@@ -67,22 +66,22 @@ def test_dot_content(graph):
 def test_parameter_independence(graph):
     # the pentagon is combinatorial: any admissible parameters give it
     p = RepParams(q=parse("2/5"), k=(2, 1, 1, 1), legs=4, n_max=2)
-    reg = build_registry(p, TruncatedBasis(4, 2))
+    reg = build_registry(p)
     other = build_compass(reg)
     assert other == graph
 
 
 def test_inconsistency_is_an_error(graph):
     p = RepParams(q=parse("5/3"), k=(1, 2, 1, 3), legs=4, n_max=2)
-    reg = build_registry(p, TruncatedBasis(4, 2))
+    reg = build_registry(p)
     broken = dict(reg.table)
     broken["Q12"], broken["Q34"] = broken["Q34"], broken["Q12"]  # relabel
     with pytest.raises(CompassError):
-        build_compass(GeneratorRegistry(reg.params, reg.basis, broken))
+        build_compass(GeneratorRegistry(reg.params, broken))
 
 
 def test_needs_four_legs():
     p = RepParams(q=parse("5/3"), k=(1, 2, 1), legs=3, n_max=1)
-    reg = build_registry(p, TruncatedBasis(3, 1))
+    reg = build_registry(p)
     with pytest.raises(CompassError):
         build_compass(reg)

@@ -63,6 +63,15 @@ def test_weight_block_range_checked():
         b.weight_block(3)
 
 
+def test_bases_compare_by_shape():
+    a, b = TruncatedBasis(legs=3, n_max=2), TruncatedBasis(legs=3, n_max=2)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != TruncatedBasis(legs=3, n_max=3)
+    assert a != TruncatedBasis(legs=4, n_max=2)
+    assert a != (3, 2)
+
+
 @pytest.mark.parametrize("legs", [0, 1, 5])
 def test_rejects_bad_legs(legs):
     with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ import pytest
 
 from awalgebra import relcheck
 from awalgebra.exactnum import rational
-from awalgebra.fockspace import TruncatedBasis
 from awalgebra.opalgebra import GeneratorRegistry, build_registry
 from awalgebra.sparse import SparseOperator
 from awalgebra.spectra import annihilating_residual, predicted_eigenvalues
@@ -17,7 +16,7 @@ WEIGHT = 1  # the bumped entry sits on the diagonal of this weight block
 @pytest.fixture(scope="module")
 def reg():
     p = RepParams(q=rational(5, 3), k=(1, 2, 1, 3), legs=4, n_max=2)
-    return build_registry(p, TruncatedBasis(4, 2))
+    return build_registry(p)
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +28,7 @@ def mutated(reg):
     bump = SparseOperator(reg.basis, {j: {j: rational(1, q12.den)}}, degree=0)
     bumped = q12 + bump
     assert (bumped - q12).nnz() == 1
-    return GeneratorRegistry(reg.params, reg.basis, {**reg.table, "Q12": bumped})
+    return GeneratorRegistry(reg.params, {**reg.table, "Q12": bumped})
 
 
 def flipped(good, bad):

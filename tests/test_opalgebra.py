@@ -24,9 +24,7 @@ from helpers import degree_is_consistent
 
 @pytest.fixture(scope="module")
 def reg():
-    p = RepParams(q=parse("5/3"), k=(1, 2, 1, 3), legs=4, n_max=2)
-    basis = TruncatedBasis(p.legs, p.n_max)
-    return build_registry(p, basis)
+    return build_registry(RepParams(q=parse("5/3"), k=(1, 2, 1, 3), legs=4, n_max=2))
 
 
 def test_label_round_trip():
@@ -94,10 +92,10 @@ def test_commutator_and_anticommutator(reg):
 
 def test_registry_labels_at_each_rank():
     p2 = RepParams(q=parse("5/3"), k=(1, 2), legs=2, n_max=1)
-    r2 = build_registry(p2, TruncatedBasis(2, 1))
+    r2 = build_registry(p2)
     assert r2.labels() == ("Q0", "Q1", "Q2", "Q12")
     p3 = RepParams(q=parse("5/3"), k=(1, 2, 1), legs=3, n_max=1)
-    r3 = build_registry(p3, TruncatedBasis(3, 1))
+    r3 = build_registry(p3)
     assert r3.labels() == (
         "Q0",
         "Q1",
@@ -109,6 +107,24 @@ def test_registry_labels_at_each_rank():
         "Q13",
         "IQ13",
     )
+
+
+@pytest.mark.parametrize("legs", [2, 3, 4])
+def test_registry_lives_on_the_parameters_basis(legs):
+    p = RepParams(q=parse("7/2"), k=(2, 1, 3, 1)[:legs], legs=legs, n_max=2)
+    reg = build_registry(p)
+    assert reg.basis is p.basis
+    assert (reg.basis.legs, reg.basis.n_max) == (p.legs, p.n_max)
+    assert all(op.basis == p.basis for op in reg.table.values())
+
+
+def test_registry_cache_keeps_two_realizations():
+    info = build_registry.cache_info()
+    assert info.maxsize == 2
+    for n_max in (1, 2, 3):
+        p = RepParams(q=parse("9/4"), k=(3, 1, 2), legs=3, n_max=n_max)
+        assert build_registry(p) is build_registry(p)
+    assert build_registry.cache_info().currsize <= 2
 
 
 def test_registry_full_rank_labels(reg):
@@ -132,8 +148,12 @@ def test_singletons_are_scalar(reg):
 
 
 def test_consecutive_entries_are_casimirs(reg):
-    assert reg["Q234"] is casimir(reg.params, reg.basis, (2, 4))
-    assert reg["Q1234"] is casimir(reg.params, reg.basis, (1, 4))
+    # a registry cached by an earlier test may outlive its Casimirs'
+    # cache entries, so build this one afresh
+    build_registry.cache_clear()
+    fresh = build_registry(reg.params)
+    assert fresh["Q234"] is casimir(reg.params, (2, 4))
+    assert fresh["Q1234"] is casimir(reg.params, (1, 4))
 
 
 def test_derived_generators_are_degree_zero(reg):
@@ -196,11 +216,11 @@ def test_restricted_equals_shallow_truncation(name, request):
     full = request.getfixturevalue(name)
     p = full.params
     small = RepParams(q=p.q, k=p.k, legs=p.legs, n_max=3)
-    shallow = build_registry(small, TruncatedBasis(p.legs, 3))
+    shallow = build_registry(small)
     probe = full.restricted(3)
     assert probe.labels() == shallow.labels() == full.labels()
     for label in full.labels():
-        # different basis objects, so compare the entries' values
+        # bases of different shapes, so compare the entries' values
         got, want = probe[label].entries(), shallow[label].entries()
         assert list(got) == list(want), label
 
@@ -217,4 +237,4 @@ def test_restricted_needs_degree_zero(reg):
     table = dict(reg.table)
     table["Q13"] = SparseOperator(reg.basis, {0: {1: ONE}}, degree=1)
     with pytest.raises(ValueError):
-        GeneratorRegistry(reg.params, reg.basis, table).restricted(1)
+        GeneratorRegistry(reg.params, table).restricted(1)

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from awalgebra.exactnum import parse, rational
-from awalgebra.fockspace import TruncatedBasis
 from awalgebra.opalgebra import GeneratorRegistry, build_registry
 from awalgebra.sparse import fraction_free_rank
 from awalgebra.uqrep import RepParams
@@ -29,7 +28,7 @@ from awalgebra.relcheck import (
 
 def registry(qtxt, k, n_max):
     p = RepParams(q=parse(qtxt), k=tuple(k), legs=len(k), n_max=n_max)
-    return build_registry(p, TruncatedBasis(p.legs, p.n_max))
+    return build_registry(p)
 
 
 @pytest.fixture(scope="module")
@@ -46,14 +45,13 @@ def reg3():
 
 
 def test_defining_relations_all_pass(reg4):
-    p, basis = reg4.params, reg4.basis
-    reports = check_defining_relations(p, basis)
+    reports = check_defining_relations(reg4.params)
     assert len(reports) == 40  # ten intervals, four relations each
     assert all(r.status == "pass" for r in reports)
 
 
 def test_coassociativity_all_pass(reg4):
-    reports = check_coassociativity(reg4.params, reg4.basis)
+    reports = check_coassociativity(reg4.params)
     assert len(reports) == 12  # intervals 123, 234, 1234 x four generators
     assert all(r.status == "pass" for r in reports)
 
@@ -178,7 +176,7 @@ def test_aw3_search_recovers_swapped_orientation(reg4):
     # assignment fail; the search must land on the flipped labels
     table = dict(reg4.table)
     table["Q13"], table["IQ13"] = table["IQ13"], table["Q13"]
-    swapped = GeneratorRegistry(reg4.params, reg4.basis, table)
+    swapped = GeneratorRegistry(reg4.params, table)
     reports = check_aw3_symmetric(swapped, ((1,), (2,), (3,)))
     assert [r.status for r in reports] == ["pass"] * 3
     assert reports[0].inputs["assignment"] == {"Q13": "IQ13"}
@@ -187,7 +185,7 @@ def test_aw3_search_recovers_swapped_orientation(reg4):
 def test_aw3_restricted_probe_recovers_swapped_orientation(default_registry):
     table = dict(default_registry.table)
     table["Q13"], table["IQ13"] = table["IQ13"], table["Q13"]
-    swapped = GeneratorRegistry(default_registry.params, default_registry.basis, table)
+    swapped = GeneratorRegistry(default_registry.params, table)
     reports = check_aw3_symmetric(swapped, ((1,), (2,), (3,)), swapped.restricted(3))
     assert [r.status for r in reports] == ["pass"] * 3
     assert reports[0].inputs["assignment"] == {"Q13": "IQ13"}
@@ -231,7 +229,7 @@ def test_residual_diagnosis(reg3):
     from awalgebra.uqrep import casimir_unshifted
 
     basis = reg3.basis
-    lone = casimir_unshifted(reg3.params, basis, (2, 3))
+    lone = casimir_unshifted(reg3.params, (2, 3))
     c = rational(-7, 3)
     d = rational(1, 2)
     scalar_only = SparseOperator.identity(basis, c)

@@ -152,14 +152,27 @@ def test_subtraction_in_one_pass(basis):
 
 
 def test_basis_mismatch_rejected(basis):
-    other = TruncatedBasis(legs=2, n_max=2)
+    other = TruncatedBasis(legs=3, n_max=1)
     a = SparseOperator.identity(basis)
     b = SparseOperator.identity(other)
     with pytest.raises(ValueError):
         a * b
     with pytest.raises(ValueError):
         a + b
-    assert a != b  # same matrix, different basis object
+    assert a != b  # same matrix, different basis shape
+
+
+def test_equal_shape_bases_are_interchangeable(basis):
+    other = TruncatedBasis(legs=2, n_max=2)
+    assert other is not basis
+    rng = random.Random(11)
+    a = random_operator(basis, rng)
+    b = random_operator(basis, rng)
+    b2 = SparseOperator(other, {j: {i: b.get(i, j) for i in col} for j, col in b.cols.items()})
+    assert b2 == b and b == b2 and hash(other) == hash(basis)
+    assert dense(a * b2) == dense_mul(dense(a), dense(b))
+    assert a + b2 == a + b and a - b2 == a - b and b2 * a == b * a
+    assert (b - b2).is_zero()
 
 
 # -- the integer-numerator kernel against dense Fraction matrices --------

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from awalgebra.exactnum import ONE, Rational, inverse, parse, rational
-from awalgebra.fockspace import TruncatedBasis
 from awalgebra.sparse import SparseOperator
 from awalgebra.opalgebra import build_registry
 from awalgebra.relcheck import check_coassociativity, check_defining_relations
@@ -24,7 +23,7 @@ Q53 = parse("5/3")
 
 def make(q, k, n_max):
     p = RepParams(q=q, k=tuple(k), legs=len(k), n_max=n_max)
-    return p, TruncatedBasis(p.legs, p.n_max)
+    return p, p.basis
 
 
 def test_params_validation():
@@ -73,10 +72,10 @@ def test_interval_weight():
 
 def test_k_is_diagonal_with_known_entry():
     p, b = make(Q2, (1, 1), 2)
-    K = primitive_generator(p, b, 1, "K")
+    K = primitive_generator(p, 1, "K")
     assert K.get(0, 0) == Q2  # q^(k+0) on the vacuum
     assert K.degree == 0 and K.nnz() == len(b)
-    Kinv = primitive_generator(p, b, 1, "Kinv")
+    Kinv = primitive_generator(p, 1, "Kinv")
     assert (K * Kinv) == SparseOperator.identity(b)
 
 
@@ -84,7 +83,7 @@ def test_raising_coefficients_frozen():
     # A_n = -q^(-1-2k-2n) (1-q^(2n+2)) (1-q^(4k+2n)) / (q^-1-q)^2
     # at q=2, k=1: A_0 = -5/2, A_1 = -105/8
     p, b = make(Q2, (1, 1), 2)
-    E = primitive_generator(p, b, 1, "E")
+    E = primitive_generator(p, 1, "E")
     assert E.get(b.index_of((1, 0)), b.index_of((0, 0))) == rational(-5, 2)
     assert E.get(b.index_of((2, 0)), b.index_of((1, 0))) == rational(-105, 8)
     assert E.degree == 1 and degree_is_consistent(E)
@@ -92,7 +91,7 @@ def test_raising_coefficients_frozen():
 
 def test_lowering_is_unit_shift():
     p, b = make(Q53, (2, 1), 3)
-    F = primitive_generator(p, b, 1, "F")
+    F = primitive_generator(p, 1, "F")
     assert F.get(b.index_of((0, 1)), b.index_of((1, 1))) == ONE
     # annihilates every state with n_1 = 0
     for j, m in enumerate(b.states):
@@ -105,10 +104,10 @@ def test_single_leg_defining_relations():
     p, b = make(Q53, (2, 3), 4)
     q = p.q
     for leg in (1, 2):
-        E = primitive_generator(p, b, leg, "E")
-        F = primitive_generator(p, b, leg, "F")
-        K = primitive_generator(p, b, leg, "K")
-        Ki = primitive_generator(p, b, leg, "Kinv")
+        E = primitive_generator(p, leg, "E")
+        F = primitive_generator(p, leg, "F")
+        K = primitive_generator(p, leg, "K")
+        Ki = primitive_generator(p, leg, "Kinv")
         assert (K * Ki - SparseOperator.identity(b)).is_zero()
         assert (K * E - (E * K).scale(q)).is_zero()
         assert ((K * F).scale(q) - F * K).is_zero()
@@ -124,10 +123,10 @@ def test_commutator_truncation_artifact_is_confined():
     # [E,F] relation must be restricted; make sure the residual indeed
     # lives only there (this is what the restricted check relies on)
     p, b = make(Q53, (1, 1), 2)
-    E = primitive_generator(p, b, 1, "E")
-    F = primitive_generator(p, b, 1, "F")
-    K = primitive_generator(p, b, 1, "K")
-    Ki = primitive_generator(p, b, 1, "Kinv")
+    E = primitive_generator(p, 1, "E")
+    F = primitive_generator(p, 1, "F")
+    K = primitive_generator(p, 1, "K")
+    Ki = primitive_generator(p, 1, "Kinv")
     resid = (E * F - F * E) - (K * K - Ki * Ki).scale(inverse(p.q - inverse(p.q)))
     total, _ = resid.nonzero_in_columns()
     below, _ = below_top(resid).nonzero_in_columns()
@@ -145,10 +144,10 @@ def explicit_interval_sum(p, basis, interval, which):
     for i in range(lo, hi + 1):
         term = SparseOperator.identity(basis)
         for j in range(lo, i):
-            term = term * primitive_generator(p, basis, j, "K")
-        term = term * primitive_generator(p, basis, i, which)
+            term = term * primitive_generator(p, j, "K")
+        term = term * primitive_generator(p, i, which)
         for j in range(i + 1, hi + 1):
-            term = term * primitive_generator(p, basis, j, "Kinv")
+            term = term * primitive_generator(p, j, "Kinv")
         total = total + term
     return total
 
@@ -157,7 +156,7 @@ def explicit_interval_sum(p, basis, interval, which):
 def test_interval_generator_matches_explicit_sum(which):
     p, b = make(Q53, (1, 2, 1), 3)
     for interval in [(1, 2), (2, 3), (1, 3)]:
-        assert interval_ops(p, b, interval)[which] == explicit_interval_sum(
+        assert interval_ops(p, interval)[which] == explicit_interval_sum(
             p, b, interval, which
         )
 
@@ -166,22 +165,22 @@ def test_interval_k_is_product():
     p, b = make(Q53, (1, 2, 1), 3)
     prod = SparseOperator.identity(b)
     for leg in (1, 2, 3):
-        prod = prod * primitive_generator(p, b, leg, "K")
-    assert interval_ops(p, b, (1, 3))["K"] == prod
+        prod = prod * primitive_generator(p, leg, "K")
+    assert interval_ops(p, (1, 3))["K"] == prod
 
 
 def test_coassociativity_left_vs_right():
     p, b = make(Q53, (1, 2, 1, 3), 3)
     for interval in [(1, 3), (2, 4), (1, 4)]:
-        left = interval_ops(p, b, interval, "left")
-        right = interval_ops(p, b, interval, "right")
+        left = interval_ops(p, interval, "left")
+        right = interval_ops(p, interval, "right")
         for w in ("E", "F", "K", "Kinv"):
             assert left[w] == right[w]
 
 
 def test_interval_defining_relations():
     p, b = make(Q53, (1, 2), 3)
-    ops = interval_ops(p, b, (1, 2))
+    ops = interval_ops(p, (1, 2))
     q = p.q
     assert (ops["K"] * ops["Kinv"] - SparseOperator.identity(b)).is_zero()
     assert (ops["K"] * ops["E"] - (ops["E"] * ops["K"]).scale(q)).is_zero()
@@ -197,23 +196,23 @@ def test_single_leg_casimir_is_known_scalar():
     # shifted eigenvalue -(q^(2k-1)+q^(1-2k))/(q+q^-1): k=1 gives -1 for
     # every q; k=2 gives -13/4 at q=2
     p, b = make(Q2, (1, 2), 2)
-    c1 = casimir(p, b, (1, 1))
+    c1 = casimir(p, (1, 1))
     assert c1 == SparseOperator.identity(b, rational(-1))
-    c2 = casimir(p, b, (2, 2))
+    c2 = casimir(p, (2, 2))
     assert c2 == SparseOperator.identity(b, rational(-13, 4))
 
 
 def test_single_leg_unshifted_casimir():
     # (q^(2k-1)+q^(1-2k)-2)/(q-q^-1)^2 at q=2, k=1: (2+1/2-2)/(3/2)^2 = 2/9
     p, b = make(Q2, (1, 1), 2)
-    u = casimir_unshifted(p, b, (1, 1))
+    u = casimir_unshifted(p, (1, 1))
     assert u == SparseOperator.identity(b, rational(2, 9))
 
 
 def test_two_leg_casimir_vacuum_block():
     # the weight-0 block of the coupled Casimir carries kappa = k_1+k_2
     p, b = make(Q2, (1, 1), 2)
-    c = casimir(p, b, (1, 2))
+    c = casimir(p, (1, 2))
     assert c.get(0, 0) == rational(-13, 4)
     assert c.degree == 0 and degree_is_consistent(c)
 
@@ -224,19 +223,45 @@ def test_shift_identity_between_casimirs():
     s2 = (q - inverse(q)) ** 2
     t = q + inverse(q)
     for interval in [(1, 1), (1, 2), (2, 3), (1, 3)]:
-        sh = casimir(p, b, interval)
-        un = casimir_unshifted(p, b, interval)
+        sh = casimir(p, interval)
+        un = casimir_unshifted(p, interval)
         mapped = (un.scale(s2) + SparseOperator.identity(b, rational(2))).scale(
             -inverse(t)
         )
         assert sh == mapped
 
 
+def explicit_casimir_unshifted(p, interval):
+    """The unshifted Casimir from its defining formula,
+
+        (q^-1 K^2 + q K^-2 - 2) / (q - q^-1)^2 + E F
+    """
+    ops = interval_ops(p, interval)
+    q = p.q
+    iq = ONE / q
+    s2 = (q - iq) ** 2
+    iden = SparseOperator.identity(p.basis)
+    k2 = ops["K"] * ops["K"]
+    ki2 = ops["Kinv"] * ops["Kinv"]
+    ef = ops["E"] * ops["F"]
+    return (k2.scale(iq) + ki2.scale(q) - iden.scale(2)).scale(ONE / s2) + ef
+
+
+@pytest.mark.parametrize("q, k", [(Q53, (1, 2, 1, 3)), (parse("2/5"), (2, 1, 1, 1))])
+@pytest.mark.parametrize("legs", [3, 4])
+def test_unshifted_casimir_matches_defining_formula(q, k, legs):
+    p, _ = make(q, k[:legs], 3)
+    for lo in range(1, legs + 1):
+        for hi in range(lo, legs + 1):
+            want = explicit_casimir_unshifted(p, (lo, hi))
+            assert casimir_unshifted(p, (lo, hi)) == want, (lo, hi)
+
+
 def test_casimir_commutes_with_interval_algebra():
     # the interval Casimir is central for the interval's own generators
     p, b = make(Q53, (1, 2), 3)
-    c = casimir(p, b, (1, 2))
-    ops = interval_ops(p, b, (1, 2))
+    c = casimir(p, (1, 2))
+    ops = interval_ops(p, (1, 2))
     for w in ("E", "F", "K"):
         resid = c * ops[w] - ops[w] * c
         count, _ = below_top(resid).nonzero_in_columns()
@@ -245,18 +270,21 @@ def test_casimir_commutes_with_interval_algebra():
 
 def test_casimir_caching_returns_same_object():
     p, b = make(Q53, (1, 2), 2)
-    assert casimir(p, b, (1, 2)) is casimir(p, b, (1, 2))
+    assert casimir(p, (1, 2)) is casimir(p, (1, 2))
 
 
 CACHES = (_leg_ops, interval_ops, casimir, casimir_unshifted)
 
 
 def test_caches_stay_bounded():
+    # the caches key on parameter values, which other tests may share
+    for cached in CACHES:
+        cached.cache_clear()
     for q in range(2, CACHE_SIZE + 4):
         p, b = make(rational(q), (1, 2), 1)
-        casimir(p, b, (1, 2))
-        casimir_unshifted(p, b, (1, 2))
-        interval_ops(p, b, (1, 2), "right")
+        casimir(p, (1, 2))
+        casimir_unshifted(p, (1, 2))
+        interval_ops(p, (1, 2), "right")
     for cached in CACHES:
         info = cached.cache_info()
         assert info.maxsize == CACHE_SIZE
@@ -264,10 +292,12 @@ def test_caches_stay_bounded():
 
 
 def test_left_folds_share_one_cache_key():
-    # defining suite and registry at four legs: 10 left folds, 3 right
-    p, b = make(Q53, (1, 2, 1, 3), 1)
-    before = interval_ops.cache_info().misses
-    check_defining_relations(p, b)
-    check_coassociativity(p, b)
-    build_registry(p, b)
-    assert interval_ops.cache_info().misses - before == 13
+    # defining suite and registry at four legs: 10 left folds, 3 right;
+    # the caches key on parameter values, which other tests may share
+    p, _ = make(Q53, (1, 2, 1, 3), 1)
+    interval_ops.cache_clear()
+    build_registry.cache_clear()
+    check_defining_relations(p)
+    check_coassociativity(p)
+    build_registry(p)
+    assert interval_ops.cache_info().misses == 13
