@@ -101,24 +101,21 @@ def involute_monomial(labels) -> tuple[str, ...]:
 
 def q_commutator(q, a: SparseOperator, b: SparseOperator) -> SparseOperator:
     """[a, b]_q = q a b - q^-1 b a."""
-    return (a * b).scale(q) - (b * a).scale(inverse(q))
+    return SparseOperator.lincomb(a.basis, ((q, a, b), (-inverse(q), b, a)))
 
 
 def commutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:
-    return a * b - b * a
+    return SparseOperator.lincomb(a.basis, ((1, a, b), (-1, b, a)))
 
 
 class GeneratorRegistry:
     """All labeled generators of the realization named by params, on
-    params.basis, plus a product cache for the consecutive/central
-    labels that the relation suites reuse heavily (derived-generator
-    products are built on demand and not retained)."""
+    params.basis."""
 
     def __init__(self, params: RepParams, table: dict):
         self.params = params
         self.basis = params.basis
         self.table = table
-        self._products: dict = {}
 
     def __getitem__(self, label: str) -> SparseOperator:
         try:
@@ -133,18 +130,11 @@ class GeneratorRegistry:
         return tuple(x for x in CANONICAL_ORDER if x in self.table)
 
     def product(self, la: str, lb: str) -> SparseOperator:
-        """self[la] * self[lb], cached for Casimir-label pairs."""
-        cacheable = not (is_derived_label(la) or is_derived_label(lb))
-        if cacheable and (la, lb) in self._products:
-            return self._products[(la, lb)]
-        out = self[la] * self[lb]
-        if cacheable:
-            self._products[(la, lb)] = out
-        return out
+        """self[la] * self[lb]."""
+        return self[la] * self[lb]
 
     def q_commutator_of(self, la: str, lb: str) -> SparseOperator:
-        q = self.params.q
-        return self.product(la, lb).scale(q) - self.product(lb, la).scale(inverse(q))
+        return q_commutator(self.params.q, self[la], self[lb])
 
     def monomial(self, labels) -> SparseOperator:
         """Ordered product of labeled generators (empty = identity)."""
@@ -229,13 +219,10 @@ def build_registry(p: RepParams) -> GeneratorRegistry:
             needed = {left, right, *(x for pair in subs for x in pair)}
             if not needed <= table.keys():
                 continue  # requires legs absent at this rank
-            correction = SparseOperator.zero(basis)
-            for fa, fb in subs:
-                correction = correction + table[fa] * table[fb]
-            table[base] = q_commutator(q, table[left], table[right]).scale(
-                inverse(s)
-            ) - correction
-            table["I" + base] = q_commutator(q, table[right], table[left]).scale(
-                inverse(s)
-            ) - correction
+            correction = [(-1, table[fa], table[fb]) for fa, fb in subs]
+            for name, a, b in ((base, left, right), ("I" + base, right, left)):
+                x, y = table[a], table[b]
+                table[name] = SparseOperator.lincomb(
+                    basis, [(q / s, x, y), (-inverse(q) / s, y, x), *correction]
+                )
     return GeneratorRegistry(p, table)

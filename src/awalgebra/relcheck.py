@@ -66,22 +66,22 @@ def check_defining_relations(p: RepParams) -> list[RelationReport]:
         ops = interval_ops(p, (lo, hi))
         e, f, k, ki = ops["E"], ops["F"], ops["K"], ops["Kinv"]
         pairs = [
-            ("KKinv", k * ki - iden, None),
-            ("KE", k * e - (e * k).scale(q), None),
-            ("KF", (k * f).scale(q) - f * k, None),
+            ("KKinv", ((1, k, ki), (-1, iden)), None),
+            ("KE", ((1, k, e), (-q, e, k)), None),
+            ("KF", ((q, k, f), (-1, f, k)), None),
             (
                 "EF",
-                commutator(e, f) - (k * k - ki * ki).scale(s_inv),
+                ((1, e, f), (-1, f, e), (-s_inv, k, k), (s_inv, ki, ki)),
                 p.n_max - 1,
             ),
         ]
-        for name, resid, max_w in pairs:
+        for name, terms, max_w in pairs:
             out.append(
                 residual_report(
                     id=f"defining/{label}/{name}",
                     kind="defining-relation",
                     inputs={"interval": [lo, hi], "relation": name},
-                    residual=resid,
+                    residual=SparseOperator.lincomb(p.basis, terms),
                     max_weight=max_w,
                 )
             )
@@ -281,15 +281,15 @@ def _aw3_residual(reg: GeneratorRegistry, rel, assign, order):
 
     q = reg.params.q
     s = q - inverse(q)
-    l1, l2 = (resolve(x) for x in rel["left"])
-    lhs = reg.q_commutator_of(l1, l2).scale(inverse(s))
-    rhs = reg[resolve(rel["lone"])]
+    l1, l2 = (reg[resolve(x)] for x in rel["left"])
+    lone = reg[resolve(rel["lone"])]
+    terms = [(q / s, l1, l2), (-inverse(q) / s, l2, l1), (-1, lone)]
     for mono in rel["monomials"]:
         labels = involute_monomial(tuple(resolve(x) for x in mono))
         if order == "reversed":
             labels = labels[::-1]
-        rhs = rhs + reg.monomial(labels)
-    return lhs - rhs
+        terms.append((-1, *(reg[x] for x in labels)))
+    return SparseOperator.lincomb(reg.basis, terms)
 
 
 def check_aw3_symmetric(
@@ -540,14 +540,6 @@ def load_master_rows() -> tuple:
     return tuple(rows)
 
 
-def _triple_q_commutator(reg: GeneratorRegistry, a: str, b: str, c: str):
-    """[[Q^a, Q^b]_q, Q^c]_q through the registry's product cache."""
-    q = reg.params.q
-    inner = reg.q_commutator_of(a, b)
-    cc = reg[c]
-    return (inner * cc).scale(q) - (cc * inner).scale(inverse(q))
-
-
 def check_master(reg: GeneratorRegistry, row: MasterRow) -> RelationReport:
     """One six-term exchange identity: the three left triples against
     the three index-exchanged right triples."""
@@ -556,11 +548,14 @@ def check_master(reg: GeneratorRegistry, row: MasterRow) -> RelationReport:
     (a, b, c), (al, be, ga), (x, y, z) = row.triples
     lhs_triples = ((a, b, c), (al, be, ga), (x, y, z))
     rhs_triples = ((a, be, z), (x, b, ga), (al, y, c))
-    resid = SparseOperator.zero(reg.basis)
-    for t in lhs_triples:
-        resid = resid + _triple_q_commutator(reg, *t)
-    for t in rhs_triples:
-        resid = resid - _triple_q_commutator(reg, *t)
+    # [[a, b]_q, c]_q = q [a, b]_q c - q^-1 c [a, b]_q, signed per side
+    q, iq = reg.params.q, inverse(reg.params.q)
+    terms = []
+    for sign, triples in ((1, lhs_triples), (-1, rhs_triples)):
+        for u, v, w in triples:
+            inner, outer = reg.q_commutator_of(u, v), reg[w]
+            terms += [(sign * q, inner, outer), (-sign * iq, outer, inner)]
+    resid = SparseOperator.lincomb(reg.basis, terms)
     return residual_report(
         id=f"master/{row.table}/row{row.index}",
         kind="exchange-identity",

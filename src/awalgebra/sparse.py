@@ -3,26 +3,29 @@
 Representation: an operator holds Python int numerators over one
 positive common denominator.  Storage is column major: cols[j][i] is
 the numerator of the (row i, column j) entry, whose value is
-cols[j][i] / den.  Zero numerators are never stored.  Operators are
-treated as immutable; all arithmetic returns new instances.
+cols[j][i] / den.  Zero numerators are never stored, so an operator is
+zero exactly when cols is empty.  Operators are treated as immutable.
 
 Canonical form: den > 0 and gcd(den, all numerators) = 1, which makes
-the stored form of a value unique.  The constructors, every product and
-scaling, and every sum or difference of two nonzero operators give
-canonical form.  A restricted() view need not be canonical: it shares
-its parent's column dicts and keeps the parent's den, so its numerators
-may share a factor with den (and adding the zero operator to a view
-returns the view).  Equality therefore compares values, cross-multiplying
-when the denominators differ.
+the stored form of a value unique.  The constructors and every result
+of arithmetic are canonical.  A restricted() view need not be: it
+shares its parent's column dicts and keeps the parent's den, so
+equality compares values, cross-multiplying the denominators.
 
-The arithmetic works on ints only: a product multiplies the two
-denominators, a sum brings both sides to the lcm of theirs, and each
-result is reduced by one gcd pass over its numerators.  The zero test is
-exact, because an entry is zero exactly when its integer numerator is,
-and those are never stored: an operator is zero exactly when cols is
-empty.  Rational values appear only at the boundaries: the constructor
-and diagonal() take rational entries, identity() and scale() rational
-scalars, and get(), entries() and nonzero_in_columns() return them.
+All arithmetic is one kernel, lincomb(), which evaluates sum c A +
+sum c A B over scalars c and operators A, B in one pass: the terms go
+over one common denominator (the lcm of den(c) den(A) den(B)), each
+term's integer multiplier is folded into each nonzero of B once, all
+terms accumulate into one dict per column, and one gcd pass ends it.
++, -, scale() and * are single calls of it, and so are the
+commutators, coproduct folds, Casimirs and relation residuals, which
+thus pay for no intermediate sum, scaling or gcd reduction.
+
+Rational values appear only at the boundaries: the constructor and
+diagonal() take rational entries; identity(), scale(), * and lincomb()
+take exact scalars (int, Fraction or the backend's Rational; anything
+else, floats and bools included, is a TypeError); get(), entries() and
+nonzero_in_columns() return rationals.
 
 Each operator carries a weight degree: degree d means every stored
 entry maps a weight-w basis state to a weight-(w+d) state (so degree 0
@@ -33,10 +36,18 @@ addition, which gives a cheap structural audit of every construction.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
 from .exactnum import ONE, Rational
+
+
+def _exact(c):
+    """(numerator, denominator) of an exact rational scalar as ints."""
+    if isinstance(c, bool) or not isinstance(c, (int, Fraction, Rational)):
+        raise TypeError(f"scalar must be an exact rational, got {c!r}")
+    return int(c.numerator), int(c.denominator)
 
 
 class SparseOperator:
@@ -89,12 +100,10 @@ class SparseOperator:
 
     @classmethod
     def identity(cls, basis, scale=ONE):
-        c = Rational(scale)
-        if not c:
+        n, d = _exact(scale)
+        if not n:
             return cls.zero(basis)
-        n = int(c.numerator)
-        cols = {j: {j: n} for j in range(len(basis))}
-        return cls._raw(basis, cols, 0, int(c.denominator))
+        return cls._raw(basis, {j: {j: n} for j in range(len(basis))}, 0, d)
 
     @classmethod
     def diagonal(cls, basis, entry):
@@ -148,40 +157,75 @@ class SparseOperator:
 
     # -- ring operations -----------------------------------------------
 
-    def _require_same_basis(self, other):
-        if self.basis is not other.basis and self.basis != other.basis:
-            raise ValueError("operators live on different bases")
+    @classmethod
+    def lincomb(cls, basis, terms) -> SparseOperator:
+        """sum c A + sum c A B over terms (c, A) and (c, A, B), for exact
+        rational c and operators on basis, in one pass (module doc).
+
+        Zero terms are skipped; the degree is the terms' common degree,
+        None when they differ, and 0 when the result is zero.
+        """
+        live = []
+        degrees = set()
+        den = 1
+        for c, *ops in terms:
+            num, tden = _exact(c)
+            if len(ops) not in (1, 2):
+                raise ValueError("a term is (c, A) or (c, A, B)")
+            for op in ops:
+                if op.basis is not basis and op.basis != basis:
+                    raise ValueError("operators live on different bases")
+            if not num or not all(op.cols for op in ops):
+                continue
+            deg = 0
+            for op in ops:
+                tden *= op.den
+                deg = None if deg is None or op.degree is None else deg + op.degree
+            den = lcm(den, tden)
+            live.append((num, tden, ops))
+            degrees.add(deg)
+        cols = {}
+        for num, tden, ops in live:
+            m = num * (den // tden)
+            if len(ops) == 1:
+                for j, acol in ops[0].cols.items():
+                    acc = cols.get(j)
+                    if acc is None:
+                        cols[j] = {i: v * m for i, v in acol.items()}
+                        continue
+                    get = acc.get
+                    for i, v in acol.items():
+                        acc[i] = get(i, 0) + v * m
+                continue
+            a, b = ops
+            acols = a.cols
+            for j, bcol in b.cols.items():
+                acc = cols.get(j)
+                if acc is None:
+                    acc = cols[j] = {}
+                get = acc.get
+                for i, bij in bcol.items():
+                    acol = acols.get(i)
+                    if acol is None:
+                        continue
+                    f = bij * m
+                    for r, ari in acol.items():
+                        acc[r] = get(r, 0) + ari * f
+        for j, acc in list(cols.items()):  # drop cancelled entries in place;
+            # the scan in C passes over most columns, which hold none
+            if 0 in acc.values() or not acc:
+                for i in [i for i, v in acc.items() if not v]:
+                    del acc[i]
+                if not acc:
+                    del cols[j]
+        degree = 0 if not cols else degrees.pop() if len(degrees) == 1 else None
+        return cls._reduced(basis, cols, degree, den)
 
     def __add__(self, other, sign=1):
-        """self + other, or self - other when sign is -1, in one pass."""
+        """self + other, or self - other when sign is -1."""
         if not isinstance(other, SparseOperator):
             return NotImplemented
-        self._require_same_basis(other)
-        if self.is_zero():
-            return other.scale(-ONE) if sign < 0 else other
-        if other.is_zero():
-            return self
-        den = lcm(self.den, other.den)
-        fa = den // self.den
-        fb = sign * (den // other.den)
-        cols = {
-            j: {i: v * fa for i, v in col.items()} for j, col in self.cols.items()
-        }
-        for j, col in other.cols.items():
-            acc = cols.get(j)
-            if acc is None:
-                cols[j] = {i: v * fb for i, v in col.items()}
-                continue
-            for i, v in col.items():
-                w = acc.get(i, 0) + v * fb
-                if w:
-                    acc[i] = w
-                else:
-                    del acc[i]
-            if not acc:
-                del cols[j]
-        degree = self.degree if self.degree == other.degree else None
-        return SparseOperator._reduced(self.basis, cols, degree, den)
+        return SparseOperator.lincomb(self.basis, ((1, self), (sign, other)))
 
     def __neg__(self):
         return self.scale(-ONE)
@@ -192,43 +236,14 @@ class SparseOperator:
         return self.__add__(other, -1)
 
     def scale(self, c):
-        """c times the operator, for a rational scalar c."""
-        if not c:
-            return SparseOperator.zero(self.basis)
-        num = int(c.numerator)
-        cols = {
-            j: {i: v * num for i, v in col.items()} for j, col in self.cols.items()
-        }
-        den = self.den * int(c.denominator)
-        return SparseOperator._reduced(self.basis, cols, self.degree, den)
+        """c times the operator, for an exact rational scalar c."""
+        return SparseOperator.lincomb(self.basis, ((c, self),))
 
     def __mul__(self, other):
         """Composition with another operator, or scaling by a scalar."""
         if not isinstance(other, SparseOperator):
             return self.scale(other)
-        self._require_same_basis(other)
-        acols = self.cols
-        cols = {}
-        for j, bcol in other.cols.items():
-            acc = {}
-            get = acc.get
-            for i, bij in bcol.items():
-                acol = acols.get(i)
-                if acol is None:
-                    continue
-                for r, ari in acol.items():
-                    acc[r] = get(r, 0) + ari * bij
-            acc = {r: v for r, v in acc.items() if v}
-            if acc:
-                cols[j] = acc
-        if self.degree is None or other.degree is None:
-            degree = None
-        else:
-            degree = self.degree + other.degree
-        if not cols:
-            degree = 0
-        den = self.den * other.den
-        return SparseOperator._reduced(self.basis, cols, degree, den)
+        return SparseOperator.lincomb(self.basis, ((1, self, other),))
 
     def __rmul__(self, c):
         return self.scale(c)

@@ -47,10 +47,11 @@ from .sparse import SparseOperator
 
 GENERATOR_NAMES = ("E", "F", "K", "Kinv")
 
-# Entries kept by each of the four operator caches below.  They are keyed
-# on parameter values, so equal parameters share one entry across runs in
-# a process; the bound drops the least recently used parameter sets and
-# keeps a long-lived process from holding all of them.  One default
+# Entries kept by the basis cache (keyed on shape) and by each of the
+# four operator caches below.  They are keyed on parameter values, so
+# equal parameters share one entry across runs in a process; the bound
+# drops the least recently used parameter sets and keeps a long-lived
+# process from holding all of them.  One default
 # verify run fills at most 19 entries of any of them (interval_ops: 10
 # left and 3 right folds at four legs, 6 left folds for the three-leg
 # sub-realization; casimir 16, _leg_ops 7, casimir_unshifted 6).
@@ -94,13 +95,19 @@ class RepParams:
 
     @cached_property
     def basis(self) -> TruncatedBasis:
-        """The truncated occupation basis every operator lives on."""
-        return TruncatedBasis(self.legs, self.n_max)
+        """The truncated occupation basis every operator lives on, one
+        object per shape (legs, n_max) while it stays in the cache."""
+        return _basis(self.legs, self.n_max)
 
     def interval_weight(self, interval) -> int:
         """Sum of the weight labels over an interval of legs."""
         lo, hi = check_interval(self, interval)
         return sum(self.k[lo - 1 : hi])
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _basis(legs: int, n_max: int) -> TruncatedBasis:
+    return TruncatedBasis(legs, n_max)
 
 
 def _is_integer(x) -> bool:
@@ -157,9 +164,14 @@ def primitive_generator(p: RepParams, leg: int, which: str) -> SparseOperator:
 
 def _couple(left: dict, right: dict) -> dict:
     """Coproduct combination of two adjacent leg groups."""
+    lk, rki = left["K"], right["Kinv"]
+
+    def fold(x):
+        return SparseOperator.lincomb(lk.basis, ((1, lk, right[x]), (1, left[x], rki)))
+
     return {
-        "E": left["K"] * right["E"] + left["E"] * right["Kinv"],
-        "F": left["K"] * right["F"] + left["F"] * right["Kinv"],
+        "E": fold("E"),
+        "F": fold("F"),
         "K": left["K"] * right["K"],
         "Kinv": left["Kinv"] * right["Kinv"],
     }
@@ -209,10 +221,11 @@ def casimir(p: RepParams, interval) -> SparseOperator:
     iq = ONE / q
     s2 = (q - iq) ** 2
     t = q + iq
-    k2 = ops["K"] * ops["K"]
-    ki2 = ops["Kinv"] * ops["Kinv"]
-    ef = ops["E"] * ops["F"]
-    return (k2.scale(iq) + ki2.scale(q) + ef.scale(s2)).scale(-ONE / t)
+    k, ki = ops["K"], ops["Kinv"]
+    return SparseOperator.lincomb(
+        p.basis,
+        ((-iq / t, k, k), (-q / t, ki, ki), (-s2 / t, ops["E"], ops["F"])),
+    )
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -228,5 +241,7 @@ def casimir_unshifted(p: RepParams, interval) -> SparseOperator:
     iq = ONE / q
     s2 = (q - iq) ** 2
     t = q + iq
-    iden = SparseOperator.identity(p.basis, 2)
-    return (casimir(p, interval).scale(t) + iden).scale(-ONE / s2)
+    return SparseOperator.lincomb(
+        p.basis,
+        ((-t / s2, casimir(p, interval)), (-2 / s2, SparseOperator.identity(p.basis))),
+    )

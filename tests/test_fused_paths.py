@@ -1,0 +1,200 @@
+"""The fused kernel against the chained evaluation it replaced.
+
+Every builder and residual that is one SparseOperator.lincomb call is
+rebuilt here the old way, as the oracle: each product materialized,
+then scaled and summed pairwise, with a gcd reduction per step.  At
+legs=4, nmax=3 and both acceptance parameter sets the two must agree
+entry for entry; both are canonical, so numerators and den agree too.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from awalgebra import relcheck
+from awalgebra.exactnum import ONE, inverse, rational
+from awalgebra.opalgebra import (
+    DERIVED_DEFS,
+    build_registry,
+    consecutive_subsets,
+    involute_monomial,
+    label_of_subset,
+)
+from awalgebra.sparse import SparseOperator
+from awalgebra.uqrep import (
+    RepParams,
+    _leg_ops,
+    casimir,
+    casimir_unshifted,
+    interval_ops,
+)
+
+PARAMS = (
+    RepParams(q=rational(5, 3), k=(1, 2, 1, 3), legs=4, n_max=3),
+    RepParams(q=rational(2, 5), k=(2, 1, 1, 1), legs=4, n_max=3),
+)
+INTERVALS = consecutive_subsets(4)
+
+
+@pytest.fixture(scope="module", params=PARAMS, ids=("q=5/3", "q=2/5"))
+def reg(request):
+    return build_registry(request.param)
+
+
+def assert_identical(got, want):
+    assert (got.den, got.cols) == (want.den, want.cols)
+    assert list(got.entries()) == list(want.entries())
+
+
+# -- the chained evaluation ----------------------------------------------
+
+
+def q_commutator(q, a, b):
+    return (a * b).scale(q) - (b * a).scale(inverse(q))
+
+
+def fold(left, right):
+    return {
+        "E": left["K"] * right["E"] + left["E"] * right["Kinv"],
+        "F": left["K"] * right["F"] + left["F"] * right["Kinv"],
+        "K": left["K"] * right["K"],
+        "Kinv": left["Kinv"] * right["Kinv"],
+    }
+
+
+def shifted_casimir(q, ops):
+    iq = ONE / q
+    k2 = ops["K"] * ops["K"]
+    ki2 = ops["Kinv"] * ops["Kinv"]
+    ef = ops["E"] * ops["F"]
+    return (k2.scale(iq) + ki2.scale(q) + ef.scale((q - iq) ** 2)).scale(-ONE / (q + iq))
+
+
+def derived(reg, left, right, subs):
+    q = reg.params.q
+    correction = SparseOperator.zero(reg.basis)
+    for fa, fb in subs:
+        correction = correction + reg[fa] * reg[fb]
+    return q_commutator(q, reg[left], reg[right]).scale(inverse(q - inverse(q))) - correction
+
+
+def aw3_residual(reg, rel, assign, order):
+    def resolve(subset):
+        return assign.get(subset, label_of_subset(subset))
+
+    q = reg.params.q
+    l1, l2 = (resolve(x) for x in rel["left"])
+    lhs = q_commutator(q, reg[l1], reg[l2]).scale(inverse(q - inverse(q)))
+    rhs = reg[resolve(rel["lone"])]
+    for mono in rel["monomials"]:
+        labels = involute_monomial(tuple(resolve(x) for x in mono))
+        if order == "reversed":
+            labels = labels[::-1]
+        rhs = rhs + reg.monomial(labels)
+    return lhs - rhs
+
+
+def master_residual(reg, row):
+    q = reg.params.q
+    (a, b, c), (al, be, ga), (x, y, z) = row.triples
+    resid = SparseOperator.zero(reg.basis)
+    for sign, (u, v, w) in (
+        (1, (a, b, c)),
+        (1, (al, be, ga)),
+        (1, (x, y, z)),
+        (-1, (a, be, z)),
+        (-1, (x, b, ga)),
+        (-1, (al, y, c)),
+    ):
+        term = q_commutator(q, q_commutator(q, reg[u], reg[v]), reg[w])
+        resid = resid + term if sign > 0 else resid - term
+    return resid
+
+
+def defining_residuals(p, ops):
+    q = p.q
+    e, f, k, ki = ops["E"], ops["F"], ops["K"], ops["Kinv"]
+    comm = e * f - f * e
+    return [
+        k * ki - SparseOperator.identity(p.basis),
+        k * e - (e * k).scale(q),
+        (k * f).scale(q) - f * k,
+        comm - (k * k - ki * ki).scale(inverse(q - inverse(q))),
+    ]
+
+
+@pytest.fixture()
+def residuals(monkeypatch):
+    """The residual operators relcheck hands to residual_report."""
+    seen = []
+    monkeypatch.setattr(relcheck, "residual_report", lambda **kw: seen.append(kw["residual"]))
+    return seen
+
+
+# -- fused equals chained --------------------------------------------------
+
+
+def test_folds_match_chained(reg):
+    p = reg.params
+    for lo, hi in INTERVALS:
+        legs = [_leg_ops(p, leg) for leg in range(lo, hi + 1)]
+        left, right = legs[0], legs[-1]
+        for nxt in legs[1:]:
+            left = fold(left, nxt)
+        for prev in reversed(legs[:-1]):
+            right = fold(prev, right)
+        for name in ("E", "F", "K", "Kinv"):
+            assert_identical(interval_ops(p, (lo, hi))[name], left[name])
+            assert_identical(interval_ops(p, (lo, hi), "right")[name], right[name])
+
+
+def test_casimirs_match_chained(reg):
+    p = reg.params
+    q = p.q
+    s2, t = (q - inverse(q)) ** 2, q + inverse(q)
+    for iv in INTERVALS:
+        want = shifted_casimir(q, interval_ops(p, iv))
+        assert_identical(casimir(p, iv), want)
+        iden = SparseOperator.identity(p.basis, 2)
+        assert_identical(casimir_unshifted(p, iv), (want.scale(t) + iden).scale(-ONE / s2))
+
+
+def test_derived_generators_match_chained(reg):
+    for base, ((left, right), subs) in DERIVED_DEFS.items():
+        assert_identical(reg[base], derived(reg, left, right, subs))
+        assert_identical(reg["I" + base], derived(reg, right, left, subs))
+
+
+def test_aw3_residuals_match_chained(reg):
+    for triple in relcheck.enumerate_allowable():
+        fermionic = relcheck._fermionic_subsets(triple)
+        plain = {s: label_of_subset(s) for s in fermionic}
+        flipped = {s: label_of_subset(s, flipped=True) for s in fermionic}
+        for rel in relcheck._aw3_rotations(triple):
+            for assign in (plain, flipped):
+                for order in ("direct", "reversed"):
+                    got = relcheck._aw3_residual(reg, rel, assign, order)
+                    assert_identical(got, aw3_residual(reg, rel, assign, order))
+
+
+def test_master_rows_match_chained(reg, residuals):
+    rows = list(relcheck.load_master_rows())
+    # wrong rows (first two labels exchanged): nonzero residuals compared too
+    for row in rows[:20]:
+        (a, b, c), *rest = row.triples
+        rows.append(replace(row, triples=((b, a, c), *rest)))
+    for row in rows:
+        relcheck.check_master(reg, row)
+    assert len(residuals) == len(rows) == 40
+    assert sum(not r.is_zero() for r in residuals) == 20
+    for got, row in zip(residuals, rows):
+        assert_identical(got, master_residual(reg, row))
+
+
+def test_defining_residuals_match_chained(reg, residuals):
+    p = reg.params
+    relcheck.check_defining_relations(p)
+    want = [r for iv in INTERVALS for r in defining_residuals(p, interval_ops(p, iv))]
+    assert len(residuals) == len(want) == 40
+    for got, expected in zip(residuals, want):
+        assert_identical(got, expected)

@@ -1,5 +1,9 @@
 """A check that cannot fail proves nothing: a one-unit change in a single
-stored numerator of Q12 must flip the checks that use it to FAIL."""
+stored numerator of Q12 must flip the checks that use it to FAIL, and so
+must two exchanged labels in a master row and one flipped monomial sign
+in an aw3 relation."""
+
+from dataclasses import replace
 
 import pytest
 
@@ -75,3 +79,35 @@ def test_shifted_eigenvalue_leaves_a_residual(reg):
         shifted = list(lams)
         shifted[x] += rational(1, op.den)
         assert annihilating_residual(op, shifted, block) > 0
+
+
+def test_master_row_with_exchanged_labels_fails(reg):
+    # [[b, a]_q, c]_q in place of [[a, b]_q, c]_q in the first triple
+    for row in relcheck.load_master_rows():
+        (a, b, c), *rest = row.triples
+        swapped = replace(row, triples=((b, a, c), *rest))
+        assert relcheck.check_master(reg, row).ok
+        assert relcheck.check_master(reg, swapped).status == "fail", row
+
+
+class FirstMonomialSignFlipped(SparseOperator):
+    """lincomb with the sign of its fourth term flipped.  The only
+    lincomb call check_aw3_symmetric makes is the residual's: the two
+    products of the q-commutator, the lone term, then the monomials."""
+
+    @classmethod
+    def lincomb(cls, basis, terms):
+        terms = list(terms)
+        c, *ops = terms[3]
+        terms[3] = (-c, *ops)
+        return SparseOperator.lincomb(basis, terms)
+
+
+def test_aw3_with_a_flipped_monomial_sign_fails(reg, monkeypatch):
+    # no orientation assignment or monomial order may rescue it
+    triples = relcheck.enumerate_allowable()
+    good = [r for t in triples for r in relcheck.check_aw3_symmetric(reg, t)]
+    monkeypatch.setattr(relcheck, "SparseOperator", FirstMonomialSignFlipped)
+    bad = [r for t in triples for r in relcheck.check_aw3_symmetric(reg, t)]
+    assert len(good) == len(bad) == 30 and all(r.ok for r in good)
+    assert all(r.status == "fail" for r in bad)

@@ -195,10 +195,10 @@ def test_double_q_commutator_with_q0(reg):
 
 def test_product_cache(reg):
     a = reg.product("Q12", "Q23")
-    assert a is reg.product("Q12", "Q23")
+    assert a == reg.product("Q12", "Q23")
     assert a == reg["Q12"] * reg["Q23"]
     d = reg.product("Q13", "Q24")
-    assert d is not reg.product("Q13", "Q24")
+    assert d == reg.product("Q13", "Q24")
     assert d == reg["Q13"] * reg["Q24"]
     assert reg.q_commutator_of("Q12", "Q23") == q_commutator(
         reg.params.q, reg["Q12"], reg["Q23"]

@@ -336,3 +336,137 @@ def test_equality_is_value_equality(ca, cb):
         i = min(a.cols[j])
         bumped = a + SparseOperator(BASIS, {j: {i: Fraction(1, a.den)}})
         assert bumped != a and bumped.restricted(range(N)) != a
+
+
+# -- the fused kernel lincomb against the dense Fraction oracle -----------
+
+WEIGHTS = BASIS.weights
+DEGREES = (-1, 0, 1, None)
+
+
+@st.composite
+def operands(draw):
+    """(operator, dense matrix): degree-typed cells, sometimes zero, and
+    sometimes a restricted view, whose den need not be canonical."""
+    degree = draw(st.sampled_from(DEGREES))
+    c = draw(st.just({}) | cells)
+    if degree is not None:
+        c = {(i, j): v for (i, j), v in c.items() if WEIGHTS[i] == WEIGHTS[j] + degree}
+    cols = {}
+    for (i, j), v in c.items():
+        cols.setdefault(j, {})[i] = v
+    op = SparseOperator(BASIS, cols, degree)
+    if draw(st.booleans()):
+        kept = draw(column_ranges)
+        op = op.restricted(kept)
+        c = {key: v for key, v in c.items() if key[1] in kept}
+    return op, oracle(c)
+
+
+@st.composite
+def term_lists(draw):
+    """1-4 terms (c, A) or (c, A, B) with dense values; coefficients
+    include 0 and negatives, and a drawn term may be followed by its
+    exact negation."""
+    terms, mats = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        c = draw(scalars | st.integers(-3, 3))
+        ops = draw(st.lists(operands(), min_size=1, max_size=2))
+        terms.append((c, *(op for op, _ in ops)))
+        mats.append((c, *(m for _, m in ops)))
+        if draw(st.integers(0, 3)) == 0:
+            terms.append((-c, *terms[-1][1:]))
+            mats.append((-c, *mats[-1][1:]))
+    return terms, mats
+
+
+def dense_lincomb(mats):
+    out = [[Fraction(0)] * N for _ in range(N)]
+    for c, *ms in mats:
+        m = ms[0] if len(ms) == 1 else dense_mul(ms[0], ms[1])
+        out = combine(out, m, lambda u, v: u + c * v)
+    return out
+
+
+def expected_degree(terms, out):
+    """Common degree of the nonzero terms, None when they differ, 0 for
+    a zero result."""
+    if out.is_zero():
+        return 0
+    degrees = set()
+    for c, *ops in terms:
+        if c and all(not op.is_zero() for op in ops):
+            ds = [op.degree for op in ops]
+            degrees.add(None if None in ds else sum(ds))
+    return degrees.pop() if len(degrees) == 1 else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(term_lists())
+def test_lincomb_against_dense(case):
+    terms, mats = case
+    out = SparseOperator.lincomb(BASIS, terms)
+    assert_canonical(out)
+    want = dense_lincomb(mats)
+    assert dense(out) == want
+    assert out.is_zero() == all(v == 0 for row in want for v in row)
+    assert out.degree == expected_degree(terms, out)
+    assert degree_is_consistent(out)
+
+
+@settle
+@given(cells, cells, scalars)
+def test_lincomb_cancelling_terms_give_canonical_zero(ca, cb, k):
+    a, b = build(ca), build(cb)
+    out = SparseOperator.lincomb(BASIS, [(k, a, b), (k, a), (-k, a, b), (-k, a)])
+    assert out.is_zero() and out.cols == {} and out.den == 1 and out.degree == 0
+
+
+def test_lincomb_of_no_terms_is_zero():
+    out = SparseOperator.lincomb(BASIS, [])
+    assert out.is_zero() and out.den == 1 and out.degree == 0
+
+
+def test_lincomb_takes_one_or_two_operators_per_term():
+    a = SparseOperator.identity(BASIS)
+    for terms in ([(1,)], [(1, a, a, a)], [(0, a, a, SparseOperator.zero(BASIS))]):
+        with pytest.raises(ValueError):
+            SparseOperator.lincomb(BASIS, terms)
+
+
+def test_lincomb_basis_mismatch_raises():
+    other = TruncatedBasis(legs=3, n_max=1)
+    a = SparseOperator.identity(BASIS)
+    b = SparseOperator.identity(other)
+    for terms in ([(1, b)], [(1, a), (1, a, b)], [(0, b)], [(1, a, SparseOperator.zero(other))]):
+        with pytest.raises(ValueError):
+            SparseOperator.lincomb(BASIS, terms)
+
+
+# -- exact scalars at the kernel boundary ---------------------------------
+
+INEXACT = (0.5, 0.1, True, False, "x", "1/2", None)
+
+
+@pytest.mark.parametrize("c", INEXACT, ids=repr)
+def test_inexact_scalars_are_rejected(c):
+    a = SparseOperator.identity(BASIS, rational(2, 3))
+    with pytest.raises(TypeError):
+        SparseOperator.identity(BASIS, c)
+    with pytest.raises(TypeError):
+        a.scale(c)
+    with pytest.raises(TypeError):
+        a * c
+    with pytest.raises(TypeError):
+        SparseOperator.lincomb(BASIS, [(c, a)])
+    with pytest.raises(TypeError):
+        SparseOperator.lincomb(BASIS, [(1, a), (c, a, a)])
+    with pytest.raises(TypeError):
+        c * a
+
+
+def test_exact_scalars_are_accepted():
+    a = SparseOperator.identity(BASIS, Fraction(1, 3))
+    for c in (3, Fraction(3), rational(3)):
+        assert a.scale(c) == a * c == c * a == SparseOperator.identity(BASIS)
+        assert SparseOperator.identity(BASIS, c) == SparseOperator.lincomb(BASIS, [(c, a.scale(3))])

@@ -9,6 +9,7 @@ from awalgebra.relcheck import check_coassociativity, check_defining_relations
 from awalgebra.uqrep import (
     CACHE_SIZE,
     RepParams,
+    _basis,
     _leg_ops,
     casimir,
     casimir_unshifted,
@@ -301,3 +302,16 @@ def test_left_folds_share_one_cache_key():
     check_coassociativity(p)
     build_registry(p)
     assert interval_ops.cache_info().misses == 13
+
+
+def test_equal_parameters_share_one_basis():
+    # two equal parameter sets are two instances with one basis object
+    p1, _ = make(Q53, (1, 2, 1), 3)
+    p2, _ = make(parse("5/3"), [1, 2, 1], 3)
+    assert p1 == p2 and p1 is not p2
+    assert p1.basis is p2.basis
+    # the cache keys on shape alone
+    p3, _ = make(Q2, (3, 1, 2), 3)
+    assert p3.basis is p1.basis
+    assert make(Q53, (1, 2, 1), 2)[1] is not p1.basis
+    assert _basis.cache_info().maxsize == CACHE_SIZE
