@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import replace
@@ -37,6 +38,18 @@ SUITE_ORDER = (
 )
 
 FORMAT_VERSION = 1
+
+# Fewest basis states at which a four-leg verify hands suites to a
+# worker process.  A spawned worker starts a fresh interpreter and
+# rebuilds the realization, which costs more than it saves on small
+# bases.  Serial against parallel wall time of one verify run in a fresh
+# process (fractions backend, 2 cores, medians of six): four legs,
+# 0.52 s against 0.58 s at nmax 4 (70 states), 1.02 s against 0.88 s at
+# nmax 5 (126 states).  Three-leg runs stay serial at any size: their
+# spectra suite holds most of the work, so a worker saves less than it
+# costs (medians of four: 0.20 s against 0.42 s at nmax 6, 0.91 s
+# against 0.99 s at nmax 10, 286 states).
+PARALLEL_MIN_STATES = 126
 
 DEFAULT_K = (1, 2, 1, 3)
 
@@ -105,6 +118,96 @@ def run_suite(name: str, p: RepParams) -> list:
     return [relcheck.check_independence(reg)]
 
 
+def _timed_suite(name: str, p: RepParams):
+    """(reports, elapsed ms) of run_suite(name, p).  Module level, so a
+    worker process can be sent it by name."""
+    start = time.perf_counter()
+    reports = run_suite(name, p)
+    return reports, int((time.perf_counter() - start) * 1000)
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (all of them where the platform
+    cannot say)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def use_worker(n_suites: int, p: RepParams, cpus: int) -> bool:
+    """Whether verify hands suites to one worker process: at least two
+    suites, two usable CPUs, four legs and PARALLEL_MIN_STATES basis
+    states.  One worker is the only count measured (on 2 cores), so
+    more CPUs do not add workers."""
+    return n_suites >= 2 and cpus >= 2 and p.legs >= 4 and len(p.basis) >= PARALLEL_MIN_STATES
+
+
+def suite_results(names, p: RepParams, worker: bool):
+    """Yield (name, reports, elapsed ms) for each suite, in order.
+
+    With a worker, the suites nobody has taken yet form one deque.  A
+    spawn-context pool of one process takes them from the back, one at
+    a time: a feeder thread submits the next suite only when the
+    worker's last one is done.  This process takes them from the front
+    and waits for the worker's result when it reaches a suite the worker
+    took.  If the worker dies (BrokenProcessPool; a spawned worker
+    re-imports the main script, so an unguarded script that calls main
+    kills it), this process runs the worker's suites too.
+    """
+    if not worker:
+        for name in names:
+            yield name, *_timed_suite(name, p)
+        return
+    import multiprocessing
+    import threading
+    from collections import deque
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    left = deque(names)
+    lock = threading.Lock()
+
+    def feed(future):
+        while future.exception() is None:
+            with lock:
+                if not left:
+                    return
+                try:
+                    future = pool.submit(_timed_suite, left[-1], p)
+                except BrokenProcessPool:
+                    return
+                taken[left.pop()] = future
+
+    pool = ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn"))
+    feeder = None
+    try:
+        # the first submit starts the worker; a failure to start it
+        # raises here, in this thread
+        first = pool.submit(_timed_suite, left[-1], p)
+        taken = {left.pop(): first}
+        feeder = threading.Thread(target=feed, args=(first,))
+        feeder.start()
+        for name in names:
+            with lock:
+                mine = bool(left) and left[0] == name
+                if mine:
+                    left.popleft()
+            if mine:
+                result = _timed_suite(name, p)
+            else:
+                try:
+                    result = taken[name].result()
+                except BrokenProcessPool:
+                    result = _timed_suite(name, p)
+            yield name, *result
+    finally:
+        with lock:
+            left.clear()
+        pool.shutdown()
+        if feeder is not None:
+            feeder.join()
+
+
 def cmd_verify(args, p: RepParams) -> int:
     requested = args.suite.split(",")
     for name in requested:
@@ -139,10 +242,9 @@ def cmd_verify(args, p: RepParams) -> int:
     )
     all_reports = []
     timings = {}
-    for name in names:
-        start = time.perf_counter()
-        reports = run_suite(name, p)
-        timings[name] = int((time.perf_counter() - start) * 1000)
+    worker = use_worker(len(names), p, usable_cpus())
+    for name, reports, ms in suite_results(names, p, worker):
+        timings[name] = ms
         all_reports.extend(reports)
         ok = sum(r.ok for r in reports)
         info = sum(not r.gating for r in reports)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .opalgebra import DERIVED_DEFS, GeneratorRegistry, commutator
+from .opalgebra import DERIVED_DEFS, GeneratorRegistry
 
 VERTICES = ("Q12", "Q23", "Q34", "Q123", "Q234")
 
@@ -39,7 +39,7 @@ def build_compass(reg: GeneratorRegistry) -> CompassGraph:
     commuting = set()
     noncommuting = set()
     for a, b in combinations(VERTICES, 2):
-        if commutator(reg[a], reg[b]).is_zero():
+        if reg.commutator_of(a, b).is_zero():
             commuting.add(frozenset((a, b)))
         else:
             noncommuting.add(frozenset((a, b)))

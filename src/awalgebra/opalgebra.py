@@ -116,6 +116,8 @@ class GeneratorRegistry:
         self.params = params
         self.basis = params.basis
         self.table = table
+        # unordered label pairs whose commutator is zero; see commutator_of
+        self._commuting = set()
 
     def __getitem__(self, label: str) -> SparseOperator:
         try:
@@ -133,16 +135,20 @@ class GeneratorRegistry:
         """self[la] * self[lb]."""
         return self[la] * self[lb]
 
-    def q_commutator_of(self, la: str, lb: str) -> SparseOperator:
-        return q_commutator(self.params.q, self[la], self[lb])
+    def commutator_of(self, la: str, lb: str) -> SparseOperator:
+        """[self[la], self[lb]].
 
-    def monomial(self, labels) -> SparseOperator:
-        """Ordered product of labeled generators (empty = identity)."""
-        if not labels:
-            return -self["Q0"]  # Q0 is minus the identity
-        out = self[labels[0]]
-        for la in labels[1:]:
-            out = out * self[la]
+        A pair found to commute is remembered, in either order, since
+        [b, a] = -[a, b], and answered with the zero operator from then
+        on; nonzero commutators are recomputed, which keeps the memo a
+        set of label pairs.
+        """
+        pair = frozenset((la, lb))
+        if pair in self._commuting:
+            return SparseOperator.zero(self.basis)
+        out = commutator(self[la], self[lb])
+        if out.is_zero():
+            self._commuting.add(pair)
         return out
 
     def restricted(self, max_weight: int) -> GeneratorRegistry:
@@ -168,11 +174,6 @@ class GeneratorRegistry:
         cols = range(0, self.basis.weight_block(max_weight).stop)
         table = {x: op.restricted(cols) for x, op in self.table.items()}
         return GeneratorRegistry(self.params, table)
-
-
-def is_derived_label(label: str) -> bool:
-    subset = subset_of_label(label)
-    return bool(subset) and not is_consecutive(subset)
 
 
 def consecutive_subsets(legs: int):

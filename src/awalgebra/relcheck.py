@@ -31,7 +31,6 @@ from itertools import combinations, product
 from .exactnum import inverse
 from .opalgebra import (
     GeneratorRegistry,
-    commutator,
     consecutive_subsets,
     involute_monomial,
     involution,
@@ -138,7 +137,7 @@ def check_prop1(reg: GeneratorRegistry) -> list[RelationReport]:
     for a, b in combinations(subsets, 2):
         la, lb = label_of_subset(a), label_of_subset(b)
         qual = _qualifying(a, b)
-        resid = commutator(reg[la], reg[lb])
+        resid = reg.commutator_of(la, lb)
         if not resid.is_zero():
             noncommuting.append((la, lb))
         out.append(
@@ -212,7 +211,7 @@ def check_prop2(reg: GeneratorRegistry) -> list[RelationReport]:
             continue
         la = label_of_subset(a)
         lb = involution(label_of_subset(b))
-        resid = commutator(reg[la], reg[lb])
+        resid = reg.commutator_of(la, lb)
         out.append(
             residual_report(
                 id=f"prop2/{la}-{lb}",
@@ -548,13 +547,22 @@ def check_master(reg: GeneratorRegistry, row: MasterRow) -> RelationReport:
     (a, b, c), (al, be, ga), (x, y, z) = row.triples
     lhs_triples = ((a, b, c), (al, be, ga), (x, y, z))
     rhs_triples = ((a, be, z), (x, b, ga), (al, y, c))
-    # [[a, b]_q, c]_q = q [a, b]_q c - q^-1 c [a, b]_q, signed per side
+    # [[u, v]_q, w]_q is linear in [u, v]_q, and both sides use the
+    # outer labels {c, ga, z}: sum the signed inner q-commutators
+    # D_w = sum +-[u, v]_q of each outer label w first, then take
+    # sum_w [D_w, w]_q = sum_w q D_w w - q^-1 w D_w.
     q, iq = reg.params.q, inverse(reg.params.q)
-    terms = []
+    inner = {}
     for sign, triples in ((1, lhs_triples), (-1, rhs_triples)):
         for u, v, w in triples:
-            inner, outer = reg.q_commutator_of(u, v), reg[w]
-            terms += [(sign * q, inner, outer), (-sign * iq, outer, inner)]
+            u_op, v_op = reg[u], reg[v]
+            inner.setdefault(w, []).extend(
+                ((sign * q, u_op, v_op), (-sign * iq, v_op, u_op))
+            )
+    terms = []
+    for w, inner_terms in inner.items():
+        d_w, outer = SparseOperator.lincomb(reg.basis, inner_terms), reg[w]
+        terms += [(q, d_w, outer), (-iq, outer, d_w)]
     resid = SparseOperator.lincomb(reg.basis, terms)
     return residual_report(
         id=f"master/{row.table}/row{row.index}",

@@ -22,10 +22,10 @@ commutators, coproduct folds, Casimirs and relation residuals, which
 thus pay for no intermediate sum, scaling or gcd reduction.
 
 Rational values appear only at the boundaries: the constructor and
-diagonal() take rational entries; identity(), scale(), * and lincomb()
-take exact scalars (int, Fraction or the backend's Rational; anything
-else, floats and bools included, is a TypeError); get(), entries() and
-nonzero_in_columns() return rationals.
+diagonal() take rational entries and identity(), scale(), * and
+lincomb() rational scalars, all exact (int, Fraction or the backend's
+Rational; anything else, floats and bools included, is a TypeError);
+get(), entries() and nonzero_in_columns() return rationals.
 
 Each operator carries a weight degree: degree d means every stored
 entry maps a weight-w basis state to a weight-(w+d) state (so degree 0
@@ -43,10 +43,14 @@ from math import gcd, lcm
 from .exactnum import ONE, Rational
 
 
+_EXACT_TYPES = frozenset((int, Fraction, Rational))
+
+
 def _exact(c):
-    """(numerator, denominator) of an exact rational scalar as ints."""
+    """(numerator, denominator) of an exact rational scalar or entry as
+    ints."""
     if isinstance(c, bool) or not isinstance(c, (int, Fraction, Rational)):
-        raise TypeError(f"scalar must be an exact rational, got {c!r}")
+        raise TypeError(f"expected an exact rational, got {c!r}")
     return int(c.numerator), int(c.denominator)
 
 
@@ -54,14 +58,18 @@ class SparseOperator:
     __slots__ = ("basis", "cols", "degree", "den")
 
     def __init__(self, basis, cols=None, degree=None):
-        """Operator with rational entries cols[j][i] (zeros dropped)."""
-        den = 1
-        for col in (cols or {}).values():
+        """Operator with exact rational entries cols[j][i] (zeros
+        dropped); any other entry, a float or a bool included, is a
+        TypeError."""
+        cols = cols or {}
+        for col in cols.values():
             for v in col.values():
-                den = lcm(den, int(v.denominator))
+                if type(v) not in _EXACT_TYPES:  # one set lookup per entry
+                    _exact(v)  # TypeError unless v subclasses an exact type
+        den = lcm(1, *(int(v.denominator) for col in cols.values() for v in col.values()))
         self.basis = basis
         self.cols = {}
-        for j, col in (cols or {}).items():
+        for j, col in cols.items():
             nums = {
                 i: int(v.numerator) * (den // int(v.denominator))
                 for i, v in col.items()

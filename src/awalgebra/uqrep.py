@@ -93,6 +93,11 @@ class RepParams:
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
 
+    def __reduce__(self):
+        # pickled by value; the basis comes from the shape cache on the
+        # other side
+        return RepParams, (self.q, self.k, self.legs, self.n_max)
+
     @cached_property
     def basis(self) -> TruncatedBasis:
         """The truncated occupation basis every operator lives on, one

@@ -28,6 +28,7 @@ from awalgebra.uqrep import (
     casimir_unshifted,
     interval_ops,
 )
+from helpers import monomial
 
 PARAMS = (
     RepParams(q=rational(5, 3), k=(1, 2, 1, 3), legs=4, n_max=3),
@@ -90,7 +91,7 @@ def aw3_residual(reg, rel, assign, order):
         labels = involute_monomial(tuple(resolve(x) for x in mono))
         if order == "reversed":
             labels = labels[::-1]
-        rhs = rhs + reg.monomial(labels)
+        rhs = rhs + monomial(reg, labels)
     return lhs - rhs
 
 

@@ -11,7 +11,6 @@ from awalgebra.opalgebra import (
     involute_monomial,
     involution,
     is_consecutive,
-    is_derived_label,
     label_of_subset,
     nonempty_subsets,
     q_commutator,
@@ -19,7 +18,7 @@ from awalgebra.opalgebra import (
 )
 from awalgebra.sparse import SparseOperator
 from awalgebra.uqrep import RepParams, casimir
-from helpers import degree_is_consistent
+from helpers import degree_is_consistent, is_derived_label, monomial
 
 
 @pytest.fixture(scope="module")
@@ -200,14 +199,22 @@ def test_product_cache(reg):
     d = reg.product("Q13", "Q24")
     assert d == reg.product("Q13", "Q24")
     assert d == reg["Q13"] * reg["Q24"]
-    assert reg.q_commutator_of("Q12", "Q23") == q_commutator(
-        reg.params.q, reg["Q12"], reg["Q23"]
-    )
+
+
+def test_commutator_of_remembers_only_commuting_pairs(reg):
+    fresh = GeneratorRegistry(reg.params, reg.table)
+    assert fresh.commutator_of("Q12", "Q34").is_zero()
+    assert fresh.commutator_of("Q34", "Q12") == SparseOperator.zero(reg.basis)
+    crossing = fresh.commutator_of("Q12", "Q23")
+    assert not crossing.is_zero()
+    assert crossing == commutator(reg["Q12"], reg["Q23"])
+    assert fresh._commuting == {frozenset(("Q12", "Q34"))}
+    assert fresh.restricted(1)._commuting == set()
 
 
 def test_monomial(reg):
-    assert reg.monomial(()) == SparseOperator.identity(reg.basis)
-    assert reg.monomial(("Q1", "Q12")) == reg["Q1"] * reg["Q12"]
+    assert monomial(reg, ()) == SparseOperator.identity(reg.basis)
+    assert monomial(reg, ("Q1", "Q12")) == reg["Q1"] * reg["Q12"]
 
 
 @pytest.mark.parametrize("name", ["default_registry", "alt_registry"])
@@ -229,8 +236,8 @@ def test_restricted_shares_parameters_and_basis(reg):
     probe = reg.restricted(1)
     assert probe.params is reg.params and probe.basis is reg.basis
     leading = range(0, reg.basis.weight_block(1).stop)
-    assert probe.monomial(()) == SparseOperator.identity(reg.basis).restricted(leading)
-    assert probe.monomial(("Q12", "Q23")) == (reg["Q12"] * reg["Q23"]).restricted(leading)
+    assert monomial(probe, ()) == SparseOperator.identity(reg.basis).restricted(leading)
+    assert monomial(probe, ("Q12", "Q23")) == (reg["Q12"] * reg["Q23"]).restricted(leading)
 
 
 def test_restricted_needs_degree_zero(reg):

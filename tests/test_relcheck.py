@@ -6,7 +6,7 @@ from awalgebra.exactnum import parse, rational
 from awalgebra.opalgebra import GeneratorRegistry, build_registry
 from awalgebra.sparse import fraction_free_rank
 from awalgebra.uqrep import RepParams
-from awalgebra import relcheck
+from awalgebra import opalgebra, relcheck
 from awalgebra.relcheck import (
     MasterRow,
     NONCENTRAL_LABELS,
@@ -111,6 +111,24 @@ def test_prop2_all_pass(reg4):
     assert "prop2/Q13-IQ24" in ids  # disjoint, both derived
     assert "prop2/Q24-Q1234" in ids  # nested; the consecutive label is fixed
     assert "prop2/Q12-Q23" not in ids  # crossing pairs are not claimed
+
+
+def test_prop2_after_prop1_equals_prop2_alone(monkeypatch):
+    # prop2 takes its 40 commuting interval pairs both ways, so alone it
+    # computes 110 of its 150 commutators; after prop1, which remembers
+    # those 40 pairs, only the other 70
+    base = registry("5/3", (1, 2, 1, 3), 3)
+    calls = []
+    real = opalgebra.commutator
+    monkeypatch.setattr(opalgebra, "commutator", lambda a, b: calls.append(1) or real(a, b))
+    alone = check_prop2(GeneratorRegistry(base.params, base.table))
+    alone_calls = len(calls)
+    warm = GeneratorRegistry(base.params, base.table)
+    check_prop1(warm)
+    del calls[:]
+    after = check_prop2(warm)
+    assert [r.to_json() for r in after] == [r.to_json() for r in alone]
+    assert (alone_calls, len(calls)) == (110, 70)
 
 
 def test_prop2_needs_four_legs(reg3):

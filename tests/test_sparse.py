@@ -470,3 +470,18 @@ def test_exact_scalars_are_accepted():
     for c in (3, Fraction(3), rational(3)):
         assert a.scale(c) == a * c == c * a == SparseOperator.identity(BASIS)
         assert SparseOperator.identity(BASIS, c) == SparseOperator.lincomb(BASIS, [(c, a.scale(3))])
+
+
+@pytest.mark.parametrize("v", (True, False, 0.5, 1.0, "1"), ids=repr)
+def test_inexact_entries_are_rejected(v):
+    with pytest.raises(TypeError):
+        SparseOperator(BASIS, {0: {0: v}})
+    with pytest.raises(TypeError):
+        SparseOperator.diagonal(BASIS, lambda j: v)
+
+
+def test_exact_entries_are_accepted():
+    for v in (2, Fraction(2, 3), rational(2, 3)):
+        op = SparseOperator(BASIS, {0: {0: v, 1: 0}, 1: {1: v}})
+        assert op.get(0, 0) == v and op.nnz() == 2
+        assert SparseOperator.diagonal(BASIS, lambda j: v) == SparseOperator.identity(BASIS, v)
