@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -40,15 +41,17 @@ SUITE_ORDER = (
 FORMAT_VERSION = 1
 
 # Fewest basis states at which a four-leg verify hands suites to a
-# worker process.  A spawned worker starts a fresh interpreter and
-# rebuilds the realization, which costs more than it saves on small
-# bases.  Serial against parallel wall time of one verify run in a fresh
-# process (fractions backend, 2 cores, medians of six): four legs,
-# 0.52 s against 0.58 s at nmax 4 (70 states), 1.02 s against 0.88 s at
-# nmax 5 (126 states).  Three-leg runs stay serial at any size: their
-# spectra suite holds most of the work, so a worker saves less than it
-# costs (medians of four: 0.20 s against 0.42 s at nmax 6, 0.91 s
-# against 0.99 s at nmax 10, 286 states).
+# worker process.  The worker is forked from the built realization, so
+# it costs a fork and no rebuild.  Serial against forked wall time of
+# one verify run in a fresh process (fractions backend, 2 cores, medians
+# of seven): four legs, 0.28 s against 0.28 s at nmax 3 (35 states),
+# 0.55 s against 0.43 s at nmax 4 (70 states), 1.01 s against 0.67 s at
+# nmax 5 (126 states); three legs, 0.19 s against 0.22 s at nmax 6
+# (84 states), 0.49 s against 0.37 s at nmax 8, 0.90 s against 0.78 s
+# at nmax 10.  The crossover is lower than this bound, and three-leg
+# runs above about 100 states would gain too, but the benchmark's
+# traced nmax-4 verify must stay in one process until its tracer sees
+# the worker, so the bound and the four-leg rule stay for now.
 PARALLEL_MIN_STATES = 126
 
 DEFAULT_K = (1, 2, 1, 3)
@@ -119,8 +122,7 @@ def run_suite(name: str, p: RepParams) -> list:
 
 
 def _timed_suite(name: str, p: RepParams):
-    """(reports, elapsed ms) of run_suite(name, p).  Module level, so a
-    worker process can be sent it by name."""
+    """(reports, elapsed ms) of run_suite(name, p)."""
     start = time.perf_counter()
     reports = run_suite(name, p)
     return reports, int((time.perf_counter() - start) * 1000)
@@ -135,77 +137,83 @@ def usable_cpus() -> int:
 
 
 def use_worker(n_suites: int, p: RepParams, cpus: int) -> bool:
-    """Whether verify hands suites to one worker process: at least two
-    suites, two usable CPUs, four legs and PARALLEL_MIN_STATES basis
-    states.  One worker is the only count measured (on 2 cores), so
-    more CPUs do not add workers."""
-    return n_suites >= 2 and cpus >= 2 and p.legs >= 4 and len(p.basis) >= PARALLEL_MIN_STATES
+    """Whether verify hands suites to one forked worker process: at
+    least two suites, two usable CPUs, a platform that can fork, no
+    other thread in this process (a fork copies the locks other threads
+    hold), four legs and PARALLEL_MIN_STATES basis states.  One worker
+    is the only count measured (on 2 cores), so more CPUs do not add
+    workers."""
+    return (
+        n_suites >= 2
+        and cpus >= 2
+        and hasattr(os, "fork")
+        and threading.active_count() == 1
+        and p.legs >= 4
+        and len(p.basis) >= PARALLEL_MIN_STATES
+    )
+
+
+def _worker(names, p: RepParams, ends, out):
+    """Take suites from the back of [front, back), one at a time, and
+    send (index, (reports, ms)) for each."""
+    while True:
+        with ends.get_lock():
+            if ends[0] >= ends[1]:
+                return
+            ends[1] -= 1
+            i = ends[1]
+        out.send((i, _timed_suite(names[i], p)))
 
 
 def suite_results(names, p: RepParams, worker: bool):
     """Yield (name, reports, elapsed ms) for each suite, in order.
 
-    With a worker, the suites nobody has taken yet form one deque.  A
-    spawn-context pool of one process takes them from the back, one at
-    a time: a feeder thread submits the next suite only when the
-    worker's last one is done.  This process takes them from the front
-    and waits for the worker's result when it reaches a suite the worker
-    took.  If the worker dies (BrokenProcessPool; a spawned worker
-    re-imports the main script, so an unguarded script that calls main
-    kills it), this process runs the worker's suites too.
+    With a worker, this process runs the first suite and builds the
+    registry, as a serial run does, then forks one worker that inherits
+    every cache.  The untaken suites are the index range [front, back)
+    in shared memory: the worker takes back - 1 and sends its results
+    through a pipe, this process takes front.  After each of its own
+    suites this process drains the pipe, and at a suite the worker took
+    it reads until that result arrives.  A suite whose result never
+    comes (the worker died) runs here.  All results but the first
+    pickle to 38.5 KB at nmax 6 and 46.6 KB at nmax 8, within a Linux
+    pipe's 64 KiB, so the worker does not wait to send.
     """
     if not worker:
         for name in names:
             yield name, *_timed_suite(name, p)
         return
     import multiprocessing
-    import threading
-    from collections import deque
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
 
-    left = deque(names)
-    lock = threading.Lock()
-
-    def feed(future):
-        while future.exception() is None:
-            with lock:
-                if not left:
-                    return
-                try:
-                    future = pool.submit(_timed_suite, left[-1], p)
-                except BrokenProcessPool:
-                    return
-                taken[left.pop()] = future
-
-    pool = ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn"))
-    feeder = None
+    yield names[0], *_timed_suite(names[0], p)
+    build_registry(p)
+    ctx = multiprocessing.get_context("fork")
+    ends = ctx.Array("i", (1, len(names)))
+    inbox, out = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_worker, args=(names, p, ends, out), daemon=True)
+    child.start()
+    out.close()
+    done = {}
     try:
-        # the first submit starts the worker; a failure to start it
-        # raises here, in this thread
-        first = pool.submit(_timed_suite, left[-1], p)
-        taken = {left.pop(): first}
-        feeder = threading.Thread(target=feed, args=(first,))
-        feeder.start()
-        for name in names:
-            with lock:
-                mine = bool(left) and left[0] == name
+        for i in range(1, len(names)):
+            with ends.get_lock():
+                mine = ends[0] < ends[1]
                 if mine:
-                    left.popleft()
-            if mine:
-                result = _timed_suite(name, p)
-            else:
-                try:
-                    result = taken[name].result()
-                except BrokenProcessPool:
-                    result = _timed_suite(name, p)
-            yield name, *result
+                    ends[0] += 1
+            result = _timed_suite(names[i], p) if mine else None
+            try:
+                while (not mine and i not in done) or inbox.poll():
+                    j, sent = inbox.recv()
+                    done[j] = sent
+            except EOFError:
+                pass
+            yield names[i], *(result or done.pop(i, None) or _timed_suite(names[i], p))
+    except BaseException:
+        child.terminate()
+        raise
     finally:
-        with lock:
-            left.clear()
-        pool.shutdown()
-        if feeder is not None:
-            feeder.join()
+        child.join()
+        inbox.close()
 
 
 def cmd_verify(args, p: RepParams) -> int:
@@ -287,7 +295,7 @@ def cmd_verify(args, p: RepParams) -> int:
             },
             "timings_ms": timings,
         }
-        Path(args.report).write_text(json.dumps(payload, indent=2) + "\n")
+        Path(args.report).write_text(json.dumps(payload) + "\n")
     return 0 if not problems else 1
 
 

@@ -3,22 +3,21 @@ one suite at a time in the worker, this process running the worker's
 suites when it dies, and a serial run whenever a worker cannot pay for
 itself."""
 
-import concurrent.futures
 import json
 import multiprocessing
 import os
 import pickle
 import subprocess
 import sys
+import threading
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 import awalgebra
-from awalgebra import cli
+from awalgebra import cli, uqrep
 from awalgebra.cli import SUITE_ORDER, main, run_suite, suite_results, use_worker
 from awalgebra.exactnum import rational
 from awalgebra.uqrep import RepParams
@@ -49,108 +48,132 @@ def test_verify_report_equals_serial_suites(tmp_path, capsys, argv, q, k):
 
 
 def test_worker_results_equal_serial_results(monkeypatch):
-    # the pool path itself, whatever the CPU count of the host
+    # the worker path itself, whatever the CPU count of the host
     p = RepParams(q=rational(5, 3), k=(1, 2, 1, 3), legs=4, n_max=3)
     serial = [(name, _json(reports)) for name, reports, _ in suite_results(SUITE_ORDER, p, False)]
-    # this process runs suites through its own run_suite, the worker
-    # through a fresh import of the module
+    # the forked worker appends to its own copy of here
     here = []
     real = cli.run_suite
     monkeypatch.setattr(cli, "run_suite", lambda name, p: here.append(name) or real(name, p))
-    pooled = [(name, _json(reports)) for name, reports, _ in suite_results(SUITE_ORDER, p, True)]
-    assert pooled == serial
+    forked = [(name, _json(reports)) for name, reports, _ in suite_results(SUITE_ORDER, p, True)]
+    assert forked == serial
     assert multiprocessing.active_children() == []
     # front to back here, back to front in the worker
     assert here[0] == "defining" and "independence" not in here
     assert here == list(SUITE_ORDER[: len(here)])
 
 
-class _RecordingPool(ProcessPoolExecutor):
-    """A pool that records, at each submit, how many of its earlier
-    futures are not done yet."""
+def _recording_arrays(monkeypatch):
+    """The shared arrays the fork context makes from now on."""
+    arrays = []
+    fork_context = type(multiprocessing.get_context("fork"))
+    real = fork_context.Array
 
-    pools = []
+    def array(self, *args, **kwargs):
+        arrays.append(real(self, *args, **kwargs))
+        return arrays[-1]
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.futures, self.outstanding = [], []
-        self.pools.append(self)
-
-    def submit(self, *args, **kwargs):
-        self.outstanding.append(sum(not f.done() for f in self.futures))
-        self.futures.append(super().submit(*args, **kwargs))
-        return self.futures[-1]
+    monkeypatch.setattr(fork_context, "Array", array)
+    return arrays
 
 
 def test_worker_holds_one_suite_at_a_time(monkeypatch):
-    # a queued future counts as running and cannot be cancelled, so a
-    # suite handed to the worker early would make this process wait
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "pools", [])
-    p = RepParams(q=rational(5, 3), k=(1, 2, 1, 3), legs=4, n_max=3)
-    names = [name for name, _, _ in suite_results(SUITE_ORDER, p, True)]
-    assert names == list(SUITE_ORDER)
-    (pool,) = _RecordingPool.pools
-    assert pool._max_workers == 1
-    assert pool.outstanding and set(pool.outstanding) == {0}
+    # each suite reports the untaken range [front, back) it sees while
+    # it runs: the worker, taking from the back, holds only the suite it
+    # runs, and this process only the one it runs
+    arrays = _recording_arrays(monkeypatch)
+
+    def fake_suite(name, p):
+        time.sleep(0.02)
+        return [(os.getpid(), tuple(arrays[-1]) if arrays else None)]
+
+    monkeypatch.setattr(cli, "run_suite", fake_suite)
+    monkeypatch.setattr(cli, "build_registry", lambda p: None)
+    names = [f"s{i}" for i in range(8)]
+    seen = [reports[0] for _, reports, _ in suite_results(names, None, True)]
+    assert seen[0] == (os.getpid(), None)
+    mine = [i for i, (pid, _) in enumerate(seen) if pid == os.getpid()]
+    theirs = [i for i, (pid, _) in enumerate(seen) if pid != os.getpid()]
+    assert theirs and mine == list(range(len(mine))) and theirs == list(range(len(mine), 8))
+    for i in mine[1:]:
+        assert seen[i][1][0] == i + 1
+    for i in theirs:
+        assert seen[i][1][1] == i
     assert multiprocessing.active_children() == []
 
 
-class _DyingPool(ProcessPoolExecutor):
-    """A pool whose worker exits at its first task."""
-
-    def submit(self, fn, *args, **kwargs):
-        return super().submit(os._exit, 1)
-
-
 def test_dead_worker_leaves_its_suites_to_this_process(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _DyingPool)
+    # the worker exits as soon as it has taken a suite; this process
+    # runs that suite and every other one the worker never sent
     p = RepParams(q=rational(5, 3), k=(1, 2, 1, 3), legs=4, n_max=3)
     serial = [(name, _json(reports)) for name, reports, _ in suite_results(SUITE_ORDER, p, False)]
     here = []
+    me = os.getpid()
     real = cli.run_suite
-    monkeypatch.setattr(cli, "run_suite", lambda name, p: here.append(name) or real(name, p))
-    pooled = [(name, _json(reports)) for name, reports, _ in suite_results(SUITE_ORDER, p, True)]
-    assert pooled == serial
+
+    def run_or_die(name, p):
+        if os.getpid() != me:
+            os._exit(1)
+        here.append(name)
+        return real(name, p)
+
+    monkeypatch.setattr(cli, "run_suite", run_or_die)
+    forked = [(name, _json(reports)) for name, reports, _ in suite_results(SUITE_ORDER, p, True)]
+    assert forked == serial
     assert sorted(here) == sorted(SUITE_ORDER)
     assert multiprocessing.active_children() == []
 
 
-class _ThreadPool(ThreadPoolExecutor):
-    """A pool of threads in place of processes, so that the worker sees
-    this process's run_suite."""
-
-    def __init__(self, max_workers, mp_context=None):
-        super().__init__(max_workers)
-
-
-def test_each_suite_runs_once_under_contention(monkeypatch):
-    # this process and the feeder thread take suites from the two ends
-    # of one deque; where they meet, a lost update would run a suite
-    # twice or not at all
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _ThreadPool)
-    ran = []
+def test_each_suite_runs_once_under_contention(monkeypatch, tmp_path):
+    # this process and a forked worker take suites from the two ends of
+    # one shared range; where they meet, a lost update would run a suite
+    # twice or not at all.  Every run appends "pid name" to one log.
+    log = tmp_path / "ran.log"
 
     def fake_suite(name, p):
-        ran.append(name)
-        time.sleep(0)
+        time.sleep(int(name[1:]) % 3 * 1e-4)
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {name}\n")
         return [name]
 
     monkeypatch.setattr(cli, "run_suite", fake_suite)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        deadline = time.monotonic() + 3
-        for trial in range(1500):
-            names = [f"s{i}" for i in range(2 + trial % 7)]
-            ran.clear()
-            results = [(name, reports) for name, reports, _ in suite_results(names, None, True)]
-            assert results == [(name, [name]) for name in names]
-            assert Counter(ran) == Counter(names)
-            if time.monotonic() > deadline:
-                break
-    finally:
-        sys.setswitchinterval(interval)
+    monkeypatch.setattr(cli, "build_registry", lambda p: None)
+    pids = set()
+    deadline = time.monotonic() + 3
+    for trial in range(1000):
+        names = [f"s{i}" for i in range(2 + trial % 7)]
+        log.write_text("")
+        results = [(name, reports) for name, reports, _ in suite_results(names, None, True)]
+        assert results == [(name, [name]) for name in names]
+        ran = [line.split() for line in log.read_text().splitlines()]
+        assert Counter(name for _, name in ran) == Counter(names)
+        pids.update(pid for pid, _ in ran)
+        if time.monotonic() > deadline:
+            break
+    assert str(os.getpid()) in pids and len(pids) > 2
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_rebuilds_nothing(monkeypatch):
+    # the worker is forked after the registry is built, so its suites
+    # miss no realization cache; fork carries this patch into it
+    p = RepParams(q=rational(7, 4), k=(2, 1, 3, 1), legs=4, n_max=5)
+    caches = (cli.build_registry, uqrep.interval_ops, uqrep.casimir)
+    real = cli.run_suite
+
+    def counted(name, p):
+        before = [cache.cache_info().misses for cache in caches]
+        real(name, p)
+        return [(os.getpid(), [cache.cache_info().misses - n for cache, n in zip(caches, before)])]
+
+    monkeypatch.setattr(cli, "run_suite", counted)
+    # aw3-quadratic builds its three-leg sub-realization wherever it runs
+    names = [name for name in SUITE_ORDER if name != "aw3-quadratic"]
+    rows = [reports[0] for _, reports, _ in suite_results(names, p, True)]
+    worker = [misses for pid, misses in rows if pid != os.getpid()]
+    here = [misses for pid, misses in rows if pid == os.getpid()]
+    assert worker and all(misses == [0, 0, 0] for misses in worker)
+    assert sum(map(sum, here)) > 0
 
 
 _UNGUARDED = """\
@@ -160,17 +183,22 @@ sys.exit(cli.main(["verify", "--nmax", "5", "--suite", "defining,prop1,prop2", "
 """
 
 
-def test_script_without_main_guard_still_verifies(tmp_path):
-    # a spawned worker re-imports the main script; where that script
-    # calls main unguarded, the worker dies and this process runs all
-    script = tmp_path / "unguarded.py"
-    script.write_text(_UNGUARDED)
-    path = tmp_path / "report.json"
+def _run_script(path, source, *args):
+    path.write_text(source)
     env = dict(os.environ, PYTHONPATH=str(Path(awalgebra.__file__).parents[1]))
-    run = subprocess.run(
-        [sys.executable, str(script), str(path)], env=env, capture_output=True, text=True, timeout=120
+    return subprocess.run(
+        [sys.executable, str(path), *args], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+def test_script_without_main_guard_still_verifies(tmp_path):
+    # a forked worker does not import the main script again, so a script
+    # may call main unguarded
+    path = tmp_path / "report.json"
+    run = _run_script(tmp_path / "unguarded.py", _UNGUARDED, str(path))
     assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
+    assert sum(line.startswith("params:") for line in run.stdout.splitlines()) == 1
     names = ("defining", "prop1", "prop2")
     assert [line.split()[0] for line in run.stdout.splitlines() if line.split()[0] in names] == list(names)
     assert "VERDICT: PASS (3 suites" in run.stdout
@@ -178,6 +206,46 @@ def test_script_without_main_guard_still_verifies(tmp_path):
     assert len(p.basis) >= cli.PARALLEL_MIN_STATES
     checks = _json([r for name in names for r in run_suite(name, p)])
     assert json.loads(path.read_text())["checks"] == checks
+
+
+# verify on the worker path whatever the host's CPU count, then the
+# number of forks and whether a child process is left
+_WORKER_PATH = """\
+import os, sys
+from awalgebra import cli
+forks = []
+fork = os.fork
+def counted_fork():
+    forks.append(None)
+    return fork()
+os.fork = counted_fork
+cli.usable_cpus = lambda: 2
+code = cli.main(sys.argv[1:])
+try:
+    left = os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    left = None
+print(f"exit {code}, {len(forks)} fork, child left: {left}")
+"""
+
+
+def test_worker_path_leaves_no_child_process(tmp_path):
+    # the spawn pool left multiprocessing's resource tracker running
+    run = _run_script(tmp_path / "children.py", _WORKER_PATH, "verify", "--suite", "defining,prop1")
+    assert run.returncode == 0 and run.stderr == "", run.stderr
+    assert run.stdout.splitlines()[-1] == "exit 0, 1 fork, child left: None"
+
+
+def test_piped_stdout_prints_every_line_once(tmp_path):
+    # stdout on a pipe is block buffered; nothing this process printed
+    # before the fork may be printed again by the worker
+    run = _run_script(tmp_path / "piped.py", _WORKER_PATH, "verify", "--nmax", "5")
+    assert run.returncode == 0 and run.stderr == "", run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[-1] == "exit 0, 1 fork, child left: None"
+    assert lines[0].startswith("params:") and lines[-2].startswith("VERDICT: PASS (8 suites")
+    assert [line.split()[0] for line in lines[1:9]] == list(SUITE_ORDER)
+    assert max(Counter(lines).values()) == 1
 
 
 def test_serial_below_the_threshold_and_on_one_cpu():
@@ -193,11 +261,28 @@ def test_serial_below_the_threshold_and_on_one_cpu():
     assert not use_worker(5, three_legs, 2)
 
 
-def test_serial_runs_start_no_process(monkeypatch, capsys):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a serial run started a worker pool")
+def test_serial_without_fork_or_beside_another_thread(monkeypatch):
+    # a fork copies the locks other threads hold
+    big = RepParams(q=rational(5, 3), k=(1, 2, 1, 3), legs=4, n_max=6)
+    assert use_worker(8, big, 2)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert not use_worker(8, big, 2)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    monkeypatch.delattr(os, "fork")
+    assert not use_worker(8, big, 2)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+
+def test_serial_runs_start_no_process(monkeypatch, capsys):
+    def no_fork():
+        raise AssertionError("a serial run forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
     assert main(["verify", "--nmax", "4", "--suite", "defining,prop1"]) == 0  # 70 states
     assert main(["verify", "--suite", "defining"]) == 0  # one suite
     p = RepParams(q=rational(5, 3), k=(1, 2, 1, 3), legs=4, n_max=6)
