@@ -40,18 +40,24 @@ SUITE_ORDER = (
 
 FORMAT_VERSION = 1
 
-# Fewest basis states at which a four-leg verify hands suites to a
-# worker process.  The worker is forked from the built realization, so
-# it costs a fork and no rebuild.  Serial against forked wall time of
-# one verify run in a fresh process (fractions backend, 2 cores, medians
-# of seven): four legs, 0.28 s against 0.28 s at nmax 3 (35 states),
-# 0.55 s against 0.43 s at nmax 4 (70 states), 1.01 s against 0.67 s at
-# nmax 5 (126 states); three legs, 0.19 s against 0.22 s at nmax 6
-# (84 states), 0.49 s against 0.37 s at nmax 8, 0.90 s against 0.78 s
-# at nmax 10.  The crossover is lower than this bound, and three-leg
-# runs above about 100 states would gain too, but the benchmark's
-# traced nmax-4 verify must stay in one process until its tracer sees
-# the worker, so the bound and the four-leg rule stay for now.
+# Fewest states at which a run is shared with one forked worker
+# (two_process_map): all basis states for a four-leg verify, the states
+# of the blocks it checks for a spectrum of three or more legs.  The
+# worker is forked from the built realization and rebuilds nothing; a
+# fork, its pipes and the reaping cost about 8 ms the first time in a
+# process and 4 ms after that.  Serial against forked wall time of one
+# run in a fresh process (fractions backend, 2 cores, medians of seven):
+# verify at four legs 0.23/0.16 s at nmax 3 (35 states), 0.46/0.31 s
+# at nmax 4 (70), 0.96/0.59 s at nmax 5 (126); at three legs 0.15/0.14 s
+# at nmax 6 (84), 0.37/0.27 s at nmax 8.  spectrum Q1234 0.039/0.039 s
+# at nmax 4 (70), 0.103/0.076 s at nmax 5 (126), 0.23/0.17 s at nmax 6;
+# Q123 at four legs 0.039/0.046 s at nmax 5 (126), 0.073/0.070 s at
+# nmax 6, 0.152/0.125 s at nmax 7; Q123 at three legs 0.076/0.058 s at
+# nmax 7 (120); the two-leg Q12 0.056/0.064 s at nmax 7 (330) and
+# 0.097/0.105 s at nmax 8 (495), so two legs never gain.  verify's
+# crossover is far below this bound, but the benchmark's traced nmax-4
+# verify must stay in one process until its tracer sees the worker, so
+# the bound and verify's four-leg rule stay for now.
 PARALLEL_MIN_STATES = 126
 
 DEFAULT_K = (1, 2, 1, 3)
@@ -136,84 +142,150 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def can_fork(cpus: int) -> bool:
+    """Whether a forked second process can help: two usable CPUs, a
+    platform that can fork and no other thread in this process (a fork
+    copies the locks other threads hold).  One worker is the only count
+    measured (on 2 cores), so more CPUs do not add workers."""
+    return cpus >= 2 and hasattr(os, "fork") and threading.active_count() == 1
+
+
 def use_worker(n_suites: int, p: RepParams, cpus: int) -> bool:
     """Whether verify hands suites to one forked worker process: at
-    least two suites, two usable CPUs, a platform that can fork, no
-    other thread in this process (a fork copies the locks other threads
-    hold), four legs and PARALLEL_MIN_STATES basis states.  One worker
-    is the only count measured (on 2 cores), so more CPUs do not add
-    workers."""
+    least two suites, four legs, PARALLEL_MIN_STATES basis states and
+    can_fork."""
     return (
         n_suites >= 2
-        and cpus >= 2
-        and hasattr(os, "fork")
-        and threading.active_count() == 1
         and p.legs >= 4
         and len(p.basis) >= PARALLEL_MIN_STATES
+        and can_fork(cpus)
     )
 
 
-def _worker(names, p: RepParams, ends, out):
-    """Take suites from the back of [front, back), one at a time, and
-    send (index, (reports, ms)) for each."""
-    while True:
-        with ends.get_lock():
-            if ends[0] >= ends[1]:
-                return
-            ends[1] -= 1
-            i = ends[1]
-        out.send((i, _timed_suite(names[i], p)))
+def split_spectrum(interval, states: int, cpus: int) -> bool:
+    """Whether spectrum shares its blocks' columns with one forked
+    worker: an interval of three or more legs, PARALLEL_MIN_STATES
+    states in the blocks it checks and can_fork.  A two-leg Casimir's
+    blocks are too sparse to pay for the fork at any measured nmax."""
+    lo, hi = interval
+    return hi - lo >= 2 and states >= PARALLEL_MIN_STATES and can_fork(cpus)
+
+
+def _take(ends, lock, from_back: bool):
+    """Take the index at one end of the untaken range [front, back) =
+    ends, or None when it is empty.  lock is a pipe that holds one byte
+    while nobody holds the range."""
+    os.read(lock[0], 1)
+    try:
+        front, back = ends
+        if front >= back:
+            return None
+        if from_back:
+            ends[1] = back - 1
+            return back - 1
+        ends[0] = front + 1
+        return front
+    finally:
+        os.write(lock[1], b"\0")
+
+
+def two_process_map(fn, tasks):
+    """Yield fn(task) for each task, in order, computed by this process
+    and one forked worker.
+
+    The worker inherits everything this process has built, so callers
+    build what every task shares before the first value is asked for.
+    The untaken tasks are the index range [front, back) in shared
+    memory: the worker takes back - 1 and sends its result through a
+    pipe, this process takes front.  Callers order the tasks so that
+    the costly ones sit at both ends and the cheap ones in the middle,
+    where the two processes meet.  After each of its own tasks this
+    process drains the pipe, and at a task the worker took it reads
+    until that result arrives.  A task whose result never comes (the
+    worker died) runs here.  The worker leaves through os._exit, so it
+    flushes no copy of this process's output buffers.
+
+    A Linux pipe holds 64 KiB.  The worker waits to send only when that
+    much of its output is unread, and then only until this process
+    finishes its current task; it never deadlocks, since this process
+    reads every result the worker owes before it reaps the worker.
+    verify's suite results pickle to 38.5 KB at nmax 6 and 46.6 KB at
+    nmax 8 in all, spectrum's are one integer per task, so neither
+    caller's worker waits at those sizes.
+    """
+    # imported here, so that runs which never fork do not load them
+    import mmap
+    import pickle
+    import select
+    import signal
+
+    ends = memoryview(mmap.mmap(-1, 16)).cast("q")
+    ends[1] = len(tasks)
+    lock = os.pipe()
+    os.write(lock[1], b"\0")
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (*lock, read_end, write_end):
+            os.close(fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as out:
+                while (i := _take(ends, lock, True)) is not None:
+                    pickle.dump((i, fn(tasks[i])), out)
+                    out.flush()
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    inbox = open(read_end, "rb")
+    done = {}
+    try:
+        for i, task in enumerate(tasks):
+            mine = _take(ends, lock, False) is not None
+            if mine:
+                value = fn(task)
+            try:
+                while (not mine and i not in done) or select.select([inbox], [], [], 0)[0]:
+                    j, sent = pickle.load(inbox)
+                    done[j] = sent
+            except (EOFError, pickle.UnpicklingError):
+                pass
+            if not mine:
+                value = done.pop(i) if i in done else fn(task)
+            yield value
+    except BaseException:
+        os.kill(pid, signal.SIGTERM)
+        raise
+    finally:
+        os.waitpid(pid, 0)
+        inbox.close()
+        os.close(lock[0])
+        os.close(lock[1])
 
 
 def suite_results(names, p: RepParams, worker: bool):
     """Yield (name, reports, elapsed ms) for each suite, in order.
 
     With a worker, this process runs the first suite and builds the
-    registry, as a serial run does, then forks one worker that inherits
-    every cache.  The untaken suites are the index range [front, back)
-    in shared memory: the worker takes back - 1 and sends its results
-    through a pipe, this process takes front.  After each of its own
-    suites this process drains the pipe, and at a suite the worker took
-    it reads until that result arrives.  A suite whose result never
-    comes (the worker died) runs here.  All results but the first
-    pickle to 38.5 KB at nmax 6 and 46.6 KB at nmax 8, within a Linux
-    pipe's 64 KiB, so the worker does not wait to send.
+    registry, as a serial run does, and shares the other suites with a
+    worker forked after that (two_process_map), so the worker rebuilds
+    nothing.
     """
-    if not worker:
-        for name in names:
-            yield name, *_timed_suite(name, p)
-        return
-    import multiprocessing
 
-    yield names[0], *_timed_suite(names[0], p)
+    def timed(name):
+        return (name, *_timed_suite(name, p))
+
+    if not worker:
+        yield from map(timed, names)
+        return
+    yield timed(names[0])
     build_registry(p)
-    ctx = multiprocessing.get_context("fork")
-    ends = ctx.Array("i", (1, len(names)))
-    inbox, out = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_worker, args=(names, p, ends, out), daemon=True)
-    child.start()
-    out.close()
-    done = {}
-    try:
-        for i in range(1, len(names)):
-            with ends.get_lock():
-                mine = ends[0] < ends[1]
-                if mine:
-                    ends[0] += 1
-            result = _timed_suite(names[i], p) if mine else None
-            try:
-                while (not mine and i not in done) or inbox.poll():
-                    j, sent = inbox.recv()
-                    done[j] = sent
-            except EOFError:
-                pass
-            yield names[i], *(result or done.pop(i, None) or _timed_suite(names[i], p))
-    except BaseException:
-        child.terminate()
-        raise
-    finally:
-        child.join()
-        inbox.close()
+    yield from two_process_map(timed, names[1:])
 
 
 def cmd_verify(args, p: RepParams) -> int:
@@ -324,16 +396,41 @@ def cmd_spectrum(args, p: RepParams) -> int:
     k_a = p.interval_weight(interval)
     print(f"operator {args.op}, interval weight k_A = {k_a}, q = {to_text(p.q)}")
     weights = range(p.n_max + 1) if args.weight is None else [args.weight]
-    failures = 0
+    lams = {w: predicted_eigenvalues(p, interval, w) for w in weights}
+    states = sum(len(p.basis.weight_block(w)) for w in weights)
+    split = split_spectrum(interval, states, usable_cpus())
+    units = spectrum_units(p.basis, weights, split)
+
+    def count(unit):
+        w, cols = unit
+        return annihilating_residual(op, lams[w], cols)
+
+    counts = two_process_map(count, units) if split else map(count, units)
+    nonzero = dict.fromkeys(weights, 0)
+    for (w, _), n in zip(units, counts):
+        nonzero[w] += n
     for w in weights:
-        lams = predicted_eigenvalues(p, interval, w)
-        block = op.basis.weight_block(w)
-        nonzero = annihilating_residual(op, lams, block)
-        status = "ok" if nonzero == 0 else "NONZERO RESIDUAL"
-        failures += nonzero != 0
-        values = ", ".join(to_text(x) for x in lams)
-        print(f"weight {w} (block size {len(block)}): [{values}]  {status}")
-    return 0 if failures == 0 else 1
+        status = "ok" if nonzero[w] == 0 else "NONZERO RESIDUAL"
+        values = ", ".join(to_text(x) for x in lams[w])
+        print(f"weight {w} (block size {len(p.basis.weight_block(w))}): [{values}]  {status}")
+    return 0 if not any(nonzero.values()) else 1
+
+
+def spectrum_units(basis, weights, split: bool) -> list:
+    """(weight, column range) units of spectrum's work on the given
+    weight blocks.  Unsplit, one unit per block in weight order.  Split,
+    every block is cut into two column halves: the first halves from the
+    biggest block down, then the second halves from the smallest block
+    up, so the big blocks sit at both ends of the list and the small
+    ones in the middle, where the two processes of two_process_map
+    meet."""
+    blocks = [(w, basis.weight_block(w)) for w in weights]
+    if not split:
+        return blocks
+    halves = [(w, b.start + len(b) // 2, b) for w, b in blocks]
+    front = [(w, range(b.start, mid)) for w, mid, b in reversed(halves)]
+    back = [(w, range(mid, b.stop)) for w, mid, b in halves]
+    return [(w, cols) for w, cols in front + back if cols]
 
 
 def cmd_compass(args, p: RepParams) -> int:

@@ -35,19 +35,30 @@ def predicted_eigenvalues(p, interval, weight: int) -> list:
     return [casimir_eigenvalue(p.q, k_a + x) for x in range(weight + 1)]
 
 
-def annihilating_residual(op, eigenvalues, block) -> int:
-    """Nonzero entries of prod_x (op - lambda_x) on the block's columns.
+def annihilating_residual(op, eigenvalues, cols) -> int:
+    """Nonzero entries of prod_x (op - lambda_x) on the columns cols.
 
-    op must have degree 0, so that it maps the block into itself; the
-    factors are then applied to the block's columns only, and each one
-    is op restricted to the block with lambda_x folded into its
-    diagonal.
+    cols is a contiguous column range inside one weight block (the whole
+    block or part of it); the block is the one holding cols.start.  op
+    must have degree 0, so that it maps the block into itself; each
+    factor is op restricted to the whole block with lambda_x folded
+    into its diagonal, and the product starts from the identity on cols.
+
+    Column j of the product is P(op) e_j and depends on no other column,
+    so the count over a block is the sum of the counts over any
+    partition of its columns into ranges.
     """
     if op.degree != 0:
         raise ValueError("the annihilating polynomial needs a degree-0 operator")
+    basis = op.basis
+    weights = basis.weights
+    if not cols or cols.step != 1 or weights[cols.start] != weights[cols.stop - 1]:
+        raise ValueError(f"columns {cols} are not a range inside one weight block")
+    block = basis.weight_block(weights[cols.start])
     op_b = op.restricted(block)
-    iden_b = SparseOperator.identity(op.basis).restricted(block)
-    r = iden_b
+    iden = SparseOperator.identity(basis)
+    iden_b = iden.restricted(block)
+    r = iden.restricted(cols)
     for lam in eigenvalues:
         r = (op_b - iden_b.scale(lam)) * r
         if r.is_zero():

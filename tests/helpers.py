@@ -1,5 +1,13 @@
 """Test-only helpers shared by several test modules."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import awalgebra
 from awalgebra.opalgebra import is_consecutive, subset_of_label
 
 
@@ -33,3 +41,40 @@ def monomial(reg, labels):
     for la in labels[1:]:
         out = out * reg[la]
     return out
+
+
+def assert_no_child_left():
+    """Neither a running nor an unreaped child of this process."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def run_script(path, source, *args):
+    """Write source to path and run it in a fresh interpreter that
+    imports this checkout's awalgebra; the CompletedProcess."""
+    path.write_text(source)
+    env = dict(os.environ, PYTHONPATH=str(Path(awalgebra.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, str(path), *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+# cli.main(argv) with two usable CPUs whatever the host has, then the
+# number of forks and whether a child process is left
+FORK_COUNTING_SCRIPT = """\
+import os, sys
+from awalgebra import cli
+forks = []
+fork = os.fork
+def counted_fork():
+    forks.append(None)
+    return fork()
+os.fork = counted_fork
+cli.usable_cpus = lambda: 2
+code = cli.main(sys.argv[1:])
+try:
+    left = os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    left = None
+print(f"exit {code}, {len(forks)} fork, child left: {left}")
+"""

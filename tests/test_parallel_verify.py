@@ -4,23 +4,18 @@ suites when it dies, and a serial run whenever a worker cannot pay for
 itself."""
 
 import json
-import multiprocessing
 import os
-import pickle
-import subprocess
-import sys
 import threading
 import time
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
-import awalgebra
 from awalgebra import cli, uqrep
 from awalgebra.cli import SUITE_ORDER, main, run_suite, suite_results, use_worker
 from awalgebra.exactnum import rational
 from awalgebra.uqrep import RepParams
+from helpers import FORK_COUNTING_SCRIPT, assert_no_child_left, run_script
 
 
 def _json(reports):
@@ -36,7 +31,7 @@ def test_verify_report_equals_serial_suites(tmp_path, capsys, argv, q, k):
     path = tmp_path / "report.json"
     assert main(["verify", *argv, "--report", str(path)]) == 0
     capsys.readouterr()
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
     report = json.loads(path.read_text())
     p = RepParams(q=q, k=k, legs=4, n_max=6)
     checks = _json([r for name in SUITE_ORDER for r in run_suite(name, p)])
@@ -57,35 +52,34 @@ def test_worker_results_equal_serial_results(monkeypatch):
     monkeypatch.setattr(cli, "run_suite", lambda name, p: here.append(name) or real(name, p))
     forked = [(name, _json(reports)) for name, reports, _ in suite_results(SUITE_ORDER, p, True)]
     assert forked == serial
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
     # front to back here, back to front in the worker
     assert here[0] == "defining" and "independence" not in here
     assert here == list(SUITE_ORDER[: len(here)])
 
 
-def _recording_arrays(monkeypatch):
-    """The shared arrays the fork context makes from now on."""
-    arrays = []
-    fork_context = type(multiprocessing.get_context("fork"))
-    real = fork_context.Array
+def _recording_ranges(monkeypatch):
+    """The shared task ranges that cli._take sees from now on."""
+    ranges = []
+    real = cli._take
 
-    def array(self, *args, **kwargs):
-        arrays.append(real(self, *args, **kwargs))
-        return arrays[-1]
+    def take(ends, lock, from_back):
+        ranges.append(ends)
+        return real(ends, lock, from_back)
 
-    monkeypatch.setattr(fork_context, "Array", array)
-    return arrays
+    monkeypatch.setattr(cli, "_take", take)
+    return ranges
 
 
 def test_worker_holds_one_suite_at_a_time(monkeypatch):
     # each suite reports the untaken range [front, back) it sees while
     # it runs: the worker, taking from the back, holds only the suite it
     # runs, and this process only the one it runs
-    arrays = _recording_arrays(monkeypatch)
+    ranges = _recording_ranges(monkeypatch)
 
     def fake_suite(name, p):
         time.sleep(0.02)
-        return [(os.getpid(), tuple(arrays[-1]) if arrays else None)]
+        return [(os.getpid(), tuple(ranges[-1]) if ranges else None)]
 
     monkeypatch.setattr(cli, "run_suite", fake_suite)
     monkeypatch.setattr(cli, "build_registry", lambda p: None)
@@ -95,11 +89,12 @@ def test_worker_holds_one_suite_at_a_time(monkeypatch):
     mine = [i for i, (pid, _) in enumerate(seen) if pid == os.getpid()]
     theirs = [i for i, (pid, _) in enumerate(seen) if pid != os.getpid()]
     assert theirs and mine == list(range(len(mine))) and theirs == list(range(len(mine), 8))
+    # suite i is task i - 1 of the range shared after the first suite
     for i in mine[1:]:
-        assert seen[i][1][0] == i + 1
+        assert seen[i][1][0] == i
     for i in theirs:
-        assert seen[i][1][1] == i
-    assert multiprocessing.active_children() == []
+        assert seen[i][1][1] == i - 1
+    assert_no_child_left()
 
 
 def test_dead_worker_leaves_its_suites_to_this_process(monkeypatch):
@@ -121,7 +116,7 @@ def test_dead_worker_leaves_its_suites_to_this_process(monkeypatch):
     forked = [(name, _json(reports)) for name, reports, _ in suite_results(SUITE_ORDER, p, True)]
     assert forked == serial
     assert sorted(here) == sorted(SUITE_ORDER)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_each_suite_runs_once_under_contention(monkeypatch, tmp_path):
@@ -151,7 +146,7 @@ def test_each_suite_runs_once_under_contention(monkeypatch, tmp_path):
         if time.monotonic() > deadline:
             break
     assert str(os.getpid()) in pids and len(pids) > 2
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_worker_rebuilds_nothing(monkeypatch):
@@ -183,19 +178,11 @@ sys.exit(cli.main(["verify", "--nmax", "5", "--suite", "defining,prop1,prop2", "
 """
 
 
-def _run_script(path, source, *args):
-    path.write_text(source)
-    env = dict(os.environ, PYTHONPATH=str(Path(awalgebra.__file__).parents[1]))
-    return subprocess.run(
-        [sys.executable, str(path), *args], env=env, capture_output=True, text=True, timeout=120
-    )
-
-
 def test_script_without_main_guard_still_verifies(tmp_path):
     # a forked worker does not import the main script again, so a script
     # may call main unguarded
     path = tmp_path / "report.json"
-    run = _run_script(tmp_path / "unguarded.py", _UNGUARDED, str(path))
+    run = run_script(tmp_path / "unguarded.py", _UNGUARDED, str(path))
     assert run.returncode == 0, run.stderr
     assert run.stderr == ""
     assert sum(line.startswith("params:") for line in run.stdout.splitlines()) == 1
@@ -208,30 +195,9 @@ def test_script_without_main_guard_still_verifies(tmp_path):
     assert json.loads(path.read_text())["checks"] == checks
 
 
-# verify on the worker path whatever the host's CPU count, then the
-# number of forks and whether a child process is left
-_WORKER_PATH = """\
-import os, sys
-from awalgebra import cli
-forks = []
-fork = os.fork
-def counted_fork():
-    forks.append(None)
-    return fork()
-os.fork = counted_fork
-cli.usable_cpus = lambda: 2
-code = cli.main(sys.argv[1:])
-try:
-    left = os.waitpid(-1, os.WNOHANG)
-except ChildProcessError:
-    left = None
-print(f"exit {code}, {len(forks)} fork, child left: {left}")
-"""
-
-
 def test_worker_path_leaves_no_child_process(tmp_path):
-    # the spawn pool left multiprocessing's resource tracker running
-    run = _run_script(tmp_path / "children.py", _WORKER_PATH, "verify", "--suite", "defining,prop1")
+    # the spawn pool of an earlier design left a resource tracker running
+    run = run_script(tmp_path / "children.py", FORK_COUNTING_SCRIPT, "verify", "--suite", "defining,prop1")
     assert run.returncode == 0 and run.stderr == "", run.stderr
     assert run.stdout.splitlines()[-1] == "exit 0, 1 fork, child left: None"
 
@@ -239,7 +205,7 @@ def test_worker_path_leaves_no_child_process(tmp_path):
 def test_piped_stdout_prints_every_line_once(tmp_path):
     # stdout on a pipe is block buffered; nothing this process printed
     # before the fork may be printed again by the worker
-    run = _run_script(tmp_path / "piped.py", _WORKER_PATH, "verify", "--nmax", "5")
+    run = run_script(tmp_path / "piped.py", FORK_COUNTING_SCRIPT, "verify", "--nmax", "5")
     assert run.returncode == 0 and run.stderr == "", run.stderr
     lines = run.stdout.splitlines()
     assert lines[-1] == "exit 0, 1 fork, child left: None"
@@ -288,12 +254,3 @@ def test_serial_runs_start_no_process(monkeypatch, capsys):
     p = RepParams(q=rational(5, 3), k=(1, 2, 1, 3), legs=4, n_max=6)
     assert [name for name, _, _ in suite_results(("defining", "prop1"), p, False)] == ["defining", "prop1"]
     capsys.readouterr()
-
-
-def test_parameters_pickle_without_their_basis():
-    p = RepParams(q=rational(-2, 5), k=(2, 1, 1, 1), legs=4, n_max=6)
-    assert len(p.basis) == 210
-    data = pickle.dumps(p)
-    assert b"TruncatedBasis" not in data
-    back = pickle.loads(data)
-    assert back == p and back.basis is p.basis

@@ -98,3 +98,47 @@ def test_annihilating_needs_degree_zero():
     raise_op = interval_ops(reg.params, (1, 2))["E"]
     with pytest.raises(ValueError):
         annihilating_residual(raise_op, [rational(1)], reg.basis.weight_block(1))
+
+
+def _variants(lams):
+    """The predicted eigenvalues, one shifted by 1/den and one dropped."""
+    last = lams[-1]
+    shifted = lams[:-1] + [last + rational(1, last.denominator)]
+    return {"predicted": lams, "shifted": shifted, "dropped": lams[1:]}
+
+
+@pytest.mark.parametrize("variant", ["predicted", "shifted", "dropped"])
+def test_column_parts_sum_to_the_block_count(variant):
+    # columns of prod (Q - lambda) are independent, so any split of a
+    # block's columns into two ranges keeps the block's count
+    from awalgebra.spectra import annihilating_residual
+    from awalgebra.uqrep import casimir
+
+    p = RepParams(q=parse("5/3"), k=(1, 2, 1, 3), legs=4, n_max=5)
+    op = casimir(p, (1, 3))
+    for w in range(p.n_max + 1):
+        block = p.basis.weight_block(w)
+        lams = _variants(predicted_eigenvalues(p, (1, 3), w))[variant]
+        whole = annihilating_residual(op, lams, block)
+        assert (whole == 0) == (variant == "predicted")
+        for split in range(block.start + 1, block.stop):
+            parts = (range(block.start, split), range(split, block.stop))
+            assert sum(annihilating_residual(op, lams, cols) for cols in parts) == whole
+
+
+def test_column_range_must_lie_in_one_block():
+    from awalgebra.spectra import annihilating_residual
+
+    reg = registry(rational(2), (1, 1), 2)
+    op = reg["Q12"]
+    block = reg.basis.weight_block(1)
+    lams = predicted_eigenvalues(reg.params, (1, 2), 1)
+    assert annihilating_residual(op, lams, range(block.start, block.start + 1)) == 0
+    for cols in (
+        range(block.start - 1, block.start + 1),
+        range(block.start, block.stop + 1),
+        range(block.start, block.start),
+        range(block.start, block.stop, 2),
+    ):
+        with pytest.raises(ValueError):
+            annihilating_residual(op, lams, cols)
