@@ -24,8 +24,8 @@ from . import relcheck
 from .compass import CompassError, build_compass, export_dot
 from .exactnum import parse as parse_rational, to_text
 from .opalgebra import build_registry, is_consecutive, label_of_subset, subset_of_label
-from .spectra import annihilating_residual, predicted_eigenvalues
-from .uqrep import RepParams, casimir
+from .spectra import annihilating_residual, chain_counts, predicted_eigenvalues
+from .uqrep import RepParams, casimir, interval_ops
 
 SUITE_ORDER = (
     "defining",
@@ -49,15 +49,21 @@ FORMAT_VERSION = 1
 # run in a fresh process (fractions backend, 2 cores, medians of seven):
 # verify at four legs 0.23/0.16 s at nmax 3 (35 states), 0.46/0.31 s
 # at nmax 4 (70), 0.96/0.59 s at nmax 5 (126); at three legs 0.15/0.14 s
-# at nmax 6 (84), 0.37/0.27 s at nmax 8.  spectrum Q1234 0.039/0.039 s
-# at nmax 4 (70), 0.103/0.076 s at nmax 5 (126), 0.23/0.17 s at nmax 6;
-# Q123 at four legs 0.039/0.046 s at nmax 5 (126), 0.073/0.070 s at
-# nmax 6, 0.152/0.125 s at nmax 7; Q123 at three legs 0.076/0.058 s at
-# nmax 7 (120); the two-leg Q12 0.056/0.064 s at nmax 7 (330) and
-# 0.097/0.105 s at nmax 8 (495), so two legs never gain.  verify's
-# crossover is far below this bound, but the benchmark's traced nmax-4
-# verify must stay in one process until its tracer sees the worker, so
-# the bound and verify's four-leg rule stay for now.
+# at nmax 6 (84), 0.37/0.27 s at nmax 8.  Since spectrum computes only
+# the seed columns of its lifted blocks (spectra.chain_counts), two
+# rounds of seven gave: Q1234 0.031/0.033 and 0.029/0.030 s at nmax 4
+# (70), 0.068/0.074 and 0.058/0.059 s at nmax 5 (126), 0.130/0.119 and
+# 0.132/0.105 s at nmax 6, 0.302/0.215 and 0.257/0.198 s at nmax 7; at
+# nmax 7 Q123 0.087/0.091 and 0.071/0.080 s, Q234 0.085/0.098 and
+# 0.089/0.086 s; at nmax 6 Q123 0.050/0.058 and 0.051/0.055 s, Q234
+# 0.055/0.060 and 0.058/0.060 s.  So Q1234 gains from nmax 6 on, and
+# three-leg intervals and nmax 5 are within about 10 ms of even, mostly
+# a little slower forked; the rule stays.  Before the seed columns,
+# two-leg Casimirs lost at every measured nmax (Q12 0.097/0.105 s at
+# nmax 8).  verify's crossover is far below this bound, but the
+# benchmark's traced nmax-4 verify must stay in one process until its
+# tracer sees the worker, so the bound and verify's four-leg rule stay
+# for now.
 PARALLEL_MIN_STATES = 126
 
 DEFAULT_K = (1, 2, 1, 3)
@@ -163,10 +169,13 @@ def use_worker(n_suites: int, p: RepParams, cpus: int) -> bool:
 
 
 def split_spectrum(interval, states: int, cpus: int) -> bool:
-    """Whether spectrum shares its blocks' columns with one forked
-    worker: an interval of three or more legs, PARALLEL_MIN_STATES
-    states in the blocks it checks and can_fork.  A two-leg Casimir's
-    blocks are too sparse to pay for the fork at any measured nmax."""
+    """Whether spectrum shares its first-pass columns (the seed runs of
+    lifted blocks, the whole of the others) with one forked worker: an
+    interval of three or more legs, PARALLEL_MIN_STATES states in the
+    blocks it checks and can_fork.  A two-leg Casimir's blocks are too
+    sparse to pay for the fork at any measured nmax.  With the seed
+    columns, forking gains for Q1234 from nmax 6 on and is within about
+    10 ms of even for three legs (PARALLEL_MIN_STATES)."""
     lo, hi = interval
     return hi - lo >= 2 and states >= PARALLEL_MIN_STATES and can_fork(cpus)
 
@@ -399,37 +408,38 @@ def cmd_spectrum(args, p: RepParams) -> int:
     lams = {w: predicted_eigenvalues(p, interval, w) for w in weights}
     states = sum(len(p.basis.weight_block(w)) for w in weights)
     split = split_spectrum(interval, states, usable_cpus())
-    units = spectrum_units(p.basis, weights, split)
 
     def count(unit):
         w, cols = unit
         return annihilating_residual(op, lams[w], cols)
 
-    counts = two_process_map(count, units) if split else map(count, units)
-    nonzero = dict.fromkeys(weights, 0)
-    for (w, _), n in zip(units, counts):
-        nonzero[w] += n
+    def run(units):
+        units = spectrum_units(units, split)
+        counts = two_process_map(count, units) if split else map(count, units)
+        return zip((w for w, _ in units), counts)
+
+    e = interval_ops(p, interval)["E"]
+    blocks = chain_counts(op, e, interval[0], lams, annihilating_residual, run)
     for w in weights:
-        status = "ok" if nonzero[w] == 0 else "NONZERO RESIDUAL"
+        status = "ok" if blocks[w].nonzero == 0 else "NONZERO RESIDUAL"
         values = ", ".join(to_text(x) for x in lams[w])
         print(f"weight {w} (block size {len(p.basis.weight_block(w))}): [{values}]  {status}")
-    return 0 if not any(nonzero.values()) else 1
+    return 0 if not any(b.nonzero for b in blocks.values()) else 1
 
 
-def spectrum_units(basis, weights, split: bool) -> list:
-    """(weight, column range) units of spectrum's work on the given
-    weight blocks.  Unsplit, one unit per block in weight order.  Split,
-    every block is cut into two column halves: the first halves from the
-    biggest block down, then the second halves from the smallest block
-    up, so the big blocks sit at both ends of the list and the small
-    ones in the middle, where the two processes of two_process_map
-    meet."""
-    blocks = [(w, basis.weight_block(w)) for w in weights]
+def spectrum_units(units, split: bool) -> list:
+    """spectrum's first-pass units, (weight, column range) in weight
+    order as chain_counts lists them: the seed runs of lifted blocks and
+    the whole of the others.  Unsplit, as given.  Split, every range is
+    cut into two halves: the first halves from the last unit back, then
+    the second halves from the first unit on, so the big blocks sit at
+    both ends of the list and the small ones in the middle, where the
+    two processes of two_process_map meet."""
     if not split:
-        return blocks
-    halves = [(w, b.start + len(b) // 2, b) for w, b in blocks]
-    front = [(w, range(b.start, mid)) for w, mid, b in reversed(halves)]
-    back = [(w, range(mid, b.stop)) for w, mid, b in halves]
+        return units
+    halves = [(w, cols.start + len(cols) // 2, cols) for w, cols in units]
+    front = [(w, range(c.start, mid)) for w, mid, c in reversed(halves)]
+    back = [(w, range(mid, c.stop)) for w, mid, c in halves]
     return [(w, cols) for w, cols in front + back if cols]
 
 

@@ -16,7 +16,8 @@ aw3            symmetric three-generator relations for every allowable
 aw3-quadratic  the quadratic (unshifted) relation pair, verify-and-report
 master         twenty six-term q-commutator exchange identities
 spectra        annihilating polynomials of every interval Casimir on
-               every weight block
+               every weight block, counted on seed columns and lifted
+               through Delta_A(E) under a checked certificate (spectra.py)
 independence   exact rank of the fifteen non-central generators
 """
 
@@ -41,7 +42,7 @@ from .opalgebra import (
 )
 from .reporting import RelationReport, residual_report
 from .sparse import SparseOperator, fraction_free_rank
-from .spectra import check_annihilating
+from .spectra import spectrum_reports
 from .uqrep import RepParams, casimir_unshifted, interval_ops
 
 
@@ -649,9 +650,8 @@ def check_independence(reg: GeneratorRegistry) -> RelationReport:
 
 def check_spectra(reg: GeneratorRegistry) -> list[RelationReport]:
     """Annihilating polynomial of every interval Casimir on every
-    weight block."""
+    weight block, each interval's blocks in one chain (spectra.py)."""
     out = []
-    for lo, hi in consecutive_subsets(reg.params.legs):
-        for w in range(reg.params.n_max + 1):
-            out.append(check_annihilating(reg, (lo, hi), w))
+    for interval in consecutive_subsets(reg.params.legs):
+        out.extend(spectrum_reports(reg, interval, range(reg.params.n_max + 1)))
     return out

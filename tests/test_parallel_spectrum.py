@@ -1,5 +1,5 @@
-"""spectrum shared with a worker process: each weight block's columns
-are cut in two, the same lines as one process, this process running the
+"""spectrum shared with a worker process: each seed run of a weight
+block is cut in two, the same lines as one process, this process running the
 worker's units when it dies, and a serial run whenever a fork cannot pay
 for itself."""
 
@@ -12,7 +12,8 @@ import pytest
 from awalgebra import cli
 from awalgebra.cli import main, spectrum_units, split_spectrum
 from awalgebra.exactnum import rational
-from awalgebra.uqrep import RepParams
+from awalgebra.spectra import chain_counts, predicted_eigenvalues, seed_runs
+from awalgebra.uqrep import RepParams, casimir, interval_ops
 from helpers import FORK_COUNTING_SCRIPT, assert_no_child_left, run_script
 
 LABELS = ("Q1", "Q2", "Q3", "Q4", "Q12", "Q23", "Q34", "Q123", "Q234", "Q1234")
@@ -84,12 +85,24 @@ def test_a_block_counts_the_residuals_of_both_halves(capsys, monkeypatch, forks)
     assert [line.endswith("NONZERO RESIDUAL") for line in lines[1:]] == [w >= 3 for w in range(6)]
 
 
+def _seed_columns(basis, lo):
+    """Every column of S_w over all blocks: states with no quanta on leg lo."""
+    return [j for j, m in enumerate(basis.states) if m[lo - 1] == 0]
+
+
 def test_dead_worker_leaves_its_units_to_this_process(capsys, monkeypatch, forks):
     argv = ["--op", "Q123", "--nmax", "6"]
+    real = cli.annihilating_residual
+    serial_units = []
+
+    def count_serially(op, lams, cols):
+        serial_units.append(cols)
+        return real(op, lams, cols)
+
+    monkeypatch.setattr(cli, "annihilating_residual", count_serially)
     serial = _spectrum(capsys, monkeypatch, argv, 1)
     here = []
     me = os.getpid()
-    real = cli.annihilating_residual
 
     def count_or_die(op, lams, cols):
         if os.getpid() != me:
@@ -100,23 +113,49 @@ def test_dead_worker_leaves_its_units_to_this_process(capsys, monkeypatch, forks
     monkeypatch.setattr(cli, "annihilating_residual", count_or_die)
     forked = _spectrum(capsys, monkeypatch, argv, 2)
     assert len(forks) == 1 and forked == serial
-    p = RepParams(q=rational(5, 3), k=(1, 2, 1, 3), legs=4, n_max=6)
-    assert sorted(j for cols in here for j in cols) == list(range(len(p.basis)))
+    basis = RepParams(q=rational(5, 3), k=(1, 2, 1, 3), legs=4, n_max=6).basis
+    # every block is lifted from its seed run, so both runs compute
+    # exactly the seed columns, once each, and this process computed
+    # the forked run's halves of the serial run's units
+    seeds = _seed_columns(basis, 1)
+    assert sorted(j for cols in serial_units for j in cols) == seeds
+    assert sorted(j for cols in here for j in cols) == seeds
+    assert all(any(set(cols) <= set(unit) for unit in serial_units) for cols in here)
     assert_no_child_left()
 
 
 def test_units_cover_every_column_once_big_blocks_at_the_ends():
-    basis = RepParams(q=rational(5, 3), k=(1, 2, 1, 3), legs=4, n_max=5).basis
-    units = spectrum_units(basis, range(6), True)
-    assert sorted(j for _, cols in units for j in cols) == list(range(len(basis)))
-    weights = [w for w, _ in units]
-    # the weight-0 block holds one column, so it has one nonempty half
-    assert weights == [5, 4, 3, 2, 1, 0, 1, 2, 3, 4, 5]
-    for w, cols in units:
-        block = basis.weight_block(w)
-        assert block.start <= cols.start < cols.stop <= block.stop
-        assert len(cols) in (len(block) // 2, len(block) - len(block) // 2)
-    assert spectrum_units(basis, [3], False) == [(3, basis.weight_block(3))]
+    # every seed column once: one seed run per block at lo = 1, w + 1
+    # runs in block w at lo = 2
+    p = RepParams(q=rational(5, 3), k=(1, 2, 1, 3), legs=4, n_max=5)
+    basis = p.basis
+    for interval in ((1, 4), (2, 4)):
+        lo = interval[0]
+        lams = {w: predicted_eigenvalues(p, interval, w) for w in range(6)}
+        seen = []
+
+        def run(units):
+            seen.extend(units)
+            return ((w, 0) for w, _ in units)
+
+        chain_counts(casimir(p, interval), interval_ops(p, interval)["E"], lo, lams, run=run)
+        # the serial units: the seed runs of each block in weight order
+        assert seen == [(w, cols) for w in range(6) for cols in seed_runs(basis, lo, w)]
+        runs_per_block = [1] * 6 if lo == 1 else list(range(1, 7))
+        assert [len(seed_runs(basis, lo, w)) for w in range(6)] == runs_per_block
+        assert spectrum_units(seen, False) == seen
+        halves = spectrum_units(seen, True)
+        assert sorted(j for _, cols in halves for j in cols) == _seed_columns(basis, lo)
+        # first halves from the last unit back, then second halves from
+        # the first unit on; a run of one column has one nonempty half
+        weights = [w for w, _ in halves]
+        n = weights.index(0)
+        assert weights[: n + 1] == sorted(weights[: n + 1], reverse=True)
+        assert weights[n:] == sorted(weights[n:]) and weights[0] == weights[-1] == 5
+        for w, cols in halves:
+            unit = next(r for v, r in seen if v == w and r.start <= cols.start < r.stop)
+            assert cols.stop <= unit.stop
+            assert len(cols) in (len(unit) // 2, len(unit) - len(unit) // 2)
 
 
 def test_forked_spectrum_leaves_no_child_process(tmp_path):

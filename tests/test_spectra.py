@@ -1,13 +1,20 @@
 import pytest
 
+from awalgebra import spectra
 from awalgebra.exactnum import parse, rational
-from awalgebra.opalgebra import build_registry
+from awalgebra.opalgebra import build_registry, consecutive_subsets
+from awalgebra.sparse import SparseOperator
 from awalgebra.spectra import (
+    annihilating_residual,
     casimir_eigenvalue,
+    chain_counts,
     check_annihilating,
+    lift_certificate,
     predicted_eigenvalues,
+    spanned_by_lifting,
+    spectrum_reports,
 )
-from awalgebra.uqrep import RepParams
+from awalgebra.uqrep import RepParams, casimir, interval_ops
 
 
 def registry(q, k, n_max):
@@ -142,3 +149,156 @@ def test_column_range_must_lie_in_one_block():
     ):
         with pytest.raises(ValueError):
             annihilating_residual(op, lams, cols)
+
+
+# -- seed columns lifted through Delta_A(E) ------------------------------
+
+CHAIN_PARAMS = {
+    "default": RepParams(q=parse("5/3"), k=(1, 2, 1, 3), legs=4, n_max=5),
+    "q=-2/5": RepParams(q=parse("-2/5"), k=(2, 1, 1, 1), legs=4, n_max=5),
+    "legs3": RepParams(q=parse("5/3"), k=(1, 2, 1), legs=3, n_max=5),
+}
+
+
+def _seeds(basis, lo, w):
+    return [j for j in basis.weight_block(w) if basis.states[j][lo - 1] == 0]
+
+
+def _chain(p, interval, lams, op=None, e=None, count=None):
+    op = casimir(p, interval) if op is None else op
+    e = interval_ops(p, interval)["E"] if e is None else e
+    return chain_counts(op, e, interval[0], lams, count)
+
+
+@pytest.mark.parametrize("params", CHAIN_PARAMS)
+@pytest.mark.parametrize("variant", ["predicted", "shifted", "dropped"])
+def test_chain_counts_equal_whole_block_counts(params, variant):
+    # every block reports its whole-block count; with the predicted
+    # eigenvalues every block from weight 1 on is lifted from its seeds
+    p = CHAIN_PARAMS[params]
+    for interval in consecutive_subsets(p.legs):
+        op = casimir(p, interval)
+        lams = {
+            w: _variants(predicted_eigenvalues(p, interval, w))[variant]
+            for w in range(p.n_max + 1)
+        }
+        blocks = _chain(p, interval, lams)
+        for w, got in blocks.items():
+            block = p.basis.weight_block(w)
+            assert got.nonzero == annihilating_residual(op, lams[w], block), (interval, w)
+            if variant == "predicted":
+                assert got.nonzero == 0
+                assert got.certified == (w >= 1)
+                lifted = len(_seeds(p.basis, interval[0], w)) if w else len(block)
+                assert got.columns == lifted
+            else:
+                assert got.columns == len(block) and not got.certified
+
+
+def test_diagonal_operator_right_only_on_seeds_reports_its_whole_count():
+    # lambda_0 on the seed states and lambda_0 + 1/den elsewhere: the
+    # seeds are annihilated but the operator does not commute with E,
+    # so the certificate refuses and every column is counted
+    p = CHAIN_PARAMS["default"]
+    interval = (1, 3)
+    lams = {w: predicted_eigenvalues(p, interval, w) for w in range(p.n_max + 1)}
+    lam0 = lams[0][0]
+    wrong = lam0 + rational(1, lam0.denominator)
+    diag = SparseOperator.diagonal(p.basis, lambda j: wrong if p.basis.states[j][0] else lam0)
+    blocks = _chain(p, interval, lams, op=diag)
+    for w, got in blocks.items():
+        block = p.basis.weight_block(w)
+        whole = annihilating_residual(diag, lams[w], block)
+        assert whole == len(block) - len(_seeds(p.basis, 1, w))
+        assert got == (whole, len(block), False)
+        assert annihilating_residual(diag, lams[w], range(block.start, block.start + 1)) == 0
+
+
+def _without_entry(e, row, col):
+    cols = {j: dict(c) for j, c in e.cols.items()}
+    del cols[col][row]
+    return SparseOperator._raw(e.basis, cols, e.degree, e.den)
+
+
+def test_zeroed_lo_leg_entry_of_e_refuses_the_certificate():
+    p = CHAIN_PARAMS["default"]
+    basis = p.basis
+    lams = {w: predicted_eigenvalues(p, (1, 3), w) for w in range(p.n_max + 1)}
+    row = basis.index_of((1, 1, 1, 0))  # block 3
+    col = basis.index_of((0, 1, 1, 0))
+    e = interval_ops(p, (1, 3))["E"]
+    assert e.cols[col][row]
+    bad = _without_entry(e, row, col)
+    assert spanned_by_lifting(e, 1, 3) and not spanned_by_lifting(bad, 1, 3)
+    assert not any(lift_certificate(casimir(p, (1, 3)), bad, 1, lams).values())
+    # Q1 is a scalar and commutes with any E, so only (b) refuses block 3
+    lams1 = {w: predicted_eigenvalues(p, (1, 1), w) for w in range(p.n_max + 1)}
+    e1 = interval_ops(p, (1, 1))["E"]
+    bad1 = _without_entry(e1, row, col)
+    assert lift_certificate(casimir(p, (1, 1)), bad1, 1, lams1) == {w: w not in (0, 3) for w in lams1}
+    blocks = _chain(p, (1, 1), lams1, e=bad1)
+    assert blocks[3] == (0, len(basis.weight_block(3)), False)
+    assert blocks[4] == (0, len(_seeds(basis, 1, 4)), True)
+
+
+def test_list_that_does_not_extend_the_previous_one_is_counted_whole():
+    # block 2 carries one surplus factor: it still annihilates block 2,
+    # but block 2's list is no longer block 1's plus one value, nor is
+    # block 3's block 2's plus one value
+    p = CHAIN_PARAMS["default"]
+    lams = {w: predicted_eigenvalues(p, (1, 4), w) for w in range(p.n_max + 1)}
+    lams[2] = lams[2] + [rational(7)]
+    blocks = _chain(p, (1, 4), lams)
+    basis = p.basis
+    for w in (2, 3):
+        assert blocks[w] == (0, len(basis.weight_block(w)), False)
+    assert blocks[4] == (0, len(_seeds(basis, 1, 4)), True)
+
+
+def test_block_after_a_failed_block_is_counted_whole():
+    # a residual seen only on the first column of block 2 (a seed):
+    # block 3's seeds are clean, but block 2 was not accepted
+    p = CHAIN_PARAMS["default"]
+    basis = p.basis
+    first = basis.weight_block(2).start
+
+    def count(op, lams, cols):
+        return annihilating_residual(op, lams, cols) + (first in cols)
+
+    lams = {w: predicted_eigenvalues(p, (1, 4), w) for w in range(p.n_max + 1)}
+    blocks = _chain(p, (1, 4), lams, count=count)
+    assert blocks[2] == (1, len(basis.weight_block(2)), True)
+    assert blocks[3] == (0, len(basis.weight_block(3)), False)
+    assert blocks[4] == (0, len(_seeds(basis, 1, 4)), True)
+
+
+def test_single_block_has_no_chain():
+    p = CHAIN_PARAMS["default"]
+    reg = build_registry(p)
+    rep = check_annihilating(reg, (1, 4), 3)
+    assert rep.residual_summary == {
+        "nonzero_entries": 0,
+        "sample": None,
+        "columns_computed": len(p.basis.weight_block(3)),
+        "certificate_held": False,
+    }
+
+
+def test_reports_compute_the_seed_columns_of_leg_lo(monkeypatch):
+    p = RepParams(q=parse("5/3"), k=(1, 2, 1, 3), legs=4, n_max=3)
+    reg = build_registry(p)
+    computed = []
+
+    def recording(op, lams, cols):
+        computed.extend(cols)
+        return annihilating_residual(op, lams, cols)
+
+    monkeypatch.setattr(spectra, "annihilating_residual", recording)
+    for interval in consecutive_subsets(p.legs):
+        computed.clear()
+        reports = spectrum_reports(reg, interval, range(p.n_max + 1))
+        assert computed == [j for w in range(p.n_max + 1) for j in _seeds(p.basis, interval[0], w)]
+        assert [r.residual_summary["columns_computed"] for r in reports] == [
+            len(_seeds(p.basis, interval[0], w)) for w in range(p.n_max + 1)
+        ], interval
+        assert [r.residual_summary["certificate_held"] for r in reports] == [False, True, True, True]
