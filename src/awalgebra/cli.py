@@ -42,7 +42,7 @@ FORMAT_VERSION = 1
 
 # Fewest states at which a run is shared with one forked worker
 # (two_process_map): all basis states for a four-leg verify, the states
-# of the blocks it checks for a spectrum of three or more legs.  The
+# of the blocks it checks for a spectrum of four legs.  The
 # worker is forked from the built realization and rebuilds nothing; a
 # fork, its pipes and the reaping cost about 8 ms the first time in a
 # process and 4 ms after that.  Serial against forked wall time of one
@@ -56,11 +56,11 @@ FORMAT_VERSION = 1
 # 0.132/0.105 s at nmax 6, 0.302/0.215 and 0.257/0.198 s at nmax 7; at
 # nmax 7 Q123 0.087/0.091 and 0.071/0.080 s, Q234 0.085/0.098 and
 # 0.089/0.086 s; at nmax 6 Q123 0.050/0.058 and 0.051/0.055 s, Q234
-# 0.055/0.060 and 0.058/0.060 s.  So Q1234 gains from nmax 6 on, and
-# three-leg intervals and nmax 5 are within about 10 ms of even, mostly
-# a little slower forked; the rule stays.  Before the seed columns,
-# two-leg Casimirs lost at every measured nmax (Q12 0.097/0.105 s at
-# nmax 8).  verify's crossover is far below this bound, but the
+# 0.055/0.060 and 0.058/0.060 s.  So Q1234 gains from nmax 6 on and
+# nmax 5 is within a few ms of even; three-leg intervals, mostly a
+# little slower forked, run serial (split_spectrum).  Before the seed
+# columns, two-leg Casimirs lost at every measured nmax (Q12
+# 0.097/0.105 s at nmax 8).  verify's crossover is far below this bound, but the
 # benchmark's traced nmax-4 verify must stay in one process until its
 # tracer sees the worker, so the bound and verify's four-leg rule stay
 # for now.
@@ -171,13 +171,12 @@ def use_worker(n_suites: int, p: RepParams, cpus: int) -> bool:
 def split_spectrum(interval, states: int, cpus: int) -> bool:
     """Whether spectrum shares its first-pass columns (the seed runs of
     lifted blocks, the whole of the others) with one forked worker: an
-    interval of three or more legs, PARALLEL_MIN_STATES states in the
-    blocks it checks and can_fork.  A two-leg Casimir's blocks are too
-    sparse to pay for the fork at any measured nmax.  With the seed
-    columns, forking gains for Q1234 from nmax 6 on and is within about
-    10 ms of even for three legs (PARALLEL_MIN_STATES)."""
+    interval of four legs, PARALLEL_MIN_STATES states in the blocks it
+    checks and can_fork.  With the seed columns, three-leg and smaller
+    intervals do not pay for the fork at any measured nmax
+    (PARALLEL_MIN_STATES)."""
     lo, hi = interval
-    return hi - lo >= 2 and states >= PARALLEL_MIN_STATES and can_fork(cpus)
+    return hi - lo >= 3 and states >= PARALLEL_MIN_STATES and can_fork(cpus)
 
 
 def _take(ends, lock, from_back: bool):

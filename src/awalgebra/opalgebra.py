@@ -16,12 +16,14 @@ factor in unchanged order.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .exactnum import ONE, inverse
+from .lifting import certified_seeds, commutes_below_top, on_columns
 from .sparse import SparseOperator
-from .uqrep import RepParams, casimir
+from .uqrep import RepParams, casimir, interval_ops
 
 # q-commutator pairs and subtracted products defining the derived
 # generators; the involuted partner swaps the pair, keeps the rest.
@@ -104,18 +106,31 @@ def q_commutator(q, a: SparseOperator, b: SparseOperator) -> SparseOperator:
     return SparseOperator.lincomb(a.basis, ((q, a, b), (-inverse(q), b, a)))
 
 
-def commutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:
-    return SparseOperator.lincomb(a.basis, ((1, a, b), (-1, b, a)))
+def commutator(a: SparseOperator, b: SparseOperator, cols=None) -> SparseOperator:
+    """[a, b] = a b - b a, or only its columns cols when given."""
+    return SparseOperator.lincomb(a.basis, on_columns(((1, a, b), (-1, b, a)), cols))
+
+
+class Lifted(NamedTuple):
+    """A residual with the number of its columns that were computed and
+    whether the lift certificate covered it (GeneratorRegistry.lifted)."""
+
+    residual: SparseOperator
+    columns: int
+    certified: bool
 
 
 class GeneratorRegistry:
     """All labeled generators of the realization named by params, on
     params.basis."""
 
-    def __init__(self, params: RepParams, table: dict):
+    def __init__(self, params: RepParams, table: dict, top: int = None):
         self.params = params
         self.basis = params.basis
         self.table = table
+        # every column of weight > top is empty (restricted)
+        self.top = params.n_max if top is None else top
+        self._width = self.basis.weight_block(self.top).stop
         # unordered label pairs whose commutator is zero; see commutator_of
         self._commuting = set()
 
@@ -136,7 +151,7 @@ class GeneratorRegistry:
         return self[la] * self[lb]
 
     def commutator_of(self, la: str, lb: str) -> SparseOperator:
-        """[self[la], self[lb]].
+        """[self[la], self[lb]], evaluated by lifted.
 
         A pair found to commute is remembered, in either order, since
         [b, a] = -[a, b], and answered with the zero operator from then
@@ -146,10 +161,54 @@ class GeneratorRegistry:
         pair = frozenset((la, lb))
         if pair in self._commuting:
             return SparseOperator.zero(self.basis)
-        out = commutator(self[la], self[lb])
+        a, b = self[la], self[lb]
+        out = self.lifted(lambda cols: commutator(a, b, cols)).residual
         if out.is_zero():
             self._commuting.add(pair)
         return out
+
+    @cached_property
+    def seeds(self):
+        """The lift certificate, checked once: the seed columns of
+        weight <= top (no quanta on leg 1) when every generator has
+        degree 0 and commutes with the total Delta(E) below top and
+        every block 1..top is spanned by lifting through it
+        (lifting.certified_seeds); None when it fails."""
+        return certified_seeds(self.table.values(), self._total_e(), self.top)
+
+    def _total_e(self) -> SparseOperator:
+        return interval_ops(self.params, (1, self.params.legs))["E"]
+
+    def lifted(self, evaluate, operands=()) -> Lifted:
+        """A residual that is a polynomial in this registry's generators
+        and in operands, given as evaluate(cols), its columns cols
+        (every column for None).
+
+        When the certificate holds (seeds) and every operand is block
+        diagonal and commutes with Delta(E) below top, the residual is
+        computed on the seed columns first; a zero there is zero on
+        every column by the lemma of lifting.py.  Otherwise, or when
+        the seeds leave a nonzero residual, every column is computed,
+        so the residual returned is always the whole one.
+        """
+        seeds = self.seeds
+        held = seeds is not None and all(
+            commutes_below_top(op, self._total_e(), self.top) for op in operands
+        )
+        if held:
+            out = evaluate(seeds)
+            if out.is_zero():
+                return Lifted(out, len(seeds), True)
+        return Lifted(evaluate(None), self._width, held)
+
+    def lift_record(self, residual: SparseOperator) -> Lifted:
+        """The record lifted gives a residual of generators alone: its
+        seed columns when the certificate holds and it is zero, every
+        column otherwise."""
+        seeds = self.seeds
+        if seeds is not None and residual.is_zero():
+            return Lifted(residual, len(seeds), True)
+        return Lifted(residual, self._width, seeds is not None)
 
     def restricted(self, max_weight: int) -> GeneratorRegistry:
         """The same realization with every generator restricted to the
@@ -173,7 +232,7 @@ class GeneratorRegistry:
             )
         cols = range(0, self.basis.weight_block(max_weight).stop)
         table = {x: op.restricted(cols) for x, op in self.table.items()}
-        return GeneratorRegistry(self.params, table)
+        return GeneratorRegistry(self.params, table, max_weight)
 
 
 def consecutive_subsets(legs: int):

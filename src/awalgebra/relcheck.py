@@ -19,6 +19,15 @@ spectra        annihilating polynomials of every interval Casimir on
                every weight block, counted on seed columns and lifted
                through Delta_A(E) under a checked certificate (spectra.py)
 independence   exact rank of the fifteen non-central generators
+
+The residuals of prop1, prop2, the symmetric aw3 relations and master
+are polynomials in the registry's generators, which all commute with
+the total Delta(E).  They are computed on the seed columns alone (no
+quanta on leg 1) while the registry's lift certificate holds, and a
+zero there is zero everywhere by the lemma of lifting.py
+(GeneratorRegistry.lifted); a residual the seeds leave nonzero is
+recomputed on every column, so every report is the full evaluation's.
+Their summaries add columns_computed and certificate_held.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ from importlib import resources
 from itertools import combinations, product
 
 from .exactnum import inverse
+from .lifting import on_columns
 from .opalgebra import (
     GeneratorRegistry,
     consecutive_subsets,
@@ -148,6 +158,7 @@ def check_prop1(reg: GeneratorRegistry) -> list[RelationReport]:
                 inputs={"a": la, "b": lb, "qualifying": qual},
                 residual=resid,
                 expected="zero" if qual else "nonzero",
+                lift=reg.lift_record(resid),
             )
         )
     crossing = [
@@ -219,6 +230,7 @@ def check_prop2(reg: GeneratorRegistry) -> list[RelationReport]:
                 kind="subset-commutator",
                 inputs={"a": la, "b": lb},
                 residual=resid,
+                lift=reg.lift_record(resid),
             )
         )
     return out
@@ -289,7 +301,9 @@ def _aw3_residual(reg: GeneratorRegistry, rel, assign, order):
         if order == "reversed":
             labels = labels[::-1]
         terms.append((-1, *(reg[x] for x in labels)))
-    return SparseOperator.lincomb(reg.basis, terms)
+    return reg.lifted(
+        lambda cols: SparseOperator.lincomb(reg.basis, on_columns(terms, cols))
+    ).residual
 
 
 def check_aw3_symmetric(
@@ -353,6 +367,7 @@ def check_aw3_symmetric(
                     "monomial_order": order,
                 },
                 residual=resid,
+                lift=reg.lift_record(resid),
             )
         )
     return reports
@@ -560,11 +575,23 @@ def check_master(reg: GeneratorRegistry, row: MasterRow) -> RelationReport:
             inner.setdefault(w, []).extend(
                 ((sign * q, u_op, v_op), (-sign * iq, v_op, u_op))
             )
-    terms = []
-    for w, inner_terms in inner.items():
-        d_w, outer = SparseOperator.lincomb(reg.basis, inner_terms), reg[w]
-        terms += [(q, d_w, outer), (-iq, outer, d_w)]
-    resid = SparseOperator.lincomb(reg.basis, terms)
+
+    def evaluate(cols):
+        # columns cols of the residual read D_w only on cols and on the
+        # rows of w there, so D_w is computed on those columns alone
+        terms = []
+        for w, inner_terms in inner.items():
+            outer = reg[w]
+            reach = None
+            if cols is not None:
+                reach = set(cols).union(*(outer.cols.get(j, ()) for j in cols))
+            d_w = SparseOperator.lincomb(reg.basis, on_columns(inner_terms, reach))
+            terms += [(q, d_w, outer), (-iq, outer, d_w)]
+        return SparseOperator.lincomb(reg.basis, on_columns(terms, cols))
+
+    # a polynomial in generators: D_w is an exact intermediate, not an
+    # operand of the lifted residual
+    lift = reg.lifted(evaluate)
     return residual_report(
         id=f"master/{row.table}/row{row.index}",
         kind="exchange-identity",
@@ -572,7 +599,8 @@ def check_master(reg: GeneratorRegistry, row: MasterRow) -> RelationReport:
             "lhs": [list(t) for t in lhs_triples],
             "rhs": [list(t) for t in rhs_triples],
         },
-        residual=resid,
+        residual=lift.residual,
+        lift=lift,
     )
 
 

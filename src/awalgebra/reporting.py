@@ -49,12 +49,15 @@ def residual_report(
     expected: str = "zero",
     gating: bool = True,
     note: str = None,
+    lift=None,
 ) -> RelationReport:
     """Build a report from a residual operator.
 
     max_weight restricts the inspection to columns of that weight or
     less (used when a relation is only exact away from the truncation
-    edge); the restriction is recorded in the summary.
+    edge); the restriction is recorded in the summary.  lift, the
+    residual's opalgebra.Lifted record, adds the columns computed and
+    whether the lift certificate held.
     """
     if max_weight is not None:
         leading = range(0, residual.basis.weight_block(max_weight).stop)
@@ -65,6 +68,9 @@ def residual_report(
         summary["column_weight_limit"] = max_weight
     if note is not None:
         summary["note"] = note
+    if lift is not None:
+        summary["columns_computed"] = lift.columns
+        summary["certificate_held"] = lift.certified
     return RelationReport(
         id=id,
         kind=kind,

@@ -150,10 +150,11 @@ class SparseOperator:
                 sample = f"[{i},{j}] = {Rational(col[i], self.den)}"
         return count, sample
 
-    def restricted(self, cols: range) -> SparseOperator:
-        """The operator with only the columns in the contiguous index
-        range cols kept.  Column dicts are shared, not copied, and den
-        is kept, so the view need not be in canonical form.
+    def restricted(self, cols) -> SparseOperator:
+        """The operator with only the columns cols (an index range or
+        any iterable of indices) kept.  Column dicts are shared, not
+        copied, and den is kept, so the view need not be in canonical
+        form.
 
         Weight blocks are contiguous, so basis.weight_block(w) selects
         block w and range(0, basis.weight_block(w).stop) every weight

@@ -11,31 +11,23 @@ annihilating polynomial
 entirely in rational arithmetic.
 
 Lifting through Delta_A(E).  Q = Q^(A) is built from the coproduct over
-the legs lo..hi of A, so it commutes with E = Delta_A(E), which maps
-block w-1 into block w.  The seed states S_w of block w are those with
-no quanta on leg lo.  Block w is accepted from a zero count on its seed
-columns alone when this certificate, checked in code, holds:
+the legs lo..hi of A, so it commutes with E = Delta_A(E).  Block w is
+accepted from a zero count on its seed columns S_w (no quanta on leg
+lo) alone when this certificate, checked in code, holds:
 
     (a) Q is block diagonal and Q E - E Q is zero on the columns of
-        weight <= n_max - 1 (E out of the top block is cut off);
-    (b) for every state m of block w with m_lo >= 1, column m - e_lo of
-        E has a nonzero entry in row m and every other nonzero entry in
-        a row of block w with fewer quanta on leg lo;
+        weight <= n_max - 1 (lifting.commutes_below_top);
+    (b) block w is spanned by lifting through E (lifting.spanned_by_lifting);
     (c) block w's eigenvalue list is block w-1's list followed by one
         more value mu (lambda(k_A + w) for the predicted lists);
     (d) block w-1 was accepted: P_(w-1)(Q) = 0 on block w-1.
 
-Lemma.  For v in block w-1, (a), (c) and (d) give
-
-    P_w(Q) E v  =  E P_w(Q) v  =  E (Q - mu) P_(w-1)(Q) v  =  0.
-
-By (b), e_m = (E e_(m - e_lo) - terms with fewer lo-quanta) / E[m, m - e_lo],
-so induction on m_lo gives block w = E(block w-1) + span S_w.  Hence
-P_w(Q) = 0 on block w once it is zero on the seed columns.  Block 0 is
-its own seed set.  A block whose seeds leave a residual, or whose
-certificate fails, has every column counted, so every block's count is
-its whole-block count either way; the lift only saves the products of
-the columns outside S_w.
+This is the lemma of lifting.py for X = P_w(Q), a polynomial in Q by
+(a): with (c) and (d), P_w(Q) = (Q - mu) P_(w-1)(Q) is zero on block
+w-1.  Block 0 is its own seed set.  A block whose seeds leave a
+residual, or whose certificate fails, has every column counted, so
+every block's count is its whole-block count either way; the lift only
+saves the products of the columns outside S_w.
 """
 
 from __future__ import annotations
@@ -43,6 +35,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .exactnum import ONE, inverse
+from .lifting import commutes_below_top, seed_runs, spanned_by_lifting
 from .opalgebra import label_of_subset
 from .reporting import RelationReport
 from .sparse import SparseOperator
@@ -70,9 +63,11 @@ def annihilating_residual(op, eigenvalues, cols) -> int:
     cols is a contiguous column range inside one weight block (the whole
     block or part of it); the block is the one holding cols.start.  op
     must have degree 0, so that it maps the block into itself; each
-    factor applies op restricted to the whole block and subtracts
-    lambda_x times its input (one fused lincomb pass after the first
-    factor), and the product starts from the identity on cols.
+    factor applies op and subtracts lambda_x times its input (one fused
+    lincomb pass after the first factor), and the product starts from
+    the identity on cols.  The kernel reads op's columns only at the
+    rows of its input, which stay in the block, so op needs no
+    restriction to it.
 
     Column j of the product is P(op) e_j and depends on no other column,
     so the count over a block is the sum of the counts over any
@@ -84,7 +79,6 @@ def annihilating_residual(op, eigenvalues, cols) -> int:
     weights = basis.weights
     if not cols or cols.step != 1 or weights[cols.start] != weights[cols.stop - 1]:
         raise ValueError(f"columns {cols} are not a range inside one weight block")
-    op_b = op.restricted(basis.weight_block(weights[cols.start]))
     r = SparseOperator(basis, {j: {j: ONE} for j in cols}, 0)
     if not eigenvalues:
         return r.nnz()
@@ -92,68 +86,12 @@ def annihilating_residual(op, eigenvalues, cols) -> int:
     # The first factor meets the identity columns, so its three passes
     # are cheap; written with *, - and scale, the benchmark's layer
     # trace (which cannot see lincomb) records the kernel under it.
-    r = op_b * r - r.scale(first)
+    r = op * r - r.scale(first)
     for lam in rest:
         if r.is_zero():
             break
-        r = SparseOperator.lincomb(basis, ((1, op_b, r), (-lam, r)))
+        r = SparseOperator.lincomb(basis, ((1, op, r), (-lam, r)))
     return r.nnz()
-
-
-def seed_runs(basis, lo: int, w: int) -> list:
-    """S_w as contiguous index ranges: the states of block w with no
-    quanta on leg lo, in index order.  In graded-lex order there is one
-    run per block for lo = 1."""
-    states = basis.states
-    runs = []
-    start = None
-    block = basis.weight_block(w)
-    for j in block:
-        if states[j][lo - 1] == 0:
-            if start is None:
-                start = j
-        elif start is not None:
-            runs.append(range(start, j))
-            start = None
-    if start is not None:
-        runs.append(range(start, block.stop))
-    return runs
-
-
-def commutes_below_top(op, e) -> bool:
-    """Condition (a): op is block diagonal and op E - E op vanishes on
-    the columns of weight <= n_max - 1.  The columns are restricted
-    before the products, which leaves those columns' values unchanged."""
-    basis = op.basis
-    weights = basis.weights
-    for j, col in op.cols.items():
-        w = weights[j]
-        if any(weights[i] != w for i in col):
-            return False
-    below = range(0, basis.weight_block(basis.n_max - 1).stop)
-    return SparseOperator.lincomb(
-        basis, ((1, op, e.restricted(below)), (-1, e, op.restricted(below)))
-    ).is_zero()
-
-
-def spanned_by_lifting(e, lo: int, w: int) -> bool:
-    """Condition (b) for block w >= 1: block w = E(block w-1) + span S_w
-    by induction on the quanta on leg lo."""
-    basis = e.basis
-    states, weights = basis.states, basis.weights
-    ax = lo - 1
-    for row in basis.weight_block(w):
-        m = states[row]
-        n = m[ax]
-        if n == 0:
-            continue
-        col = e.cols.get(basis.index_of(m[:ax] + (n - 1,) + m[ax + 1 :]), {})
-        if not col.get(row):
-            return False
-        for i in col:
-            if i != row and (weights[i] != w or states[i][ax] >= n):
-                return False
-    return True
 
 
 def lift_certificate(op, e, lo: int, eigenvalues: dict) -> dict:

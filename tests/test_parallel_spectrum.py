@@ -1,7 +1,7 @@
 """spectrum shared with a worker process: each seed run of a weight
 block is cut in two, the same lines as one process, this process running the
 worker's units when it dies, and a serial run whenever a fork cannot pay
-for itself."""
+for itself (every interval of fewer than four legs)."""
 
 import os
 import threading
@@ -43,7 +43,7 @@ def test_forked_lines_equal_serial_lines(capsys, monkeypatch, forks, params):
         before = len(forks)
         forked = _spectrum(capsys, monkeypatch, argv, 2)
         assert forked == serial and serial[0] == 0
-        assert len(forks) - before == (len(label) >= 4), label
+        assert len(forks) - before == (label == "Q1234"), label
         assert_no_child_left()
 
 
@@ -91,7 +91,7 @@ def _seed_columns(basis, lo):
 
 
 def test_dead_worker_leaves_its_units_to_this_process(capsys, monkeypatch, forks):
-    argv = ["--op", "Q123", "--nmax", "6"]
+    argv = ["--op", "Q1234", "--nmax", "5"]
     real = cli.annihilating_residual
     serial_units = []
 
@@ -113,7 +113,7 @@ def test_dead_worker_leaves_its_units_to_this_process(capsys, monkeypatch, forks
     monkeypatch.setattr(cli, "annihilating_residual", count_or_die)
     forked = _spectrum(capsys, monkeypatch, argv, 2)
     assert len(forks) == 1 and forked == serial
-    basis = RepParams(q=rational(5, 3), k=(1, 2, 1, 3), legs=4, n_max=6).basis
+    basis = RepParams(q=rational(5, 3), k=(1, 2, 1, 3), legs=4, n_max=5).basis
     # every block is lifted from its seed run, so both runs compute
     # exactly the seed columns, once each, and this process computed
     # the forked run's halves of the serial run's units
@@ -159,7 +159,7 @@ def test_units_cover_every_column_once_big_blocks_at_the_ends():
 
 
 def test_forked_spectrum_leaves_no_child_process(tmp_path):
-    run = run_script(tmp_path / "children.py", FORK_COUNTING_SCRIPT, "spectrum", "--op", "Q234", "--nmax", "6")
+    run = run_script(tmp_path / "children.py", FORK_COUNTING_SCRIPT, "spectrum", "--op", "Q1234", "--nmax", "5")
     assert run.returncode == 0 and run.stderr == "", run.stderr
     assert run.stdout.splitlines()[-1] == "exit 0, 1 fork, child left: None"
 
@@ -184,6 +184,8 @@ def test_serial_where_a_fork_cannot_pay(capsys, monkeypatch):
     for argv, cpus in (
         (["--op", "Q1", "--nmax", "7"], 2),  # one leg
         (["--op", "Q23", "--nmax", "7"], 2),  # two legs
+        (["--op", "Q123", "--nmax", "7"], 2),  # three legs
+        (["--op", "Q234", "--nmax", "7"], 2),  # three legs
         (["--op", "Q1234", "--nmax", "4"], 2),  # 70 states
         (["--op", "Q1234", "--nmax", "7", "--weight", "3"], 2),  # 20 states
         (["--op", "Q1234", "--nmax", "5"], 1),  # one CPU
@@ -201,9 +203,11 @@ def test_serial_where_a_fork_cannot_pay(capsys, monkeypatch):
 
 
 def test_split_rule():
-    assert split_spectrum((1, 3), cli.PARALLEL_MIN_STATES, 2)
-    assert split_spectrum((2, 4), 330, 16)
-    assert not split_spectrum((1, 3), cli.PARALLEL_MIN_STATES - 1, 2)
+    assert split_spectrum((1, 4), cli.PARALLEL_MIN_STATES, 2)
+    assert split_spectrum((1, 4), 330, 16)
+    assert not split_spectrum((1, 4), cli.PARALLEL_MIN_STATES - 1, 2)
+    assert not split_spectrum((1, 3), 330, 2)
+    assert not split_spectrum((2, 4), 330, 16)
     assert not split_spectrum((2, 3), 330, 2)
     assert not split_spectrum((4, 4), 330, 2)
     assert not split_spectrum((1, 4), 330, 1)
