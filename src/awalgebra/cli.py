@@ -40,30 +40,18 @@ SUITE_ORDER = (
 
 FORMAT_VERSION = 1
 
-# Fewest states at which a run is shared with one forked worker
-# (two_process_map): all basis states for a four-leg verify, the states
-# of the blocks it checks for a spectrum of four legs.  The
-# worker is forked from the built realization and rebuilds nothing; a
-# fork, its pipes and the reaping cost about 8 ms the first time in a
-# process and 4 ms after that.  Serial against forked wall time of one
-# run in a fresh process (fractions backend, 2 cores, medians of seven):
-# verify at four legs 0.23/0.16 s at nmax 3 (35 states), 0.46/0.31 s
-# at nmax 4 (70), 0.96/0.59 s at nmax 5 (126); at three legs 0.15/0.14 s
-# at nmax 6 (84), 0.37/0.27 s at nmax 8.  Since spectrum computes only
-# the seed columns of its lifted blocks (spectra.chain_counts), two
-# rounds of seven gave: Q1234 0.031/0.033 and 0.029/0.030 s at nmax 4
-# (70), 0.068/0.074 and 0.058/0.059 s at nmax 5 (126), 0.130/0.119 and
-# 0.132/0.105 s at nmax 6, 0.302/0.215 and 0.257/0.198 s at nmax 7; at
-# nmax 7 Q123 0.087/0.091 and 0.071/0.080 s, Q234 0.085/0.098 and
-# 0.089/0.086 s; at nmax 6 Q123 0.050/0.058 and 0.051/0.055 s, Q234
-# 0.055/0.060 and 0.058/0.060 s.  So Q1234 gains from nmax 6 on and
-# nmax 5 is within a few ms of even; three-leg intervals, mostly a
-# little slower forked, run serial (split_spectrum).  Before the seed
-# columns, two-leg Casimirs lost at every measured nmax (Q12
-# 0.097/0.105 s at nmax 8).  verify's crossover is far below this bound, but the
-# benchmark's traced nmax-4 verify must stay in one process until its
-# tracer sees the worker, so the bound and verify's four-leg rule stay
-# for now.
+# Fewest basis states at which a four-leg verify is shared with one
+# forked worker (two_process_map).  The worker is forked from the built
+# realization and rebuilds nothing; a fork, its pipes and the reaping
+# cost about 8 ms the first time in a process and 4 ms after that.
+# Serial against forked wall time of one run in a fresh process
+# (fractions backend, 2 cores, medians of seven): at four legs
+# 0.23/0.16 s at nmax 3 (35 states), 0.46/0.31 s at nmax 4 (70),
+# 0.96/0.59 s at nmax 5 (126); at three legs 0.15/0.14 s at nmax 6
+# (84), 0.37/0.27 s at nmax 8.  The crossover is far below this bound,
+# but the benchmark's traced nmax-4 verify must stay in one process
+# until its tracer sees the worker, so the bound and the four-leg rule
+# stay for now.
 PARALLEL_MIN_STATES = 126
 
 DEFAULT_K = (1, 2, 1, 3)
@@ -168,17 +156,6 @@ def use_worker(n_suites: int, p: RepParams, cpus: int) -> bool:
     )
 
 
-def split_spectrum(interval, states: int, cpus: int) -> bool:
-    """Whether spectrum shares its first-pass columns (the seed runs of
-    lifted blocks, the whole of the others) with one forked worker: an
-    interval of four legs, PARALLEL_MIN_STATES states in the blocks it
-    checks and can_fork.  With the seed columns, three-leg and smaller
-    intervals do not pay for the fork at any measured nmax
-    (PARALLEL_MIN_STATES)."""
-    lo, hi = interval
-    return hi - lo >= 3 and states >= PARALLEL_MIN_STATES and can_fork(cpus)
-
-
 def _take(ends, lock, from_back: bool):
     """Take the index at one end of the untaken range [front, back) =
     ends, or None when it is empty.  lock is a pipe that holds one byte
@@ -205,9 +182,7 @@ def two_process_map(fn, tasks):
     build what every task shares before the first value is asked for.
     The untaken tasks are the index range [front, back) in shared
     memory: the worker takes back - 1 and sends its result through a
-    pipe, this process takes front.  Callers order the tasks so that
-    the costly ones sit at both ends and the cheap ones in the middle,
-    where the two processes meet.  After each of its own tasks this
+    pipe, this process takes front.  After each of its own tasks this
     process drains the pipe, and at a task the worker took it reads
     until that result arrives.  A task whose result never comes (the
     worker died) runs here.  The worker leaves through os._exit, so it
@@ -218,8 +193,7 @@ def two_process_map(fn, tasks):
     finishes its current task; it never deadlocks, since this process
     reads every result the worker owes before it reaps the worker.
     verify's suite results pickle to 38.5 KB at nmax 6 and 46.6 KB at
-    nmax 8 in all, spectrum's are one integer per task, so neither
-    caller's worker waits at those sizes.
+    nmax 8 in all, so its worker does not wait at those sizes.
     """
     # imported here, so that runs which never fork do not load them
     import mmap
@@ -405,41 +379,13 @@ def cmd_spectrum(args, p: RepParams) -> int:
     print(f"operator {args.op}, interval weight k_A = {k_a}, q = {to_text(p.q)}")
     weights = range(p.n_max + 1) if args.weight is None else [args.weight]
     lams = {w: predicted_eigenvalues(p, interval, w) for w in weights}
-    states = sum(len(p.basis.weight_block(w)) for w in weights)
-    split = split_spectrum(interval, states, usable_cpus())
-
-    def count(unit):
-        w, cols = unit
-        return annihilating_residual(op, lams[w], cols)
-
-    def run(units):
-        units = spectrum_units(units, split)
-        counts = two_process_map(count, units) if split else map(count, units)
-        return zip((w for w, _ in units), counts)
-
     e = interval_ops(p, interval)["E"]
-    blocks = chain_counts(op, e, interval[0], lams, annihilating_residual, run)
+    blocks = chain_counts(op, e, interval, lams, annihilating_residual)
     for w in weights:
         status = "ok" if blocks[w].nonzero == 0 else "NONZERO RESIDUAL"
         values = ", ".join(to_text(x) for x in lams[w])
         print(f"weight {w} (block size {len(p.basis.weight_block(w))}): [{values}]  {status}")
     return 0 if not any(b.nonzero for b in blocks.values()) else 1
-
-
-def spectrum_units(units, split: bool) -> list:
-    """spectrum's first-pass units, (weight, column range) in weight
-    order as chain_counts lists them: the seed runs of lifted blocks and
-    the whole of the others.  Unsplit, as given.  Split, every range is
-    cut into two halves: the first halves from the last unit back, then
-    the second halves from the first unit on, so the big blocks sit at
-    both ends of the list and the small ones in the middle, where the
-    two processes of two_process_map meet."""
-    if not split:
-        return units
-    halves = [(w, cols.start + len(cols) // 2, cols) for w, cols in units]
-    front = [(w, range(c.start, mid)) for w, mid, c in reversed(halves)]
-    back = [(w, range(mid, c.stop)) for w, mid, c in halves]
-    return [(w, cols) for w, cols in front + back if cols]
 
 
 def cmd_compass(args, p: RepParams) -> int:

@@ -23,16 +23,16 @@ Every polynomial in block-diagonal operators that commute with E on the
 columns of weight <= top - 1 is again such an operator: each factor
 keeps a column of weight <= top - 1 inside its block, where the next
 factor commutes with E.  The lemma therefore covers any polynomial in
-them, and two uses supply "X is zero on block w-1":
+them.  Relation residuals (opalgebra.GeneratorRegistry.lifted) use it
+with E the total Delta(E) over every leg and lo = 1: block 0 is its own
+seed set, so by induction on w a polynomial in the registry's
+generators that is zero on every seed column of weight <= top is zero
+on every column of weight <= top.
 
-  - relation residuals (opalgebra.GeneratorRegistry.lifted), with E the
-    total Delta(E) over every leg and lo = 1: block 0 is its own seed
-    set, so by induction on w a polynomial in the registry's generators
-    that is zero on every seed column of weight <= top is zero on every
-    column of weight <= top;
-  - Casimir spectra (spectra.chain_counts), with X = P_w(Q^(A)) and E
-    = Delta_A(E): P_w = (Q - mu) P_(w-1), which block w-1 annihilates
-    once the chain has accepted it.
+Casimir spectra (spectra.chain_counts) use the span condition and its
+reduction (reduces_to_zero) with E = Delta_A(E), but not the lemma:
+each seed is tested for one quotient membership, and spectra.py
+carries its own proof.
 
 (AB) restricted to columns S is A (B restricted to S), so a residual
 written as a lincomb is evaluated on S by restricting the last operand
@@ -41,27 +41,16 @@ of each term (on_columns).
 
 from __future__ import annotations
 
+from math import gcd
+
 from .sparse import SparseOperator
 
 
-def seed_runs(basis, lo: int, w: int) -> list:
-    """S_w as contiguous index ranges: the states of block w with no
-    quanta on leg lo, in index order.  In graded-lex order there is one
-    run per block for lo = 1."""
+def seed_states(basis, lo: int, w: int) -> list:
+    """S_w: the states of block w with no quanta on leg lo, in index
+    order."""
     states = basis.states
-    runs = []
-    start = None
-    block = basis.weight_block(w)
-    for j in block:
-        if states[j][lo - 1] == 0:
-            if start is None:
-                start = j
-        elif start is not None:
-            runs.append(range(start, j))
-            start = None
-    if start is not None:
-        runs.append(range(start, block.stop))
-    return runs
+    return [j for j in basis.weight_block(w) if not states[j][lo - 1]]
 
 
 def commutes_below_top(op, e, top=None) -> bool:
@@ -102,6 +91,47 @@ def spanned_by_lifting(e, lo: int, w: int) -> bool:
     return True
 
 
+def reduces_to_zero(r: dict, e, lo: int) -> bool:
+    """Whether the vector r of block w >= 1 (int numerators by row,
+    over any positive denominator) lies in E(block w-1); (span) must
+    hold for block w.
+
+    The rows of r with quanta on leg lo are eliminated, most quanta
+    first, along the pivots E[m, m - e_lo] that spanned_by_lifting
+    checks: eliminating row m subtracts a multiple of column m - e_lo,
+    whose other entries have fewer lo-quanta, so no row with as many
+    comes back.  The steps are fraction free: scaling r by a nonzero
+    integer keeps whether the remainder is zero.  What is left lies on
+    the seed rows.  A nonzero E v is nonzero off them, in row u + e_lo
+    for u a state of v with the most lo-quanta, which no other state of
+    v reaches; so E(block w-1) meets the span of the seed rows only in
+    0, and r lies in E(block w-1) exactly when nothing is left.
+    """
+    basis = e.basis
+    states, ax = basis.states, lo - 1
+    r = {i: x for i, x in r.items() if x}
+    while r:
+        m = max(r, key=lambda i: states[i][ax])
+        n = states[m][ax]
+        if not n:
+            return False
+        x = r.pop(m)
+        col = e.cols[basis.index_of(states[m][:ax] + (n - 1,) + states[m][ax + 1 :])]
+        g = gcd(col[m], x)
+        pivot, x = col[m] // g, x // g
+        if pivot != 1:
+            for i in r:
+                r[i] *= pivot
+        for i, y in col.items():
+            if i != m:
+                z = r.get(i, 0) - x * y
+                if z:
+                    r[i] = z
+                else:
+                    del r[i]
+    return True
+
+
 def certified_seeds(ops, e, top: int):
     """The seed columns (leg 1) of weight <= top when every op has
     degree 0 and commutes with E below top, and every block 1..top is
@@ -113,7 +143,7 @@ def certified_seeds(ops, e, top: int):
         return None
     if not all(spanned_by_lifting(e, 1, w) for w in range(1, top + 1)):
         return None
-    return [j for w in range(top + 1) for run in seed_runs(e.basis, 1, w) for j in run]
+    return [j for w in range(top + 1) for j in seed_states(e.basis, 1, w)]
 
 
 def on_columns(terms, cols):

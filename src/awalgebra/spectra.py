@@ -10,24 +10,56 @@ annihilating polynomial
 
 entirely in rational arithmetic.
 
-Lifting through Delta_A(E).  Q = Q^(A) is built from the coproduct over
-the legs lo..hi of A, so it commutes with E = Delta_A(E).  Block w is
-accepted from a zero count on its seed columns S_w (no quanta on leg
-lo) alone when this certificate, checked in code, holds:
+Quotient membership.  Q = Q^(A) is built from the coproduct over the
+legs lo..hi of A, so it commutes with E = Delta_A(E) and keeps the
+A-weight of a state (its quanta on legs lo..hi), which E raises by one.
+On the A-weight-a part of block w modulo E of the A-weight-(a-1) part
+of block w-1, Q is the scalar lambda(k_A + a), since the lowest-weight
+vectors of A-weight a span that quotient.  So each seed s of block
+w (no quanta on leg lo) needs one test, with one column of Q and no
+product: (Q - lambda_a) e_s lies in E(block w-1), for a the A-weight of
+s (lifting.reduces_to_zero).  Block w >= 1 is certified, and its count
+is 0, when this certificate, checked in code, holds for the list
+mu_0..mu_w of the block:
 
-    (a) Q is block diagonal and Q E - E Q is zero on the columns of
-        weight <= n_max - 1 (lifting.commutes_below_top);
-    (b) block w is spanned by lifting through E (lifting.spanned_by_lifting);
-    (c) block w's eigenvalue list is block w-1's list followed by one
-        more value mu (lambda(k_A + w) for the predicted lists);
-    (d) block w-1 was accepted: P_(w-1)(Q) = 0 on block w-1.
+    (a)  Q is block diagonal and Q E - E Q is zero on the columns of
+         weight <= n_max - 1 (lifting.commutes_below_top);
+    (a') Q keeps the A-weight of every column, and E raises it by
+         exactly one;
+    (b)  block w is spanned by lifting through E
+         (lifting.spanned_by_lifting), which also says that E maps
+         block w-1 into block w;
+    (c)  the list has w + 1 values and its first w are block w-1's list;
+    (d)  block w-1 was certified, or it is block 0 and its count is 0;
+    (e)  (Q - mu_a) e_s lies in E(block w-1) for every seed s of block
+         w, a its A-weight.
 
-This is the lemma of lifting.py for X = P_w(Q), a polynomial in Q by
-(a): with (c) and (d), P_w(Q) = (Q - mu) P_(w-1)(Q) is zero on block
-w-1.  Block 0 is its own seed set.  A block whose seeds leave a
-residual, or whose certificate fails, has every column counted, so
-every block's count is its whole-block count either way; the lift only
-saves the products of the columns outside S_w.
+Proof.  Write V(w, a) for the span of the states of block w of A-weight
+a, and H(w, a) for: prod_(y<=a) (Q - mu_y) = 0 on V(w, a).  By (a) and
+(a'), Q maps V(w, a) into itself, and by (a') and (b), E maps V(w-1,
+a-1) into V(w, a).  Eliminating along the pivots of (b), each state of
+V(w, a) with quanta on leg lo is a multiple of E applied to a state of
+V(w-1, a-1) plus states of V(w, a) with fewer, so V(w, a) = E V(w-1,
+a-1) + span of its seeds.  H(w, a) follows from H(w-1, a-1), which
+holds vacuously for a = 0 (V(w-1, -1) = 0):
+
+  - for v in V(w-1, a-1), Q commutes with E on v's block (weight
+    <= n_max - 1) and the factors commute, so prod_(y<=a) (Q - mu_y) E v
+    = E (Q - mu_a) prod_(y<a) (Q - mu_y) v = 0;
+  - for a seed s of A-weight a, (e) gives (Q - mu_a) e_s = E u, where
+    the reduction builds u in V(w-1, a-1) (it subtracts columns m - e_lo
+    of E for rows m in V(w, a)), so prod_(y<=a) (Q - mu_y) e_s =
+    E prod_(y<a) (Q - mu_y) u = 0.
+
+(d) supplies H(w-1, b) for every b <= w-1 with block w-1's list, which
+is block w's by (c): a certified block w-1 by induction, block 0 from
+its count (by (c) its list is the single mu_0, and V(0, 0) is the whole
+block).  With H(w, a) for every a <= w, P_w(Q) = 0 on block w, the sum
+of the V(w, a), since each prod_(y<=a) (Q - mu_y) divides P_w.
+
+Block 0, and every block from the first that is refused up, is counted
+whole with annihilating_residual, so every block's count is its
+whole-block count.
 """
 
 from __future__ import annotations
@@ -35,7 +67,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .exactnum import ONE, inverse
-from .lifting import commutes_below_top, seed_runs, spanned_by_lifting
+from .lifting import commutes_below_top, reduces_to_zero, seed_states, spanned_by_lifting
 from .opalgebra import label_of_subset
 from .reporting import RelationReport
 from .sparse import SparseOperator
@@ -94,82 +126,68 @@ def annihilating_residual(op, eigenvalues, cols) -> int:
     return r.nnz()
 
 
-def lift_certificate(op, e, lo: int, eigenvalues: dict) -> dict:
-    """{w: whether (a), (b) and (c) hold for block w} over the weights of
-    eigenvalues (weight -> eigenvalue list); (d) is settled by the chain
-    from block w-1's count.  Block 0 is its own seed set and never
-    lifted; neither is a block whose w-1 is not among the weights."""
-    commutes = None
-    out = {}
-    for w, lams in eigenvalues.items():
-        prev = eigenvalues.get(w - 1)
-        ok = w >= 1 and prev is not None and lams[:-1] == prev  # (c)
-        if ok and commutes is None:
-            commutes = commutes_below_top(op, e)  # (a), once
-        out[w] = ok and commutes and spanned_by_lifting(e, lo, w)  # (b)
-    return out
-
-
 class BlockCount(NamedTuple):
-    """A block's whole-block count of nonzero entries, the columns whose
-    products were computed, and whether (a)-(d) held for it."""
+    """A block's whole-block count of nonzero entries, the columns it
+    computed (its seeds when certified, all its columns otherwise) and
+    whether (a)-(e) held for it."""
 
     nonzero: int
     columns: int
     certified: bool
 
 
-def _complement(block: range, runs) -> list:
-    """The column ranges of block outside runs (sorted, disjoint)."""
-    out = []
-    start = block.start
-    for run in runs:
-        if run.start > start:
-            out.append(range(start, run.start))
-        start = run.stop
-    if start < block.stop:
-        out.append(range(start, block.stop))
-    return out
+def keeps_interval_weight(op, e, a) -> bool:
+    """(a'): op keeps the A-weight a[j] of every column j, and e raises
+    it by exactly one."""
+    return all(a[i] == a[j] for j, col in op.cols.items() for i in col) and all(
+        a[i] == a[j] + 1 for j, col in e.cols.items() for i in col
+    )
 
 
-def chain_counts(op, e, lo: int, eigenvalues: dict, count=None, run=None) -> dict:
-    """{w: BlockCount} for the blocks of eigenvalues (weight -> list).
+def seed_in_lift(op, e, lo: int, s: int, lam) -> bool:
+    """(e) for seed s: (op - lam) e_s, op's column s less lam in row s,
+    lies in E(block w-1)."""
+    n, d = int(lam.numerator), int(lam.denominator)
+    r = {i: d * v for i, v in op.cols.get(s, {}).items()}
+    r[s] = r.get(s, 0) - n * op.den
+    return reduces_to_zero(r, e, lo)
 
-    A block whose certificate (a)-(c) holds computes only its seed runs
-    first; every other block computes all its columns.  run(units) maps
-    the (w, column range) units of this first pass to (w, count) pairs
-    in any split of those ranges (serial count by default).  Then, in
-    weight order, a certified block is accepted from zero seeds when
-    block w-1 was accepted (d); otherwise its remaining columns are
-    counted here with count(op, eigenvalues[w], cols), so each block
-    reports its whole-block count.  count defaults to this module's
-    annihilating_residual, looked up at the call.
+
+def chain_counts(op, e, interval, eigenvalues: dict, count=None) -> dict:
+    """{w: BlockCount} for the blocks of eigenvalues (weight -> list),
+    in weight order.
+
+    A block w >= 1 whose certificate (a)-(e) holds is certified with
+    count 0 from one membership test per seed.  Block 0 and every block
+    refused are counted whole with count(op, eigenvalues[w], block);
+    count defaults to this module's annihilating_residual, looked up at
+    the call.  (a) and (a') are checked once, when a block first needs
+    them.
     """
     count = count or annihilating_residual
     basis = op.basis
-    lifts = lift_certificate(op, e, lo, eigenvalues)
-    first = {
-        w: seed_runs(basis, lo, w) if lifts[w] else [basis.weight_block(w)]
-        for w in eigenvalues
-    }
-    units = [(w, cols) for w, runs in first.items() for cols in runs]
-    if run is None:
-        counts = ((w, count(op, eigenvalues[w], cols)) for w, cols in units)
-    else:
-        counts = run(units)
-    nonzero = dict.fromkeys(eigenvalues, 0)
-    for w, n in counts:
-        nonzero[w] += n
+    lo, hi = interval
+    a_weight = [sum(m[lo - 1 : hi]) for m in basis.states]
+    graded = None
     out = {}
     for w in sorted(eigenvalues):
-        block = basis.weight_block(w)
-        certified = lifts[w] and out[w - 1].nonzero == 0  # (d)
-        columns = sum(map(len, first[w]))
-        if lifts[w] and not (certified and nonzero[w] == 0):
-            for cols in _complement(block, first[w]):
-                nonzero[w] += count(op, eigenvalues[w], cols)
-            columns = len(block)
-        out[w] = BlockCount(nonzero[w], columns, certified)
+        lams = eigenvalues[w]
+        prev = out.get(w - 1)
+        held = (
+            prev is not None
+            and (prev.certified or (w == 1 and prev.nonzero == 0))  # (d)
+            and len(lams) == w + 1
+            and lams[:-1] == eigenvalues[w - 1]  # (c)
+            and spanned_by_lifting(e, lo, w)  # (b)
+        )
+        if held and graded is None:
+            graded = commutes_below_top(op, e) and keeps_interval_weight(op, e, a_weight)
+        seeds = seed_states(basis, lo, w)
+        if held and graded and all(seed_in_lift(op, e, lo, s, lams[a_weight[s]]) for s in seeds):
+            out[w] = BlockCount(0, len(seeds), True)
+        else:
+            block = basis.weight_block(w)
+            out[w] = BlockCount(count(op, lams, block), len(block), False)
     return out
 
 
@@ -184,7 +202,7 @@ def spectrum_reports(reg, interval, weights) -> list[RelationReport]:
     label = label_of_subset(range(lo, hi + 1))
     op = reg[label]
     lams = {w: predicted_eigenvalues(p, interval, w) for w in weights}
-    blocks = chain_counts(op, interval_ops(p, interval)["E"], lo, lams)
+    blocks = chain_counts(op, interval_ops(p, interval)["E"], (lo, hi), lams)
     return [
         RelationReport(
             id=f"spectra/{label}/w{w}",

@@ -9,7 +9,7 @@ import pytest
 
 from awalgebra import relcheck
 from awalgebra.exactnum import parse, rational
-from awalgebra.lifting import certified_seeds, commutes_below_top, on_columns
+from awalgebra.lifting import certified_seeds, commutes_below_top, on_columns, reduces_to_zero, seed_states
 from awalgebra.opalgebra import GeneratorRegistry, build_registry, commutator
 from awalgebra.sparse import SparseOperator
 from awalgebra.uqrep import RepParams, interval_ops
@@ -197,3 +197,22 @@ def test_probe_certifies_itself_up_to_its_top():
     # a change off the seeds inside the probe's blocks refuses it too
     j = basis.index_of((1, 0, 1, 0))
     assert bumped(reg, "Q12", j).restricted(3).seeds is None
+
+
+@pytest.mark.parametrize("interval", [(1, 4), (2, 3), (3, 4)])
+def test_reduction_finds_exactly_the_image_of_e(interval):
+    # E v for v a combination of block w-1 reduces to zero; adding any
+    # nonzero multiple of a seed state leaves a remainder
+    p = PARAMS["q=-2/5"]
+    basis = p.basis
+    lo = interval[0]
+    e = interval_ops(p, interval)["E"]
+    for w in range(1, p.n_max + 1):
+        below = basis.weight_block(w - 1)
+        v = SparseOperator(basis, {0: {j: rational(3 * j - 7, j % 4 + 1) for j in below}}, None)
+        image = (e * v).cols.get(0, {})
+        assert image and reduces_to_zero(image, e, lo)
+        doubled = {i: 2 * x for i, x in image.items()}
+        for s in seed_states(basis, lo, w):
+            assert not reduces_to_zero({**doubled, s: doubled.get(s, 0) + 1}, e, lo)
+        assert not reduces_to_zero({s: -1 for s in seed_states(basis, lo, w)}, e, lo)

@@ -9,7 +9,7 @@ from awalgebra.spectra import (
     casimir_eigenvalue,
     chain_counts,
     check_annihilating,
-    lift_certificate,
+    keeps_interval_weight,
     predicted_eigenvalues,
     spanned_by_lifting,
     spectrum_reports,
@@ -151,7 +151,7 @@ def test_column_range_must_lie_in_one_block():
             annihilating_residual(op, lams, cols)
 
 
-# -- seed columns lifted through Delta_A(E) ------------------------------
+# -- one quotient-membership test per seed ------------------------------
 
 CHAIN_PARAMS = {
     "default": RepParams(q=parse("5/3"), k=(1, 2, 1, 3), legs=4, n_max=5),
@@ -167,14 +167,14 @@ def _seeds(basis, lo, w):
 def _chain(p, interval, lams, op=None, e=None, count=None):
     op = casimir(p, interval) if op is None else op
     e = interval_ops(p, interval)["E"] if e is None else e
-    return chain_counts(op, e, interval[0], lams, count)
+    return chain_counts(op, e, interval, lams, count)
 
 
 @pytest.mark.parametrize("params", CHAIN_PARAMS)
 @pytest.mark.parametrize("variant", ["predicted", "shifted", "dropped"])
 def test_chain_counts_equal_whole_block_counts(params, variant):
     # every block reports its whole-block count; with the predicted
-    # eigenvalues every block from weight 1 on is lifted from its seeds
+    # eigenvalues every block from weight 1 on is certified from its seeds
     p = CHAIN_PARAMS[params]
     for interval in consecutive_subsets(p.legs):
         op = casimir(p, interval)
@@ -230,46 +230,120 @@ def test_zeroed_lo_leg_entry_of_e_refuses_the_certificate():
     assert e.cols[col][row]
     bad = _without_entry(e, row, col)
     assert spanned_by_lifting(e, 1, 3) and not spanned_by_lifting(bad, 1, 3)
-    assert not any(lift_certificate(casimir(p, (1, 3)), bad, 1, lams).values())
-    # Q1 is a scalar and commutes with any E, so only (b) refuses block 3
+    blocks = _chain(p, (1, 3), lams, e=bad)
+    assert not any(b.certified for b in blocks.values())
+    # Q1 is a scalar and commutes with any E, so only (b) refuses block
+    # 3, and every block from there up is counted whole
     lams1 = {w: predicted_eigenvalues(p, (1, 1), w) for w in range(p.n_max + 1)}
     e1 = interval_ops(p, (1, 1))["E"]
     bad1 = _without_entry(e1, row, col)
-    assert lift_certificate(casimir(p, (1, 1)), bad1, 1, lams1) == {w: w not in (0, 3) for w in lams1}
     blocks = _chain(p, (1, 1), lams1, e=bad1)
-    assert blocks[3] == (0, len(basis.weight_block(3)), False)
-    assert blocks[4] == (0, len(_seeds(basis, 1, 4)), True)
+    assert [b.certified for b in blocks.values()] == [w in (1, 2) for w in lams1]
+    for w in range(3, p.n_max + 1):
+        assert blocks[w] == (0, len(basis.weight_block(w)), False)
 
 
 def test_list_that_does_not_extend_the_previous_one_is_counted_whole():
     # block 2 carries one surplus factor: it still annihilates block 2,
     # but block 2's list is no longer block 1's plus one value, nor is
-    # block 3's block 2's plus one value
+    # block 3's block 2's plus one value; the chain stays broken above
     p = CHAIN_PARAMS["default"]
     lams = {w: predicted_eigenvalues(p, (1, 4), w) for w in range(p.n_max + 1)}
     lams[2] = lams[2] + [rational(7)]
     blocks = _chain(p, (1, 4), lams)
     basis = p.basis
-    for w in (2, 3):
+    assert blocks[1] == (0, len(_seeds(basis, 1, 1)), True)
+    for w in range(2, p.n_max + 1):
         assert blocks[w] == (0, len(basis.weight_block(w)), False)
-    assert blocks[4] == (0, len(_seeds(basis, 1, 4)), True)
 
 
-def test_block_after_a_failed_block_is_counted_whole():
-    # a residual seen only on the first column of block 2 (a seed):
-    # block 3's seeds are clean, but block 2 was not accepted
+def test_block_after_a_failed_block_is_counted_whole(monkeypatch):
+    # one seed of block 2 refused: block 3's seeds all pass, but block 2
+    # was not certified (d)
     p = CHAIN_PARAMS["default"]
     basis = p.basis
     first = basis.weight_block(2).start
+    real = spectra.seed_in_lift
 
-    def count(op, lams, cols):
-        return annihilating_residual(op, lams, cols) + (first in cols)
+    def refusing(op, e, lo, s, lam):
+        return s != first and real(op, e, lo, s, lam)
 
+    monkeypatch.setattr(spectra, "seed_in_lift", refusing)
     lams = {w: predicted_eigenvalues(p, (1, 4), w) for w in range(p.n_max + 1)}
-    blocks = _chain(p, (1, 4), lams, count=count)
-    assert blocks[2] == (1, len(basis.weight_block(2)), True)
-    assert blocks[3] == (0, len(basis.weight_block(3)), False)
-    assert blocks[4] == (0, len(_seeds(basis, 1, 4)), True)
+    blocks = _chain(p, (1, 4), lams)
+    assert blocks[1] == (0, len(_seeds(basis, 1, 1)), True)
+    for w in range(2, p.n_max + 1):
+        assert blocks[w] == (0, len(basis.weight_block(w)), False)
+
+
+@pytest.mark.parametrize("interval", [(1, 3), (2, 3), (2, 4)])
+def test_wrong_value_at_one_interval_weight_falls_back_from_its_block(interval):
+    # block 3's value for A-weight 3 moved by 1/den: the list still
+    # extends block 2's (c), but the A-weight-3 seeds fail their
+    # membership test (e), and every block from 3 up reports the
+    # whole-block count
+    p = CHAIN_PARAMS["default"]
+    basis = p.basis
+    op = casimir(p, interval)
+    lams = {w: predicted_eigenvalues(p, interval, w) for w in range(p.n_max + 1)}
+    lams[3][3] += rational(1, lams[3][3].denominator)
+    assert lams[3][:-1] == lams[2]
+    blocks = _chain(p, interval, lams)
+    for w, got in blocks.items():
+        block = basis.weight_block(w)
+        assert got.nonzero == annihilating_residual(op, lams[w], block)
+        assert got.certified == (w in (1, 2))
+        assert got.columns == (len(_seeds(basis, interval[0], w)) if got.certified else len(block))
+    assert blocks[3].nonzero > 0
+
+
+def test_seeds_that_pass_under_lists_that_do_not_extend_are_refused():
+    # Q12 plus the quanta on legs 3 and 4 commutes with E and keeps the
+    # A-weight; on the seeds of A-weight a in block w it is lambda_a +
+    # (w - a) modulo E, so every seed passes under lists that do not
+    # extend each other, yet P_w is not zero: (c) must refuse
+    p = CHAIN_PARAMS["default"]
+    basis = p.basis
+    interval = (1, 2)
+    outside = SparseOperator.diagonal(basis, lambda j: rational(sum(basis.states[j][2:])))
+    op = casimir(p, interval) + outside
+    e = interval_ops(p, interval)["E"]
+    lams = {
+        w: [lam + (w - a) for a, lam in enumerate(predicted_eigenvalues(p, interval, w))]
+        for w in range(p.n_max + 1)
+    }
+    for w in range(1, p.n_max + 1):
+        assert all(spectra.seed_in_lift(op, e, 1, s, lams[w][basis.states[s][1]]) for s in _seeds(basis, 1, w))
+    blocks = _chain(p, interval, lams, op=op)
+    for w, got in blocks.items():
+        block = basis.weight_block(w)
+        assert got == (annihilating_residual(op, lams[w], block), len(block), False)
+        assert (got.nonzero > 0) == (w >= 1)
+
+
+def test_entry_breaking_the_interval_weight_refuses_the_certificate(monkeypatch):
+    # Q12 with one entry off the seeds that moves A-weight 1 to A-weight
+    # 0 inside block 2; with (a) taken as given, (a') alone must refuse
+    p = CHAIN_PARAMS["default"]
+    basis = p.basis
+    interval = (1, 2)
+    op = casimir(p, interval)
+    e = interval_ops(p, interval)["E"]
+    a_weight = [m[0] + m[1] for m in basis.states]
+    row, col = basis.index_of((0, 0, 2, 0)), basis.index_of((1, 0, 1, 0))
+    cols = {j: dict(c) for j, c in op.cols.items()}
+    cols[col][row] = op.den
+    bad = SparseOperator._raw(basis, cols, op.degree, op.den)
+    assert keeps_interval_weight(op, e, a_weight) and not keeps_interval_weight(bad, e, a_weight)
+    monkeypatch.setattr(spectra, "commutes_below_top", lambda op, e: True)
+    lams = {w: predicted_eigenvalues(p, interval, w) for w in range(p.n_max + 1)}
+    blocks = _chain(p, interval, lams, op=bad)
+    for w, got in blocks.items():
+        block = basis.weight_block(w)
+        assert got == (annihilating_residual(bad, lams[w], block), len(block), False)
+    assert blocks[2].nonzero > 0
+    # the seeds alone would have passed
+    assert all(spectra.seed_in_lift(bad, e, 1, s, lams[2][a_weight[s]]) for s in _seeds(basis, 1, 2))
 
 
 def test_single_block_has_no_chain():
@@ -285,6 +359,8 @@ def test_single_block_has_no_chain():
 
 
 def test_reports_compute_the_seed_columns_of_leg_lo(monkeypatch):
+    # the polynomial runs on block 0 alone; every later block tests its
+    # seeds (no quanta on leg lo), one membership test each
     p = RepParams(q=parse("5/3"), k=(1, 2, 1, 3), legs=4, n_max=3)
     reg = build_registry(p)
     computed = []
@@ -297,7 +373,7 @@ def test_reports_compute_the_seed_columns_of_leg_lo(monkeypatch):
     for interval in consecutive_subsets(p.legs):
         computed.clear()
         reports = spectrum_reports(reg, interval, range(p.n_max + 1))
-        assert computed == [j for w in range(p.n_max + 1) for j in _seeds(p.basis, interval[0], w)]
+        assert computed == list(p.basis.weight_block(0))
         assert [r.residual_summary["columns_computed"] for r in reports] == [
             len(_seeds(p.basis, interval[0], w)) for w in range(p.n_max + 1)
         ], interval
