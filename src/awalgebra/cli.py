@@ -42,16 +42,18 @@ FORMAT_VERSION = 1
 
 # Fewest basis states at which a four-leg verify is shared with one
 # forked worker (two_process_map).  The worker is forked from the built
-# realization and rebuilds nothing; a fork, its pipes and the reaping
-# cost about 8 ms the first time in a process and 4 ms after that.
-# Serial against forked wall time of one run in a fresh process
-# (fractions backend, 2 cores, medians of seven): at four legs
-# 0.23/0.16 s at nmax 3 (35 states), 0.46/0.31 s at nmax 4 (70),
-# 0.96/0.59 s at nmax 5 (126); at three legs 0.15/0.14 s at nmax 6
-# (84), 0.37/0.27 s at nmax 8.  The crossover is far below this bound,
-# but the benchmark's traced nmax-4 verify must stay in one process
-# until its tracer sees the worker, so the bound and the four-leg rule
-# stay for now.
+# realization and its quotient table and rebuilds nothing; a fork, its
+# pipes and the reaping cost about 8 ms the first time in a process and
+# 4 ms after that.  Serial against forked wall time of one default
+# verify in a fresh process, import included (fractions backend, Python
+# 3.11.7, 2 cores, medians of seven alternated runs): 0.33/0.41 s at
+# nmax 5 (126 states), 0.38/0.42 s at nmax 6 (210) and 1.15/0.80 s at
+# nmax 8 (495); before the quotient realization, 0.77/0.53 s at nmax 6
+# and 1.53/1.19 s at nmax 8.  So a fork now pays at nmax 8 but not at
+# nmax 5 or 6.  The bound and the four-leg rule stay until the fork
+# scheduler is retired or re-gated as a whole, and the benchmark's
+# traced nmax-4 verify must stay in one process until its tracer sees
+# the worker.
 PARALLEL_MIN_STATES = 126
 
 DEFAULT_K = (1, 2, 1, 3)
@@ -254,9 +256,9 @@ def suite_results(names, p: RepParams, worker: bool):
     """Yield (name, reports, elapsed ms) for each suite, in order.
 
     With a worker, this process runs the first suite and builds the
-    registry, as a serial run does, and shares the other suites with a
-    worker forked after that (two_process_map), so the worker rebuilds
-    nothing.
+    registry and its quotient table, as a serial run does, and shares
+    the other suites with a worker forked after that (two_process_map),
+    so the worker rebuilds nothing.
     """
 
     def timed(name):
@@ -266,7 +268,7 @@ def suite_results(names, p: RepParams, worker: bool):
         yield from map(timed, names)
         return
     yield timed(names[0])
-    build_registry(p)
+    build_registry(p).quotient
     yield from two_process_map(timed, names[1:])
 
 

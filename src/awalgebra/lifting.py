@@ -1,47 +1,89 @@
-"""Seed columns, and the lift of a zero residual through Delta(E).
+"""The quotient realization: operators that commute with Delta(E), read
+on block_w / E(block_(w-1)).
 
 Let E = Delta(E) be the raising operator of an interval of legs lo..hi,
 assembled through the coproduct.  It maps weight block w-1 into block w
 and is cut off out of the top block.  The seed states S_w of block w are
 its states with no quanta on leg lo.
 
-Lemma.  Let X be block diagonal with X E = E X on the columns of weight
-<= top - 1, and let block w <= top satisfy
-
     (span) for every state m of block w with m_lo >= 1, column m - e_lo
            of E has a nonzero entry in row m and every other nonzero
            entry in a row of block w with fewer quanta on leg lo.
 
-If X is zero on block w-1 and on the seed columns S_w, X is zero on
-block w.
+Under (span), block w = E(block w-1) (+) span S_w, and E is injective
+on block w-1.  Eliminating along the pivots E[m, m - e_lo], most
+lo-quanta first, writes any vector of block w as E of a vector of block
+w-1 plus a remainder on the seeds (remainder).  A nonzero E v is
+nonzero in row u + e_lo for u a state of v with the most lo-quanta,
+which no other state of v reaches; so E v != 0, and E(block w-1) meets
+span S_w only in 0.
 
-Proof.  For v in block w-1, X E v = E X v = 0.  By (span),
-e_m = (E e_(m - e_lo) - terms with fewer lo-quanta) / E[m, m - e_lo],
-so induction on m_lo gives block w = E(block w-1) + span S_w.
+Quotient.  The seeds are a basis of M_w = block w / E(block w-1).  An
+operator X that is block diagonal and commutes with E on the columns of
+weight <= top - 1 maps E(block w-1) into itself for w <= top, so it
+induces a map Xbar of M_w: column s of Xbar is the remainder of column s
+of X (quotient_operator).  Induced maps compose, (XY)bar = Xbar Ybar,
+and sums and scalings pass through, so a polynomial R in such operators
+has Rbar the same polynomial in their reductions.  Xbar lives on the
+seed rows and columns of the full basis, so the sparse kernel is
+unchanged.
 
-Every polynomial in block-diagonal operators that commute with E on the
-columns of weight <= top - 1 is again such an operator: each factor
-keeps a column of weight <= top - 1 inside its block, where the next
-factor commutes with E.  The lemma therefore covers any polynomial in
-them.  Relation residuals (opalgebra.GeneratorRegistry.lifted) use it
-with E the total Delta(E) over every leg and lo = 1: block 0 is its own
-seed set, so by induction on w a polynomial in the registry's
-generators that is zero on every seed column of weight <= top is zero
-on every column of weight <= top.
+Separation.  Rbar = 0 does not by itself give R = 0: on a sum of two
+lowest-weight modules, the map that sends the lowest vector v2 of one
+to E v1 in the other, and E^i v2 to E^(i+1) v1, commutes with E and is
+zero on every M_w.  An operator C with distinct eigenvalues on the
+M_w tells them apart.  quotient_table checks, for operators ops
+(C among them), eigenvalues lambda_0..lambda_top and lo = 1:
 
-Casimir spectra (spectra.chain_counts) use the span condition and its
-reduction (reduces_to_zero) with E = Delta_A(E), but not the lemma:
-each seed is tested for one quotient membership, and spectra.py
-carries its own proof.
+    (i)   every op is block diagonal and commutes with E on the columns
+          of weight <= top - 1 (commutes_below_top);
+    (ii)  (span) holds for every block 1..top;
+    (iii) every op commutes with C on the columns of weight <= top;
+    (iv)  Cbar = lambda_w on M_w for every w <= top;
+    (v)   lambda_0..lambda_top are pairwise distinct.
 
-(AB) restricted to columns S is A (B restricted to S), so a residual
-written as a lincomb is evaluated on S by restricting the last operand
-of each term (on_columns).
+Lemma.  A block diagonal Y that commutes with E on the columns of
+weight <= top - 1 and is zero on the seed columns of weight <= top is
+zero on every column of weight <= top: by induction on w, Y E v =
+E Y v = 0 for v in block w-1, and block w = E(block w-1) + span S_w.
+Under (i), [X, C] is such a Y, so (iii) is checked on the seed columns.
+
+P_w(C) = prod_(x<=w) (C - lambda_x) is zero on block w <= top, by
+induction: block 0 is M_0, where C = lambda_0 by (iv); on block w,
+P_w(C) E v = E (C - lambda_w) P_(w-1)(C) v = 0 for v in block w-1, and
+for a seed s, (iv) gives (C - lambda_w) s = E u with u in block w-1, so
+P_w(C) s = P_(w-1)(C) E u = E P_(w-1)(C) u = 0.  (This is spectra.py's
+chain argument for the total interval, whose interval weight is the
+weight.)
+
+Theorem.  Let R be a polynomial in ops with Rbar = 0 on M_w for every
+w <= top.  Then R is zero on every column of weight <= top.  By (i) and
+(iii), R is block diagonal, commutes with E on the columns of weight
+<= top - 1 and with C on those of weight <= top.  By induction on w:
+block 0 is M_0, where R = Rbar = 0.  For w >= 1 let R be zero on block
+w-1, and s a seed of block w.  Rbar s = 0 gives R s = E u with u in
+block w-1, and (iv) gives (C - lambda_w) s = E u' with u' in block w-1.
+Then
+
+    E (C - lambda_w) u = (C - lambda_w) R s = R (C - lambda_w) s
+                       = R E u' = E R u' = 0,
+
+so (C - lambda_w) u = 0, E being injective on block w-1.  With it
+P_(w-1)(lambda_w) u = P_(w-1)(C) u = 0, and P_(w-1)(lambda_w) != 0 by
+(v), so u = 0 and R s = 0.  R is also zero on E(block w-1), since
+R E v = E R v = 0, so R is zero on block w.
+
+Relation residuals (opalgebra.GeneratorRegistry.lifted) use this with
+E the total Delta(E), lo = 1, C the total Casimir and lambda_w =
+lambda(k_1 + ... + k_legs + w).  Casimir spectra (spectra.chain_counts)
+use (span) and remainder with E = Delta_A(E) for an interval A; each
+seed is tested for one quotient membership, and spectra.py carries its
+own proof.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 from .sparse import SparseOperator
 
@@ -91,35 +133,37 @@ def spanned_by_lifting(e, lo: int, w: int) -> bool:
     return True
 
 
-def reduces_to_zero(r: dict, e, lo: int) -> bool:
-    """Whether the vector r of block w >= 1 (int numerators by row,
-    over any positive denominator) lies in E(block w-1); (span) must
-    hold for block w.
+def remainder(r: dict, e, lo: int) -> tuple[dict, int]:
+    """(rest, scale) for a vector r of block w >= 1 (int numerators by
+    row): scale r - rest lies in E(block w-1), rest lies on the seed
+    rows and scale is a positive int; (span) must hold for block w.  So
+    r lies in E(block w-1) exactly when rest is empty, and the seed
+    coordinates of r in M_w are rest / scale.
 
     The rows of r with quanta on leg lo are eliminated, most quanta
     first, along the pivots E[m, m - e_lo] that spanned_by_lifting
     checks: eliminating row m subtracts a multiple of column m - e_lo,
     whose other entries have fewer lo-quanta, so no row with as many
-    comes back.  The steps are fraction free: scaling r by a nonzero
-    integer keeps whether the remainder is zero.  What is left lies on
-    the seed rows.  A nonzero E v is nonzero off them, in row u + e_lo
-    for u a state of v with the most lo-quanta, which no other state of
-    v reaches; so E(block w-1) meets the span of the seed rows only in
-    0, and r lies in E(block w-1) exactly when nothing is left.
+    comes back.  The steps are fraction free: r is scaled by pivot/gcd,
+    with the pivot's sign moved to the subtracted multiple, and scale
+    collects those factors.
     """
     basis = e.basis
     states, ax = basis.states, lo - 1
     r = {i: x for i, x in r.items() if x}
+    scale = 1
     while r:
         m = max(r, key=lambda i: states[i][ax])
         n = states[m][ax]
         if not n:
-            return False
+            break
         x = r.pop(m)
         col = e.cols[basis.index_of(states[m][:ax] + (n - 1,) + states[m][ax + 1 :])]
-        g = gcd(col[m], x)
-        pivot, x = col[m] // g, x // g
+        pivot = col[m]
+        g = gcd(pivot, x) if pivot > 0 else -gcd(pivot, x)
+        pivot, x = pivot // g, x // g
         if pivot != 1:
+            scale *= pivot
             for i in r:
                 r[i] *= pivot
         for i, y in col.items():
@@ -129,27 +173,50 @@ def reduces_to_zero(r: dict, e, lo: int) -> bool:
                     r[i] = z
                 else:
                     del r[i]
-    return True
+    return r, scale
 
 
-def certified_seeds(ops, e, top: int):
-    """The seed columns (leg 1) of weight <= top when every op has
-    degree 0 and commutes with E below top, and every block 1..top is
-    spanned by lifting through E; None when any of that fails.  E is
-    the total Delta(E) over every leg."""
-    if any(op.degree != 0 for op in ops):
+def quotient_operator(op, e, seeds) -> SparseOperator:
+    """Xbar for X = op on the seed columns seeds (leg 1): column s is the
+    remainder of column s of op through E, over its scale."""
+    rests = {}
+    for s in seeds:
+        col = op.cols.get(s)
+        if col:
+            rest, scale = remainder(col, e, 1)
+            if rest:
+                rests[s] = rest, scale
+    common = lcm(1, *(scale for _, scale in rests.values()))
+    cols = {}
+    for s, (rest, scale) in rests.items():
+        m = common // scale
+        cols[s] = {i: x * m for i, x in rest.items()} if m != 1 else rest
+    return SparseOperator._reduced(op.basis, cols, 0, op.den * common)
+
+
+def quotient_table(ops: dict, total: str, e, eigenvalues) -> dict | None:
+    """{label: Xbar} for every op of ops, on the seeds (leg 1) of weight
+    <= top = len(eigenvalues) - 1, when (i)-(v) of the module doc hold
+    with C = ops[total] and E = e, the total Delta(E); None otherwise."""
+    top = len(eigenvalues) - 1
+    basis = e.basis
+    c = ops.get(total)
+    if c is None or len(set(eigenvalues)) != len(eigenvalues):  # (v)
         return None
-    if not all(commutes_below_top(op, e, top) for op in ops):
+    if not all(spanned_by_lifting(e, 1, w) for w in range(1, top + 1)):  # (ii)
         return None
-    if not all(spanned_by_lifting(e, 1, w) for w in range(1, top + 1)):
+    if not all(commutes_below_top(op, e, top) for op in ops.values()):  # (i)
         return None
-    return [j for w in range(top + 1) for j in seed_states(e.basis, 1, w)]
-
-
-def on_columns(terms, cols):
-    """The lincomb terms of a residual's columns cols: (c, A, B) becomes
-    (c, A, B on cols) and (c, A) becomes (c, A on cols).  cols None
-    keeps every column."""
-    if cols is None:
-        return terms
-    return [(c, *ops[:-1], ops[-1].restricted(cols)) for c, *ops in terms]
+    seeds = [j for w in range(top + 1) for j in seed_states(basis, 1, w)]
+    c_seeds = c.restricted(seeds)
+    for op in ops.values():  # (iii), by the lemma
+        if op is not c and not SparseOperator.lincomb(
+            basis, ((1, op, c_seeds), (-1, c, op.restricted(seeds)))
+        ).is_zero():
+            return None
+    table = {x: quotient_operator(op, e, seeds) for x, op in ops.items()}
+    weights = basis.weights
+    scalar = SparseOperator(basis, {s: {s: eigenvalues[weights[s]]} for s in seeds}, 0)
+    if table[total] != scalar:  # (iv)
+        return None
+    return table

@@ -12,6 +12,16 @@ lowering operators) fixes every consecutive-interval Casimir, so on
 labels it only toggles the I prefix of the derived generators, and it
 reverses nothing: applying it to a product means applying it factor by
 factor in unchanged order.
+
+A registry holds Q0 and the interval Casimirs, and builds a derived
+generator from them by its DERIVED_DEFS formula when it is first used.
+It keeps two such tables: the full one, and the quotient one
+(GeneratorRegistry.quotient), whose held entries are reduced onto
+M_w = block_w / Delta(E)(block_(w-1)), with the seeds as basis.  The
+reduction is an algebra homomorphism on the operators that commute with
+Delta(E), so the quotient's derived generators are the reductions of
+the full ones; lifting.py states the quotient and the separation proof
+by which a residual zero on the quotient is zero.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .exactnum import ONE, inverse
-from .lifting import certified_seeds, commutes_below_top, on_columns
+from .lifting import quotient_table, seed_states
 from .sparse import SparseOperator
 from .uqrep import RepParams, casimir, interval_ops
 
@@ -106,14 +116,58 @@ def q_commutator(q, a: SparseOperator, b: SparseOperator) -> SparseOperator:
     return SparseOperator.lincomb(a.basis, ((q, a, b), (-inverse(q), b, a)))
 
 
-def commutator(a: SparseOperator, b: SparseOperator, cols=None) -> SparseOperator:
-    """[a, b] = a b - b a, or only its columns cols when given."""
-    return SparseOperator.lincomb(a.basis, on_columns(((1, a, b), (-1, b, a)), cols))
+def commutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:
+    """[a, b] = a b - b a."""
+    return SparseOperator.lincomb(a.basis, ((1, a, b), (-1, b, a)))
+
+
+def derive(gens, label: str, q) -> SparseOperator:
+    """The derived generator label from the generators gens (label ->
+    operator) it is built of:
+
+        Q^(B) = (1/(q-q^-1)) [Q^(L), Q^(R)]_q  -  products of Casimirs
+
+    per DERIVED_DEFS, with L and R swapped for the involuted partner."""
+    (left, right), subs = DERIVED_DEFS[label.removeprefix("I")]
+    if is_flipped(label):
+        left, right = right, left
+    s = q - inverse(q)
+    x, y = gens[left], gens[right]
+    return SparseOperator.lincomb(
+        x.basis,
+        [(q / s, x, y), (-inverse(q) / s, y, x), *((-1, gens[a], gens[b]) for a, b in subs)],
+    )
+
+
+class Generators(dict):
+    """label -> operator: the entries held, and each derived label not
+    held built by derive on its first lookup and kept."""
+
+    def __init__(self, held: dict, q):
+        super().__init__(held)
+        self.q = q
+
+    def __missing__(self, label: str) -> SparseOperator:
+        if label.removeprefix("I") not in DERIVED_DEFS:
+            raise KeyError(label)
+        op = self[label] = derive(self, label, self.q)
+        return op
+
+
+def _available(label: str, held) -> bool:
+    """label is held, or derived from held labels alone."""
+    if label in held:
+        return True
+    base = label.removeprefix("I")
+    if base not in DERIVED_DEFS:
+        return False
+    (left, right), subs = DERIVED_DEFS[base]
+    return {left, right, *(x for pair in subs for x in pair)} <= held.keys()
 
 
 class Lifted(NamedTuple):
     """A residual with the number of its columns that were computed and
-    whether the lift certificate covered it (GeneratorRegistry.lifted)."""
+    whether the quotient certificate held (GeneratorRegistry.lifted)."""
 
     residual: SparseOperator
     columns: int
@@ -122,12 +176,15 @@ class Lifted(NamedTuple):
 
 class GeneratorRegistry:
     """All labeled generators of the realization named by params, on
-    params.basis."""
+    params.basis: the entries of table, and the derived generators
+    table lacks, built from them on first use (Generators)."""
 
     def __init__(self, params: RepParams, table: dict, top: int = None):
         self.params = params
         self.basis = params.basis
-        self.table = table
+        self.held = dict(table)
+        self._full = Generators(table, params.q)
+        self._labels = tuple(x for x in CANONICAL_ORDER if _available(x, self.held))
         # every column of weight > top is empty (restricted)
         self.top = params.n_max if top is None else top
         self._width = self.basis.weight_block(self.top).stop
@@ -135,16 +192,21 @@ class GeneratorRegistry:
         self._commuting = set()
 
     def __getitem__(self, label: str) -> SparseOperator:
-        try:
-            return self.table[label]
-        except KeyError:
-            raise KeyError(f"no generator {label!r} at legs={self.params.legs}") from None
+        if label not in self._labels:
+            raise KeyError(f"no generator {label!r} at legs={self.params.legs}")
+        return self._full[label]
 
     def __contains__(self, label: str) -> bool:
-        return label in self.table
+        return label in self._labels
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(x for x in CANONICAL_ORDER if x in self.table)
+        return self._labels
+
+    @property
+    def table(self) -> dict:
+        """Every generator, label -> operator; the derived ones not yet
+        built are built now."""
+        return {x: self[x] for x in self._labels}
 
     def product(self, la: str, lb: str) -> SparseOperator:
         """self[la] * self[lb]."""
@@ -161,58 +223,65 @@ class GeneratorRegistry:
         pair = frozenset((la, lb))
         if pair in self._commuting:
             return SparseOperator.zero(self.basis)
-        a, b = self[la], self[lb]
-        out = self.lifted(lambda cols: commutator(a, b, cols)).residual
+        out = self.lifted(lambda gens: commutator(gens[la], gens[lb])).residual
         if out.is_zero():
             self._commuting.add(pair)
         return out
 
     @cached_property
-    def seeds(self):
-        """The lift certificate, checked once: the seed columns of
-        weight <= top (no quanta on leg 1) when every generator has
-        degree 0 and commutes with the total Delta(E) below top and
-        every block 1..top is spanned by lifting through it
-        (lifting.certified_seeds); None when it fails."""
-        return certified_seeds(self.table.values(), self._total_e(), self.top)
+    def quotient(self):
+        """The quotient table, checked once: label -> Xbar on the seeds
+        (no quanta on leg 1) of weight <= top, the held entries reduced
+        (lifting.quotient_table) and the derived ones built from them on
+        first use; None when the certificate (i)-(v) of lifting.py fails
+        for the held entries, the total Delta(E), the total Casimir and
+        the total interval's predicted eigenvalues."""
+        from .spectra import predicted_eigenvalues  # spectra imports this module
 
-    def _total_e(self) -> SparseOperator:
-        return interval_ops(self.params, (1, self.params.legs))["E"]
-
-    def lifted(self, evaluate, operands=()) -> Lifted:
-        """A residual that is a polynomial in this registry's generators
-        and in operands, given as evaluate(cols), its columns cols
-        (every column for None).
-
-        When the certificate holds (seeds) and every operand is block
-        diagonal and commutes with Delta(E) below top, the residual is
-        computed on the seed columns first; a zero there is zero on
-        every column by the lemma of lifting.py.  Otherwise, or when
-        the seeds leave a nonzero residual, every column is computed,
-        so the residual returned is always the whole one.
-        """
-        seeds = self.seeds
-        held = seeds is not None and all(
-            commutes_below_top(op, self._total_e(), self.top) for op in operands
+        p = self.params
+        total = (1, p.legs)
+        held = quotient_table(
+            self.held,
+            label_of_subset(range(1, p.legs + 1)),
+            interval_ops(p, total)["E"],
+            predicted_eigenvalues(p, total, self.top),
         )
-        if held:
-            out = evaluate(seeds)
+        return None if held is None else Generators(held, p.q)
+
+    @cached_property
+    def _seed_count(self) -> int:
+        return sum(len(seed_states(self.basis, 1, w)) for w in range(self.top + 1))
+
+    def lifted(self, evaluate) -> Lifted:
+        """A residual that is a polynomial in this registry's generators,
+        given as evaluate(gens) for a label -> operator table gens.
+
+        When the certificate holds, evaluate runs on the quotient table
+        first, and a zero there is zero on every column by the theorem
+        of lifting.py.  Otherwise, or when the quotient leaves a nonzero
+        residual, it runs on the full table, so the residual returned is
+        always the whole one.
+        """
+        quotient = self.quotient
+        if quotient is not None:
+            out = evaluate(quotient)
             if out.is_zero():
-                return Lifted(out, len(seeds), True)
-        return Lifted(evaluate(None), self._width, held)
+                return Lifted(out, self._seed_count, True)
+        return Lifted(evaluate(self._full), self._width, quotient is not None)
 
     def lift_record(self, residual: SparseOperator) -> Lifted:
-        """The record lifted gives a residual of generators alone: its
+        """The record lifted gives a residual of generators alone: the
         seed columns when the certificate holds and it is zero, every
         column otherwise."""
-        seeds = self.seeds
-        if seeds is not None and residual.is_zero():
-            return Lifted(residual, len(seeds), True)
-        return Lifted(residual, self._width, seeds is not None)
+        held = self.quotient is not None
+        if held and residual.is_zero():
+            return Lifted(residual, self._seed_count, True)
+        return Lifted(residual, self._width, held)
 
     def restricted(self, max_weight: int) -> GeneratorRegistry:
-        """The same realization with every generator restricted to the
-        columns of weight <= max_weight.
+        """The same realization with every held generator restricted to
+        the columns of weight <= max_weight, and the derived ones built
+        from those.
 
         Sound because every generator has weight degree 0, i.e. is block
         diagonal in the graded basis: a degree-0 operator maps the
@@ -225,13 +294,13 @@ class GeneratorRegistry:
         full residual.  Blocks do not depend on the truncation either,
         so this equals the realization at n_max = max_weight.
         """
-        odd = [x for x, op in self.table.items() if op.degree != 0]
+        odd = [x for x, op in self.held.items() if op.degree != 0]
         if odd:
             raise ValueError(
                 f"cannot restrict by weight: {', '.join(odd)} not of degree 0"
             )
         cols = range(0, self.basis.weight_block(max_weight).stop)
-        table = {x: op.restricted(cols) for x, op in self.table.items()}
+        table = {x: op.restricted(cols) for x, op in self.held.items()}
         return GeneratorRegistry(self.params, table, max_weight)
 
 
@@ -257,32 +326,15 @@ def nonempty_subsets(legs: int):
 # memory of a 24-configuration sweep rose from 23 to 31 MB.
 @lru_cache(maxsize=2)
 def build_registry(p: RepParams) -> GeneratorRegistry:
-    """Construct every labeled generator available at p.legs.
+    """The registry of every labeled generator available at p.legs.
 
-    Consecutive subsets get their interval Casimir; with three or more
-    legs the non-consecutive subsets get their derived generators
-
-        Q^(B) = (1/(q-q^-1)) [Q^(L), Q^(R)]_q  -  products of Casimirs
-
-    per DERIVED_DEFS, together with the involuted partners.  Cached per
-    parameter set: the registry is shared, so treat it as read-only.
+    It holds Q0 and the interval Casimir of every consecutive subset;
+    with three or more legs the non-consecutive subsets get their
+    derived generators (derive), with their involuted partners, when
+    first used.  Cached per parameter set: the registry is shared, so
+    treat it as read-only.
     """
-    q = p.q
-    s = q - inverse(q)
-    basis = p.basis
-    table = {"Q0": SparseOperator.identity(basis, -ONE)}
+    table = {"Q0": SparseOperator.identity(p.basis, -ONE)}
     for lo, hi in consecutive_subsets(p.legs):
-        label = label_of_subset(range(lo, hi + 1))
-        table[label] = casimir(p, (lo, hi))
-    if p.legs >= 3:
-        for base, ((left, right), subs) in DERIVED_DEFS.items():
-            needed = {left, right, *(x for pair in subs for x in pair)}
-            if not needed <= table.keys():
-                continue  # requires legs absent at this rank
-            correction = [(-1, table[fa], table[fb]) for fa, fb in subs]
-            for name, a, b in ((base, left, right), ("I" + base, right, left)):
-                x, y = table[a], table[b]
-                table[name] = SparseOperator.lincomb(
-                    basis, [(q / s, x, y), (-inverse(q) / s, y, x), *correction]
-                )
+        table[label_of_subset(range(lo, hi + 1))] = casimir(p, (lo, hi))
     return GeneratorRegistry(p, table)

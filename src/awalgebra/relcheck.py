@@ -20,13 +20,14 @@ spectra        annihilating polynomials of every interval Casimir on
                test per seed under a checked certificate (spectra.py)
 independence   exact rank of the fifteen non-central generators
 
-The residuals of prop1, prop2, the symmetric aw3 relations and master
-are polynomials in the registry's generators, which all commute with
-the total Delta(E).  They are computed on the seed columns alone (no
-quanta on leg 1) while the registry's lift certificate holds, and a
-zero there is zero everywhere by the lemma of lifting.py
-(GeneratorRegistry.lifted); a residual the seeds leave nonzero is
-recomputed on every column, so every report is the full evaluation's.
+The residuals of prop1's commuting pairs, prop2, the symmetric aw3
+relations and master are polynomials in the registry's generators.
+Each is evaluated first on the registry's quotient table, the
+generators read on block_w / Delta(E)(block_(w-1)) with the seed states
+(no quanta on leg 1) as basis, and a zero there is zero on every column
+while the quotient certificate holds (the theorem of lifting.py,
+GeneratorRegistry.lifted); a residual the quotient leaves nonzero is
+recomputed on the full table, so every report is the full evaluation's.
 Their summaries add columns_computed and certificate_held.
 """
 
@@ -39,7 +40,6 @@ from importlib import resources
 from itertools import combinations, product
 
 from .exactnum import inverse
-from .lifting import on_columns
 from .opalgebra import (
     GeneratorRegistry,
     commutator,
@@ -295,17 +295,20 @@ def _aw3_residual(reg: GeneratorRegistry, rel, assign, order):
 
     q = reg.params.q
     s = q - inverse(q)
-    l1, l2 = (reg[resolve(x)] for x in rel["left"])
-    lone = reg[resolve(rel["lone"])]
-    terms = [(q / s, l1, l2), (-inverse(q) / s, l2, l1), (-1, lone)]
+    l1, l2 = (resolve(x) for x in rel["left"])
+    lone = resolve(rel["lone"])
+    monomials = []
     for mono in rel["monomials"]:
         labels = involute_monomial(tuple(resolve(x) for x in mono))
-        if order == "reversed":
-            labels = labels[::-1]
-        terms.append((-1, *(reg[x] for x in labels)))
-    return reg.lifted(
-        lambda cols: SparseOperator.lincomb(reg.basis, on_columns(terms, cols))
-    ).residual
+        monomials.append(labels[::-1] if order == "reversed" else labels)
+
+    def evaluate(gens):
+        a, b = gens[l1], gens[l2]
+        terms = [(q / s, a, b), (-inverse(q) / s, b, a), (-1, gens[lone])]
+        terms += [(-1, *(gens[x] for x in labels)) for labels in monomials]
+        return SparseOperator.lincomb(reg.basis, terms)
+
+    return reg.lifted(evaluate).residual
 
 
 def check_aw3_symmetric(
@@ -573,26 +576,19 @@ def check_master(reg: GeneratorRegistry, row: MasterRow) -> RelationReport:
     inner = {}
     for sign, triples in ((1, lhs_triples), (-1, rhs_triples)):
         for u, v, w in triples:
-            u_op, v_op = reg[u], reg[v]
-            inner.setdefault(w, []).extend(
-                ((sign * q, u_op, v_op), (-sign * iq, v_op, u_op))
-            )
+            inner.setdefault(w, []).append((sign, u, v))
 
-    def evaluate(cols):
-        # columns cols of the residual read D_w only on cols and on the
-        # rows of w there, so D_w is computed on those columns alone
+    def evaluate(gens):
         terms = []
-        for w, inner_terms in inner.items():
-            outer = reg[w]
-            reach = None
-            if cols is not None:
-                reach = set(cols).union(*(outer.cols.get(j, ()) for j in cols))
-            d_w = SparseOperator.lincomb(reg.basis, on_columns(inner_terms, reach))
-            terms += [(q, d_w, outer), (-iq, outer, d_w)]
-        return SparseOperator.lincomb(reg.basis, on_columns(terms, cols))
+        for w, pairs in inner.items():
+            inner_terms = []
+            for sign, u, v in pairs:
+                a, b = gens[u], gens[v]
+                inner_terms += [(sign * q, a, b), (-sign * iq, b, a)]
+            d_w = SparseOperator.lincomb(reg.basis, inner_terms)
+            terms += [(q, d_w, gens[w]), (-iq, gens[w], d_w)]
+        return SparseOperator.lincomb(reg.basis, terms)
 
-    # a polynomial in generators: D_w is an exact intermediate, not an
-    # operand of the lifted residual
     lift = reg.lifted(evaluate)
     return residual_report(
         id=f"master/{row.table}/row{row.index}",
@@ -638,7 +634,9 @@ def check_independence(reg: GeneratorRegistry) -> RelationReport:
     The generators are block diagonal with truncation-independent
     blocks, so full rank certified on a leading set of weight blocks is
     full rank outright; blocks are added until the rank reaches 15 or
-    the truncation is exhausted.
+    the truncation is exhausted.  The generators are read from
+    reg.restricted(cap), whose derived generators are built from the
+    restricted Casimirs (sound by restricted's docstring).
     """
     if reg.params.legs != 4:
         raise ValueError("the fifteen-generator statement needs four legs")
@@ -649,10 +647,10 @@ def check_independence(reg: GeneratorRegistry) -> RelationReport:
     rank = 0
     cap = min(2, basis.n_max)
     while True:
-        leading = range(0, basis.weight_block(cap).stop)
+        leading = reg.restricted(cap)
         rows = []
         for label in NONCENTRAL_LABELS:
-            op = reg[label].restricted(leading)
+            op = leading[label]
             # integer numerators: dropping the row's den keeps the rank
             rows.append(
                 {i * n + j: v for j, col in op.cols.items() for i, v in col.items()}

@@ -57,7 +57,7 @@ def residual_report(
     less (used when a relation is only exact away from the truncation
     edge); the restriction is recorded in the summary.  lift, the
     residual's opalgebra.Lifted record, adds the columns computed and
-    whether the lift certificate held.
+    whether the quotient certificate held.
     """
     if max_weight is not None:
         leading = range(0, residual.basis.weight_block(max_weight).stop)

@@ -18,9 +18,9 @@ of block w-1, Q is the scalar lambda(k_A + a), since the lowest-weight
 vectors of A-weight a span that quotient.  So each seed s of block
 w (no quanta on leg lo) needs one test, with one column of Q and no
 product: (Q - lambda_a) e_s lies in E(block w-1), for a the A-weight of
-s (lifting.reduces_to_zero).  Block w >= 1 is certified, and its count
-is 0, when this certificate, checked in code, holds for the list
-mu_0..mu_w of the block:
+s (lifting.remainder leaves nothing).  Block w >= 1 is certified, and
+its count is 0, when this certificate, checked in code, holds for the
+list mu_0..mu_w of the block:
 
     (a)  Q is block diagonal and Q E - E Q is zero on the columns of
          weight <= n_max - 1 (lifting.commutes_below_top);
@@ -67,7 +67,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .exactnum import ONE, inverse
-from .lifting import commutes_below_top, reduces_to_zero, seed_states, spanned_by_lifting
+from .lifting import commutes_below_top, remainder, seed_states, spanned_by_lifting
 from .opalgebra import label_of_subset
 from .reporting import RelationReport
 from .sparse import SparseOperator
@@ -89,29 +89,23 @@ def predicted_eigenvalues(p, interval, weight: int) -> list:
     return [casimir_eigenvalue(p.q, k_a + x) for x in range(weight + 1)]
 
 
-def annihilating_residual(op, eigenvalues, cols) -> int:
-    """Nonzero entries of prod_x (op - lambda_x) on the columns cols.
+def annihilating_residual(op, eigenvalues, block) -> int:
+    """Nonzero entries of prod_x (op - lambda_x) on the columns of one
+    whole weight block, given as its index range block.
 
-    cols is a contiguous column range inside one weight block (the whole
-    block or part of it); the block is the one holding cols.start.  op
-    must have degree 0, so that it maps the block into itself; each
+    op must have degree 0, so that it maps the block into itself; each
     factor applies op and subtracts lambda_x times its input (one fused
     lincomb pass after the first factor), and the product starts from
-    the identity on cols.  The kernel reads op's columns only at the
-    rows of its input, which stay in the block, so op needs no
+    the identity on the block.  The kernel reads op's columns only at
+    the rows of its input, which stay in the block, so op needs no
     restriction to it.
-
-    Column j of the product is P(op) e_j and depends on no other column,
-    so the count over a block is the sum of the counts over any
-    partition of its columns into ranges.
     """
     if op.degree != 0:
         raise ValueError("the annihilating polynomial needs a degree-0 operator")
     basis = op.basis
-    weights = basis.weights
-    if not cols or cols.step != 1 or weights[cols.start] != weights[cols.stop - 1]:
-        raise ValueError(f"columns {cols} are not a range inside one weight block")
-    r = SparseOperator(basis, {j: {j: ONE} for j in cols}, 0)
+    if not block or basis.weight_block(basis.weights[block.start]) != block:
+        raise ValueError(f"columns {block} are not a whole weight block")
+    r = SparseOperator(basis, {j: {j: ONE} for j in block}, 0)
     if not eigenvalues:
         return r.nnz()
     first, *rest = eigenvalues
@@ -150,7 +144,7 @@ def seed_in_lift(op, e, lo: int, s: int, lam) -> bool:
     n, d = int(lam.numerator), int(lam.denominator)
     r = {i: d * v for i, v in op.cols.get(s, {}).items()}
     r[s] = r.get(s, 0) - n * op.den
-    return reduces_to_zero(r, e, lo)
+    return not remainder(r, e, lo)[0]
 
 
 def chain_counts(op, e, interval, eigenvalues: dict, count=None) -> dict:

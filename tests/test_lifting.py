@@ -1,18 +1,21 @@
-"""Relation residuals evaluated on seed columns and lifted through the
-total Delta(E) (lifting.py, GeneratorRegistry.lifted), against the full
-lincomb evaluation as the oracle: a registry whose certificate is never
-consulted evaluates every residual on every column."""
+"""Relation residuals evaluated on the quotient realization M_w =
+block_w / Delta(E)(block_(w-1)) (lifting.py, GeneratorRegistry.lifted),
+against the full lincomb evaluation as the oracle: a registry whose
+quotient certificate never holds evaluates every residual on the full
+table."""
 
 from dataclasses import replace
 
 import pytest
+import sympy
 
 from awalgebra import relcheck
 from awalgebra.exactnum import parse, rational
-from awalgebra.lifting import certified_seeds, commutes_below_top, on_columns, reduces_to_zero, seed_states
+from awalgebra.lifting import commutes_below_top, quotient_operator, quotient_table, remainder, seed_states
 from awalgebra.opalgebra import GeneratorRegistry, build_registry, commutator
 from awalgebra.sparse import SparseOperator
-from awalgebra.uqrep import RepParams, interval_ops
+from awalgebra.spectra import predicted_eigenvalues
+from awalgebra.uqrep import RepParams, casimir, interval_ops
 
 LIFT_FIELDS = ("columns_computed", "certificate_held")
 PARAMS = {
@@ -22,18 +25,36 @@ PARAMS = {
 
 
 class FullEvaluation(GeneratorRegistry):
-    """The oracle: no lift certificate, so every residual is computed
-    on every column."""
+    """The oracle: no quotient, so every residual is computed on the
+    full table."""
 
-    seeds = None
+    quotient = None
 
 
 def full(reg):
-    return FullEvaluation(reg.params, reg.table, reg.top)
+    return FullEvaluation(reg.params, reg.held, reg.top)
 
 
-def seed_count(basis, top):
-    return sum(1 for j in range(basis.weight_block(top).stop) if basis.states[j][0] == 0)
+def fresh(p):
+    """A registry of p that has built nothing yet (build_registry's is
+    shared by every test)."""
+    return GeneratorRegistry(p, build_registry(p).held)
+
+
+def total_e(p):
+    return interval_ops(p, (1, p.legs))["E"]
+
+
+def seeds_to(basis, top):
+    return [j for w in range(top + 1) for j in seed_states(basis, 1, w)]
+
+
+def certificate(ops, p, top=None, lams=None):
+    """lifting.quotient_table of ops with the total Casimir and the
+    predicted eigenvalues of the total interval (or lams)."""
+    top = p.n_max if top is None else top
+    lams = predicted_eigenvalues(p, (1, p.legs), top) if lams is None else lams
+    return quotient_table(ops, "Q1234", total_e(p), lams)
 
 
 def suites(reg, probe=None):
@@ -53,22 +74,37 @@ def without_lift_fields(report):
 
 
 def bumped(reg, label, j):
-    """reg with 1 added to the numerator of the diagonal entry (j, j) of
-    one generator."""
+    """reg's held entries with 1 added to the numerator of the diagonal
+    entry (j, j) of one of them."""
     op = reg[label]
     bump = SparseOperator(reg.basis, {j: {j: rational(1, op.den)}}, degree=0)
-    return GeneratorRegistry(reg.params, {**reg.table, label: op + bump})
+    return GeneratorRegistry(reg.params, {**reg.held, label: op + bump})
+
+
+@pytest.mark.parametrize("name", PARAMS)
+def test_quotient_generators_equal_the_reductions_of_the_full_ones(name):
+    reg = fresh(PARAMS[name])
+    basis = reg.basis
+    seeds = seeds_to(basis, basis.n_max)
+    assert set(reg.quotient) == set(reg.held)  # derived ones are built on first use
+    e = total_e(reg.params)
+    for label in reg.labels():
+        assert reg.quotient[label] == quotient_operator(reg[label], e, seeds), label
+    assert all(i in seeds for op in reg.quotient.values() for j, col in op.cols.items() for i in (j, *col))
+    # the total Casimir is the scalar lambda_w on M_w
+    lams = predicted_eigenvalues(reg.params, (1, 4), basis.n_max)
+    assert reg.quotient["Q1234"] == SparseOperator(basis, {s: {s: lams[basis.weights[s]]} for s in seeds}, 0)
 
 
 @pytest.mark.parametrize("name", PARAMS)
 def test_seed_reports_equal_full_reports(name):
-    reg = build_registry(PARAMS[name])
+    reg = fresh(PARAMS[name])
     basis = reg.basis
     lifted = suites(reg, reg.restricted(3))
     oracle = suites(full(reg))
     assert [without_lift_fields(r) for r in lifted] == [without_lift_fields(r) for r in oracle]
-    seeds = seed_count(basis, basis.n_max)
-    assert reg.seeds == [j for j, m in enumerate(basis.states) if m[0] == 0]
+    assert set(reg._full) == set(reg.held)  # no full derived generator was needed
+    seeds = len(seeds_to(basis, basis.n_max))
     checked = [r for r in lifted if "columns_computed" in r.residual_summary]
     assert len(checked) == 45 + 150 + 30 + 20  # every check but prop1/structure
     for r in checked:
@@ -87,7 +123,7 @@ def test_seed_reports_equal_full_reports(name):
 @pytest.mark.parametrize("name", PARAMS)
 def test_nonzero_residuals_equal_the_oracle(name):
     # wrong orientations and monomial orders of aw3, and master rows
-    # with exchanged labels: nonzero on the seeds, so computed in full
+    # with exchanged labels: nonzero on the quotient, so computed in full
     reg = build_registry(PARAMS[name])
     oracle = full(reg)
     nonzero = 0
@@ -116,16 +152,18 @@ def test_nonzero_residuals_equal_the_oracle(name):
 
 def test_changed_entry_off_the_seeds_refuses_the_certificate():
     # one diagonal numerator of Q12 changed in a column with a quantum
-    # on leg 1: the seed columns of [Q12, Q34] do not see it, so only
-    # the certificate stands between the change and a false pass
+    # on leg 1: the quotient does not see it, so only the certificate
+    # stands between the change and a false pass
     reg = build_registry(PARAMS["default"])
     basis = reg.basis
+    e = total_e(reg.params)
+    seeds = seeds_to(basis, basis.n_max)
     j = basis.index_of((1, 0, 1, 0))
-    assert j not in reg.seeds
+    assert j not in seeds
     bad = bumped(reg, "Q12", j)
-    assert commutator(bad["Q12"], bad["Q34"], reg.seeds).is_zero()
+    assert quotient_operator(bad["Q12"], e, seeds) == reg.quotient["Q12"]
     assert not commutator(bad["Q12"], bad["Q34"]).is_zero()
-    assert bad.seeds is None
+    assert bad.quotient is None
     got, want = suites(bad), suites(full(bad))
     assert [r.to_json() for r in got] == [r.to_json() for r in want]
     failed = {r.id for r in got if not r.ok}
@@ -138,50 +176,149 @@ def test_changed_entry_off_the_seeds_refuses_the_certificate():
 
 
 def test_block_not_spanned_by_lifting_refuses_the_certificate():
-    reg = build_registry(PARAMS["default"])
+    p = PARAMS["default"]
+    reg = build_registry(p)
     basis = reg.basis
-    e = interval_ops(reg.params, (1, 4))["E"]
-    assert certified_seeds(reg.table.values(), e, basis.n_max) == reg.seeds
+    e = total_e(p)
+    lams = predicted_eigenvalues(p, (1, 4), basis.n_max)
+    assert quotient_table(reg.held, "Q1234", e, lams) is not None
     # drop the entry of E that lifts (0, 1, 1, 0) to (1, 1, 1, 0)
     row, col = basis.index_of((1, 1, 1, 0)), basis.index_of((0, 1, 1, 0))
     cols = {j: dict(c) for j, c in e.cols.items()}
     del cols[col][row]
     bad = SparseOperator._raw(basis, cols, e.degree, e.den)
-    assert certified_seeds([reg["Q0"]], bad, basis.n_max) is None
-    assert certified_seeds([reg["Q0"]], bad, 2) is not None  # the entry lifts into block 3
+    assert quotient_table(reg.held, "Q1234", bad, lams) is None
+    assert quotient_table(reg.held, "Q1234", bad, lams[:3]) is not None  # the entry lifts into block 3
+    # E cut off out of block 3 as well: every generator still commutes
+    # with it below the top, but the top block has no pivots
+    cut = e.restricted(range(0, basis.weight_block(2).stop))
+    assert all(commutes_below_top(op, cut, 4) for op in reg.held.values())
+    assert quotient_table(reg.held, "Q1234", cut, lams) is None
+    assert quotient_table(reg.held, "Q1234", cut, lams[:4]) is not None
+
+
+def lowest_weight_projector(p):
+    """Y: on block w, the projector onto the eigenvalue lambda_w of the
+    total Casimir C along its other eigenvalues, prod_(x<w) (C -
+    lambda_x) / (lambda_w - lambda_x).  A polynomial in C on each block,
+    it commutes with C, but not with E, and Ybar = 1: the lowest-weight
+    part of a seed s is s less a vector of E(block w-1)."""
+    basis = p.basis
+    c = casimir(p, (1, p.legs))
+    pieces = []
+    for w in range(p.n_max + 1):
+        *lower, lam = predicted_eigenvalues(p, (1, p.legs), w)
+        r = SparseOperator(basis, {j: {j: rational(1)} for j in basis.weight_block(w)}, 0)
+        for x in lower:
+            r = SparseOperator.lincomb(basis, ((1 / (lam - x), c, r), (-x / (lam - x), r)))
+        pieces.append((1, r))
+    return SparseOperator.lincomb(basis, pieces)
 
 
 def test_operand_outside_the_registry_is_checked_against_e():
+    # an explicit table entry that commutes with C and reduces to the
+    # one it replaces, Q1 = lambda(k_1) times the identity, but does not
+    # commute with E: every residual goes to the full table, where an
+    # aw3 relation with a Q1 monomial fails
     reg = build_registry(PARAMS["default"])
     basis = reg.basis
-    seeds = reg.seeds
-    # zero on the seed states, one elsewhere: block diagonal, but E
-    # carries seeds to the other states, so it does not commute with E
-    off_seeds = SparseOperator.diagonal(basis, lambda j: rational(basis.states[j][0] > 0))
-    terms = ((1, reg["Q1234"], off_seeds),)
+    e = total_e(reg.params)
+    y = reg["Q1"] * lowest_weight_projector(reg.params)
+    assert y != reg["Q1"] and not commutes_below_top(y, e)
+    assert commutator(y, reg["Q1234"]).is_zero()
+    assert quotient_operator(y, e, seeds_to(basis, 4)) == reg.quotient["Q1"]
+    bad = GeneratorRegistry(reg.params, {**reg.held, "Q1": y})
+    assert bad.quotient is None
+    lift = bad.lifted(lambda gens: gens["Q1"] - gens["Q1"] * gens["Q0"] * gens["Q0"])
+    assert lift.residual.is_zero() and (lift.columns, lift.certified) == (len(basis), False)
+    triple = ((1,), (2,), (3,))
+    plain = {s: relcheck.label_of_subset(s) for s in relcheck._fermionic_subsets(triple)}
+    got = [relcheck._aw3_residual(bad, rel, plain, "direct") for rel in relcheck._aw3_rotations(triple)]
+    assert got == [relcheck._aw3_residual(full(bad), rel, plain, "direct") for rel in relcheck._aw3_rotations(triple)]
+    assert not all(r.is_zero() for r in got)
 
-    def evaluate(cols):
-        return SparseOperator.lincomb(basis, on_columns(terms, cols))
 
-    assert evaluate(seeds).is_zero() and not evaluate(None).is_zero()
-    lift = reg.lifted(evaluate, (off_seeds,))
-    assert lift.residual == evaluate(None)
-    assert (lift.columns, lift.certified) == (len(basis), False)
-    # a product of generators commutes with E, so it may be lifted
-    product = reg["Q12"] * reg["Q34"]
-    lift = reg.lifted(lambda cols: commutator(product, reg["Q1234"], cols), (product,))
-    assert lift.residual.is_zero() and (lift.columns, lift.certified) == (len(seeds), True)
+def test_wrong_eigenvalue_refuses_the_separation_step():
+    p = PARAMS["q=-2/5"]
+    reg = build_registry(p)
+    lams = predicted_eigenvalues(p, (1, 4), p.n_max)
+    assert certificate(reg.held, p, lams=lams) is not None
+    for w in range(p.n_max + 1):
+        wrong = list(lams)
+        wrong[w] += rational(1, lams[w].denominator)
+        assert certificate(reg.held, p, lams=wrong) is None, w
+
+
+def string_map(p, source, target):
+    """The operator that commutes with the total E and sends the seed
+    state source to E applied to the seed state target, and every other
+    seed to zero: E^i source -> E^(i+1) target, and zero on every other
+    string E^i s.  Zero on the quotient, it is the separation step's
+    counterexample."""
+    basis = p.basis
+    e = total_e(p)
+    to_sympy = lambda x: sympy.Rational(int(x.numerator), int(x.denominator))
+    dense_e = sympy.zeros(len(basis), len(basis))
+    for i, j, v in e.entries():
+        dense_e[i, j] = to_sympy(v)
+    unit = lambda j: sympy.Matrix([int(i == j) for i in range(len(basis))])
+    cols = {}
+    for w in range(p.n_max + 1):
+        block = basis.weight_block(w)
+        strings, images = [], []
+        for v in range(w + 1):
+            for s in seed_states(basis, 1, v):
+                strings.append(dense_e ** (w - v) * unit(s))
+                images.append(dense_e ** (w - v + 1) * unit(target) if s == source else sympy.zeros(len(basis), 1))
+        x = sympy.Matrix.hstack(*images) * sympy.Matrix.hstack(*strings)[list(block), :].inv()
+        for a, j in enumerate(block):
+            col = {i: rational(int(x[i, a].p), int(x[i, a].q)) for i in range(len(basis)) if x[i, a]}
+            if col:
+                cols[j] = col
+    return SparseOperator(basis, cols, 0)
+
+
+def test_casimir_not_commuting_with_c_refuses_the_separation_step():
+    p = RepParams(q=parse("5/3"), k=(1, 2), legs=2, n_max=3)
+    reg = build_registry(p)
+    basis = reg.basis
+    e = total_e(p)
+    x = string_map(p, basis.index_of((0, 2)), basis.index_of((0, 1)))
+    assert commutes_below_top(x, e) and not x.is_zero()
+    assert quotient_operator(x, e, seeds_to(basis, p.n_max)).is_zero()
+    assert not commutator(x, reg["Q12"]).is_zero()
+    bad = GeneratorRegistry(p, {**reg.held, "Q1": x})
+    lams = predicted_eigenvalues(p, (1, 2), p.n_max)
+    assert quotient_table(reg.held, "Q12", e, lams) is not None
+    assert quotient_table(bad.held, "Q12", e, lams) is None
+    assert bad.quotient is None
+    # without the separation step this commutator would be certified zero
+    assert bad.commutator_of("Q1", "Q12") == commutator(x, reg["Q12"])
+
+
+def test_repeated_eigenvalue_refuses_the_separation_step():
+    # C = -1 passes (i)-(iv) with every lambda_w = -1, but separates
+    # nothing: the string map, zero on the quotient, would pass with it
+    p = RepParams(q=parse("5/3"), k=(1, 2), legs=2, n_max=3)
+    reg = build_registry(p)
+    basis = reg.basis
+    x = string_map(p, basis.index_of((0, 2)), basis.index_of((0, 1)))
+    ops = {"Q0": reg["Q0"], "Q12": x}
+    assert quotient_table(ops, "Q0", total_e(p), [rational(-1)] * 4) is None
 
 
 def test_probe_certifies_itself_up_to_its_top():
-    reg = build_registry(RepParams(q=parse("5/3"), k=(1, 2, 1, 3), legs=4, n_max=5))
+    p = RepParams(q=parse("5/3"), k=(1, 2, 1, 3), legs=4, n_max=5)
+    reg = build_registry(p)
     basis = reg.basis
     probe = reg.restricted(3)
-    e = interval_ops(reg.params, (1, 4))["E"]
     # restricted generators commute with E only below their own top
-    assert certified_seeds(probe.table.values(), e, basis.n_max) is None
-    assert not commutes_below_top(probe["Q12"], e)
-    assert probe.seeds == [j for j in range(basis.weight_block(3).stop) if basis.states[j][0] == 0]
+    assert certificate(probe.held, p) is None
+    assert not commutes_below_top(probe["Q12"], total_e(p))
+    seeds = seeds_to(basis, 3)
+    assert certificate(probe.held, p, top=3) is not None
+    assert probe.quotient is not None
+    assert all(set(op.cols) <= set(seeds) for op in probe.quotient.values())
     oracle = full(probe)
     triple = ((1,), (2, 4), (3,))
     fermionic = relcheck._fermionic_subsets(triple)
@@ -192,17 +329,17 @@ def test_probe_certifies_itself_up_to_its_top():
                 got = relcheck._aw3_residual(probe, rel, assign, order)
                 assert got == relcheck._aw3_residual(oracle, rel, assign, order)
     lift = probe.lift_record(SparseOperator.zero(basis))
-    assert (lift.columns, lift.certified) == (seed_count(basis, 3), True)
+    assert (lift.columns, lift.certified) == (len(seeds), True)
     assert probe.lift_record(reg["Q12"]).columns == basis.weight_block(3).stop
     # a change off the seeds inside the probe's blocks refuses it too
     j = basis.index_of((1, 0, 1, 0))
-    assert bumped(reg, "Q12", j).restricted(3).seeds is None
+    assert bumped(reg, "Q12", j).restricted(3).quotient is None
 
 
 @pytest.mark.parametrize("interval", [(1, 4), (2, 3), (3, 4)])
 def test_reduction_finds_exactly_the_image_of_e(interval):
     # E v for v a combination of block w-1 reduces to zero; adding any
-    # nonzero multiple of a seed state leaves a remainder
+    # nonzero multiple of a seed state leaves a remainder, scaled
     p = PARAMS["q=-2/5"]
     basis = p.basis
     lo = interval[0]
@@ -211,8 +348,10 @@ def test_reduction_finds_exactly_the_image_of_e(interval):
         below = basis.weight_block(w - 1)
         v = SparseOperator(basis, {0: {j: rational(3 * j - 7, j % 4 + 1) for j in below}}, None)
         image = (e * v).cols.get(0, {})
-        assert image and reduces_to_zero(image, e, lo)
+        assert image and remainder(image, e, lo)[0] == {}
         doubled = {i: 2 * x for i, x in image.items()}
         for s in seed_states(basis, lo, w):
-            assert not reduces_to_zero({**doubled, s: doubled.get(s, 0) + 1}, e, lo)
-        assert not reduces_to_zero({s: -1 for s in seed_states(basis, lo, w)}, e, lo)
+            rest, scale = remainder({**doubled, s: doubled.get(s, 0) + 1}, e, lo)
+            assert scale > 0 and rest == {s: scale}
+        rest, scale = remainder({s: -1 for s in seed_states(basis, lo, w)}, e, lo)
+        assert scale == 1 and rest == {s: -1 for s in seed_states(basis, lo, w)}

@@ -8,6 +8,7 @@ import os
 import threading
 import time
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -82,7 +83,7 @@ def test_worker_holds_one_suite_at_a_time(monkeypatch):
         return [(os.getpid(), tuple(ranges[-1]) if ranges else None)]
 
     monkeypatch.setattr(cli, "run_suite", fake_suite)
-    monkeypatch.setattr(cli, "build_registry", lambda p: None)
+    monkeypatch.setattr(cli, "build_registry", lambda p: SimpleNamespace(quotient=None))
     names = [f"s{i}" for i in range(8)]
     seen = [reports[0] for _, reports, _ in suite_results(names, None, True)]
     assert seen[0] == (os.getpid(), None)
@@ -132,7 +133,7 @@ def test_each_suite_runs_once_under_contention(monkeypatch, tmp_path):
         return [name]
 
     monkeypatch.setattr(cli, "run_suite", fake_suite)
-    monkeypatch.setattr(cli, "build_registry", lambda p: None)
+    monkeypatch.setattr(cli, "build_registry", lambda p: SimpleNamespace(quotient=None))
     pids = set()
     deadline = time.monotonic() + 3
     for trial in range(1000):
