@@ -18,6 +18,7 @@ import sys
 import threading
 import time
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 from . import relcheck
@@ -46,14 +47,12 @@ FORMAT_VERSION = 1
 # pipes and the reaping cost about 8 ms the first time in a process and
 # 4 ms after that.  Serial against forked wall time of one default
 # verify in a fresh process, import included (fractions backend, Python
-# 3.11.7, 2 cores, medians of seven alternated runs): 0.33/0.41 s at
-# nmax 5 (126 states), 0.38/0.42 s at nmax 6 (210) and 1.15/0.80 s at
-# nmax 8 (495); before the quotient realization, 0.77/0.53 s at nmax 6
-# and 1.53/1.19 s at nmax 8.  So a fork now pays at nmax 8 but not at
-# nmax 5 or 6.  The bound and the four-leg rule stay until the fork
-# scheduler is retired or re-gated as a whole, and the benchmark's
-# traced nmax-4 verify must stay in one process until its tracer sees
-# the worker.
+# 3.11.7, 2 cores, medians of ten alternated pairs): 0.38/0.40 s at
+# nmax 5 (126 states; serial faster in 5 of 10), 0.41/0.31 s at nmax 6
+# (210; forked faster in 8 of 10) and 1.13/0.69 s at nmax 8 (495;
+# forked faster in 10 of 10).  So a fork breaks even at the bound and
+# pays above it.  The benchmark's traced nmax-4 verify must stay in one
+# process until its tracer sees the worker.
 PARALLEL_MIN_STATES = 126
 
 DEFAULT_K = (1, 2, 1, 3)
@@ -463,6 +462,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: parse_args fills a fresh namespace on every
+# call, so successive main calls share no option values.
+_parser = cache(build_parser)
+
+
 def _join_negative_q(argv) -> list:
     """argparse reads a separate "-a/b" as an option, so "--q -a/b"
     becomes "--q=-a/b"."""
@@ -476,11 +480,10 @@ def _join_negative_q(argv) -> list:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_join_negative_q(argv))
+        args = _parser().parse_args(_join_negative_q(argv))
     except SystemExit as exit_:
         return exit_.code if isinstance(exit_.code, int) else 2
     p = None

@@ -19,6 +19,10 @@ a diagonal matrix, so every algebra relation, every Casimir entry and
 every spectrum is untouched, while all matrix entries become rational
 in q.
 
+Every entry depends on the leg's occupation n alone, so each generator
+is built from a table of at most n_max + 1 values, one per n, written
+as int numerators over the table's common denominator.
+
 Multi-leg operators on a consecutive interval of legs come from
 iterating the comultiplication
 
@@ -28,6 +32,9 @@ iterating the comultiplication
 
 which may be folded from the left or from the right; coassociativity
 says the two brackets agree, and the verification suites check that.
+Each fold is one coupling away from a cached fold one leg shorter
+(interval_ops), so the ten left folds of four legs take six couplings
+and the three right folds three more.
 
 Truncation: E out of the top weight block is cut off.  Compositions
 where F acts first (E*F, hence every Casimir) are exact on the whole
@@ -40,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 
 from .exactnum import ONE, Rational
 from .fockspace import TruncatedBasis
@@ -51,10 +59,12 @@ GENERATOR_NAMES = ("E", "F", "K", "Kinv")
 # four operator caches below.  They are keyed on parameter values, so
 # equal parameters share one entry across runs in a process; the bound
 # drops the least recently used parameter sets and keeps a long-lived
-# process from holding all of them.  One default
-# verify run fills at most 19 entries of any of them (interval_ops: 10
-# left and 3 right folds at four legs, 6 left folds for the three-leg
-# sub-realization; casimir 16, _leg_ops 7, casimir_unshifted 6).
+# process from holding all of them.  One default verify run fills at
+# most 19 entries of any of them (interval_ops: 10 left folds, single
+# legs included, and 3 right folds at four legs, 6 left folds for the
+# three-leg sub-realization; casimir 16, _leg_ops 7, casimir_unshifted
+# 6), and spectrum --nmax 7 over all ten labels 10.  Every shorter fold
+# a fold extends is one of these entries.
 CACHE_SIZE = 32
 
 
@@ -122,44 +132,53 @@ def check_interval(p: RepParams, interval):
 
 
 def primitive_generator(p: RepParams, leg: int, which: str) -> SparseOperator:
-    """Generator acting on a single leg, identity on all others."""
+    """Generator acting on a single leg, identity on all others, filled
+    from its table of one value per occupation n (module doc)."""
     if not 1 <= leg <= p.legs:
         raise ValueError(f"leg {leg} not within 1..{p.legs}")
     basis = p.basis
     q = p.q
     k = p.k[leg - 1]
     ax = leg - 1
-    cols = {}
+    n_max = basis.n_max
+    index_of = basis.index_of
+    # (column, row, occupation n of the column's state) per entry
     if which in ("K", "Kinv"):
         sign = 1 if which == "K" else -1
-        for j, m in enumerate(basis.states):
-            cols[j] = {j: q ** (sign * (k + m[ax]))}
+        table = [q ** (sign * (k + n)) for n in range(n_max + 1)]
+        entries = [(j, j, m[ax]) for j, m in enumerate(basis.states)]
         degree = 0
     elif which == "F":
-        for j, m in enumerate(basis.states):
-            n = m[ax]
-            if n >= 1:
-                target = m[:ax] + (n - 1,) + m[ax + 1 :]
-                cols[j] = {basis.index_of(target): ONE}
+        table = [ONE] * (n_max + 1)
+        entries = [
+            (j, index_of(m[:ax] + (m[ax] - 1,) + m[ax + 1 :]), m[ax])
+            for j, m in enumerate(basis.states)
+            if m[ax] >= 1
+        ]
         degree = -1
     elif which == "E":
         denom = (ONE / q - q) ** 2
-        for j, m in enumerate(basis.states):
-            if basis.weights[j] >= basis.n_max:
-                continue  # raising out of the truncation is cut off
-            n = m[ax]
-            coeff = (
-                -(q ** (-1 - 2 * k - 2 * n))
-                * (1 - q ** (2 * n + 2))
-                * (1 - q ** (4 * k + 2 * n))
-                / denom
-            )
-            target = m[:ax] + (n + 1,) + m[ax + 1 :]
-            cols[j] = {basis.index_of(target): coeff}
+        table = [
+            -(q ** (-1 - 2 * k - 2 * n))
+            * (1 - q ** (2 * n + 2))
+            * (1 - q ** (4 * k + 2 * n))
+            / denom
+            for n in range(n_max)
+        ]
+        # raising out of the truncation (the top weight block) is cut off
+        entries = [
+            (j, index_of(m[:ax] + (m[ax] + 1,) + m[ax + 1 :]), m[ax])
+            for j, m in enumerate(basis.states)
+            if basis.weights[j] < n_max
+        ]
         degree = 1
     else:
         raise ValueError(f"unknown generator {which!r}")
-    return SparseOperator(basis, cols, degree)
+    den = lcm(*(int(v.denominator) for v in table))
+    nums = [int(v.numerator) * (den // int(v.denominator)) for v in table]
+    # no numerator is zero: q is nonzero and no root of unity
+    cols = {j: {i: nums[n]} for j, i, n in entries}
+    return SparseOperator._reduced(basis, cols, degree, den)
 
 
 def _couple(left: dict, right: dict) -> dict:
@@ -188,22 +207,25 @@ def interval_ops(p: RepParams, interval, assembly: str = "left") -> dict:
 
     assembly picks the coproduct folding order, "left" for
     ((1 (x) 2) (x) 3) ... or "right" for ... (1 (x) (2 (x) 3)); the two
-    agree by coassociativity.  Returned dicts are shared and cached;
-    treat them as read-only.
+    agree by coassociativity.  Each fold extends a cached fold one leg
+    shorter by one coupling: the left fold of lo..hi couples the left
+    fold of lo..hi-1 with leg hi, the right fold couples leg lo with
+    the right fold of lo+1..hi.  Two legs have one bracketing, which
+    is the left fold's, under the left fold's cache key.  Returned
+    dicts are shared and cached; treat them as read-only.
     """
     lo, hi = check_interval(p, interval)
     if assembly not in ("left", "right"):
         raise ValueError(f"unknown assembly order {assembly!r}")
-    per_leg = [_leg_ops(p, leg) for leg in range(lo, hi + 1)]
+    if lo == hi:
+        return _leg_ops(p, lo)
     if assembly == "left":
-        acc = per_leg[0]
-        for nxt in per_leg[1:]:
-            acc = _couple(acc, nxt)
-    else:
-        acc = per_leg[-1]
-        for prev in reversed(per_leg[:-1]):
-            acc = _couple(prev, acc)
-    return acc
+        return _couple(interval_ops(p, (lo, hi - 1)), _leg_ops(p, hi))
+    if hi - lo == 1:
+        return interval_ops(p, (lo, hi))
+    rest = (lo + 1, hi)
+    right = interval_ops(p, rest, "right") if hi - lo > 2 else interval_ops(p, rest)
+    return _couple(_leg_ops(p, lo), right)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

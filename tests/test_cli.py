@@ -2,7 +2,7 @@
 
 import json
 
-from awalgebra import relcheck
+from awalgebra import cli, relcheck
 from awalgebra.cli import main
 from awalgebra.opalgebra import build_registry
 from awalgebra.reporting import RelationReport
@@ -228,3 +228,20 @@ def test_tables_prints_all_rows(capsys):
     assert "(Q1, Q2, Q4)" in lines[0]
     assert sum(line.startswith("table1") for line in lines) == 10
     assert sum(line.startswith("table2") for line in lines) == 10
+
+
+def test_successive_calls_share_the_parser_but_no_options(capsys, tmp_path):
+    # one parser per process; each call's options are its own
+    code, out, _ = run(capsys, "spectrum", "--op", "Q12", "--nmax", "2", "--weight", "2")
+    assert code == 0
+    assert "weight 2" in out and "weight 0" not in out
+    code, out, _ = run(capsys, "spectrum", "--op", "Q12", "--nmax", "2")
+    assert code == 0
+    assert all(f"weight {w} " in out for w in (0, 1, 2))
+    report = tmp_path / "f"
+    code, _, _ = run(capsys, "verify", "--nmax", "1", "--suite", "defining", "--report", str(report))
+    assert code == 0 and report.exists()
+    report.unlink()
+    code, _, _ = run(capsys, "verify", "--nmax", "1", "--suite", "defining")
+    assert code == 0 and not report.exists()
+    assert cli._parser.cache_info().misses == 1

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from awalgebra import uqrep
 from awalgebra.exactnum import ONE, Rational, inverse, parse, rational
 from awalgebra.sparse import SparseOperator
 from awalgebra.opalgebra import build_registry
@@ -88,6 +89,61 @@ def test_raising_coefficients_frozen():
     assert E.get(b.index_of((1, 0)), b.index_of((0, 0))) == rational(-5, 2)
     assert E.get(b.index_of((2, 0)), b.index_of((1, 0))) == rational(-105, 8)
     assert E.degree == 1 and degree_is_consistent(E)
+
+
+def per_state_generator(p, leg, which):
+    """The leg generator computed entry by entry, one basis state at a
+    time, through the checking constructor: the construction the
+    per-occupation tables of primitive_generator replace."""
+    basis = p.basis
+    q = p.q
+    k = p.k[leg - 1]
+    ax = leg - 1
+    cols = {}
+    if which in ("K", "Kinv"):
+        sign = 1 if which == "K" else -1
+        for j, m in enumerate(basis.states):
+            cols[j] = {j: q ** (sign * (k + m[ax]))}
+        degree = 0
+    elif which == "F":
+        for j, m in enumerate(basis.states):
+            n = m[ax]
+            if n >= 1:
+                target = m[:ax] + (n - 1,) + m[ax + 1 :]
+                cols[j] = {basis.index_of(target): ONE}
+        degree = -1
+    else:
+        denom = (ONE / q - q) ** 2
+        for j, m in enumerate(basis.states):
+            if basis.weights[j] >= basis.n_max:
+                continue
+            n = m[ax]
+            coeff = (
+                -(q ** (-1 - 2 * k - 2 * n))
+                * (1 - q ** (2 * n + 2))
+                * (1 - q ** (4 * k + 2 * n))
+                / denom
+            )
+            target = m[:ax] + (n + 1,) + m[ax + 1 :]
+            cols[j] = {basis.index_of(target): coeff}
+        degree = 1
+    return SparseOperator(basis, cols, degree)
+
+
+ACCEPTANCE = [(Q53, (1, 2, 1, 3)), (parse("2/5"), (2, 1, 1, 1))]
+
+
+@pytest.mark.parametrize("n_max", [1, 5])
+@pytest.mark.parametrize("legs", [2, 3, 4])
+@pytest.mark.parametrize("q, k", ACCEPTANCE)
+def test_leg_tables_match_per_state_formula(q, k, legs, n_max):
+    # n_max 1 leaves one raising coefficient below the cut-off block
+    p, _ = make(q, k[:legs], n_max)
+    for leg in range(1, legs + 1):
+        for which in ("E", "F", "K", "Kinv"):
+            got = primitive_generator(p, leg, which)
+            want = per_state_generator(p, leg, which)
+            assert (got.den, got.cols, got.degree) == (want.den, want.cols, want.degree)
 
 
 def test_lowering_is_unit_shift():
@@ -315,3 +371,38 @@ def test_equal_parameters_share_one_basis():
     assert p3.basis is p1.basis
     assert make(Q53, (1, 2, 1), 2)[1] is not p1.basis
     assert _basis.cache_info().maxsize == CACHE_SIZE
+
+
+@pytest.fixture
+def couples(monkeypatch):
+    """Counts the _couple calls interval_ops makes, from cold caches."""
+    for cached in CACHES:
+        cached.cache_clear()
+    seen = []
+    couple = uqrep._couple
+    monkeypatch.setattr(uqrep, "_couple", lambda a, b: seen.append(None) or couple(a, b))
+    return seen
+
+
+def test_left_fold_extends_the_shorter_left_fold(couples):
+    p, _ = make(Q53, (1, 2, 1, 3), 2)
+    interval_ops(p, (1, 4))
+    assert len(couples) == 3
+    misses = interval_ops.cache_info().misses
+    interval_ops(p, (1, 2))
+    interval_ops(p, (1, 3))
+    assert len(couples) == 3 and interval_ops.cache_info().misses == misses
+
+
+def test_right_fold_extends_the_shorter_right_fold(couples):
+    p, _ = make(Q53, (1, 2, 1, 3), 2)
+    interval_ops(p, (2, 4), "right")
+    before = len(couples)
+    interval_ops(p, (1, 4), "right")
+    assert len(couples) == before + 1
+
+
+def test_two_leg_right_fold_is_the_left_fold():
+    p, _ = make(Q53, (1, 2, 1, 3), 2)
+    for lo in (1, 2, 3):
+        assert interval_ops(p, (lo, lo + 1), "right") is interval_ops(p, (lo, lo + 1))
