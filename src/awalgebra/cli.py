@@ -47,12 +47,13 @@ FORMAT_VERSION = 1
 # pipes and the reaping cost about 8 ms the first time in a process and
 # 4 ms after that.  Serial against forked wall time of one default
 # verify in a fresh process, import included (fractions backend, Python
-# 3.11.7, 2 cores, medians of ten alternated pairs): 0.38/0.40 s at
-# nmax 5 (126 states; serial faster in 5 of 10), 0.41/0.31 s at nmax 6
-# (210; forked faster in 8 of 10) and 1.13/0.69 s at nmax 8 (495;
-# forked faster in 10 of 10).  So a fork breaks even at the bound and
-# pays above it.  The benchmark's traced nmax-4 verify must stay in one
-# process until its tracer sees the worker.
+# 3.11.7, 2 cores, medians of ten alternated pairs, two runs minutes
+# apart): 0.33/0.32 s and 0.34/0.26 s at nmax 5 (126 states; serial
+# faster in 7 and 0 of 10), 0.49/0.53 s and 0.39/0.28 s at nmax 6 (210;
+# 8 and 0 of 10) and 0.95/0.75 s and 0.99/0.65 s at nmax 8 (495; 0 and
+# 0 of 10).  So the host's load decides at nmax 5 and 6, and the fork
+# pays at nmax 8.  The benchmark's traced nmax-4 verify must stay in
+# one process until its tracer sees the worker.
 PARALLEL_MIN_STATES = 126
 
 DEFAULT_K = (1, 2, 1, 3)

@@ -73,9 +73,21 @@ P_(w-1)(lambda_w) u = P_(w-1)(C) u = 0, and P_(w-1)(lambda_w) != 0 by
 (v), so u = 0 and R s = 0.  R is also zero on E(block w-1), since
 R E v = E R v = 0, so R is zero on block w.
 
+Corollary (central commutators).  Call Xbar block scalar when Xbar =
+c_w on M_w for every w <= top: on every seed column of weight <= top it
+has at most its diagonal entry, one value per weight block, an absent
+column counting as 0 for its whole block (block_scalar).  Every Ybar,
+for Y a polynomial in ops, maps each M_w into itself, so Xbar Ybar =
+Ybar Xbar, and R = [X, Y] has Rbar = [Xbar, Ybar] = 0.  By the theorem,
+[X, Y] is zero on every column of weight <= top, with no product
+formed.
+
 Relation residuals (opalgebra.GeneratorRegistry.lifted) use this with
 E the total Delta(E), lo = 1, C the total Casimir and lambda_w =
-lambda(k_1 + ... + k_legs + w).  Casimir spectra (spectra.chain_counts)
+lambda(k_1 + ... + k_legs + w); GeneratorRegistry.commutator_of answers
+a commutator with an operand of block scalar reduction (Q0, the
+single-leg Casimirs and the total Casimir) by the corollary.  Casimir
+spectra (spectra.chain_counts)
 use (span) and remainder with E = Delta_A(E) for an interval A; each
 seed is tested for one quotient membership, and spectra.py carries its
 own proof.
@@ -192,6 +204,28 @@ def quotient_operator(op, e, seeds) -> SparseOperator:
         m = common // scale
         cols[s] = {i: x * m for i, x in rest.items()} if m != 1 else rest
     return SparseOperator._reduced(op.basis, cols, 0, op.den * common)
+
+
+def block_scalar(op, top: int) -> bool:
+    """op, a reduction Xbar on the seeds (leg 1) of weight <= top, is
+    c_w on M_w for every w <= top (the corollary of the module doc)."""
+    basis = op.basis
+    cols = op.cols
+    seen = 0
+    for w in range(top + 1):
+        values = set()
+        for s in seed_states(basis, 1, w):
+            col = cols.get(s)
+            if col is None:
+                values.add(0)
+                continue
+            if len(col) != 1 or s not in col:
+                return False
+            values.add(col[s])
+            seen += 1
+        if len(values) > 1:
+            return False
+    return seen == len(cols)  # no column off the seeds
 
 
 def quotient_table(ops: dict, total: str, e, eigenvalues) -> dict | None:

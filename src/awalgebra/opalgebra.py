@@ -31,7 +31,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .exactnum import ONE, inverse
-from .lifting import quotient_table, seed_states
+from .lifting import block_scalar, quotient_table, seed_states
 from .sparse import SparseOperator
 from .uqrep import RepParams, casimir, interval_ops
 
@@ -215,13 +215,18 @@ class GeneratorRegistry:
     def commutator_of(self, la: str, lb: str) -> SparseOperator:
         """[self[la], self[lb]], evaluated by lifted.
 
+        A pair with a label in central commutes by the corollary of
+        lifting.py and is answered with the zero operator unevaluated.
         A pair found to commute is remembered, in either order, since
         [b, a] = -[a, b], and answered with the zero operator from then
         on; nonzero commutators are recomputed, which keeps the memo a
         set of label pairs.
         """
+        for label in (la, lb):
+            if label not in self._labels:
+                raise KeyError(f"no generator {label!r} at legs={self.params.legs}")
         pair = frozenset((la, lb))
-        if pair in self._commuting:
+        if pair in self._commuting or not self.central.isdisjoint(pair):
             return SparseOperator.zero(self.basis)
         out = self.lifted(lambda gens: commutator(gens[la], gens[lb])).residual
         if out.is_zero():
@@ -247,6 +252,15 @@ class GeneratorRegistry:
             predicted_eigenvalues(p, total, self.top),
         )
         return None if held is None else Generators(held, p.q)
+
+    @cached_property
+    def central(self) -> frozenset:
+        """The held labels whose quotient entry is block scalar
+        (lifting.block_scalar); empty when the certificate fails."""
+        quotient = self.quotient
+        if quotient is None:
+            return frozenset()
+        return frozenset(x for x in self.held if block_scalar(quotient[x], self.top))
 
     @cached_property
     def _seed_count(self) -> int:

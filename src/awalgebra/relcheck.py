@@ -21,14 +21,19 @@ spectra        annihilating polynomials of every interval Casimir on
 independence   exact rank of the fifteen non-central generators
 
 The residuals of prop1's commuting pairs, prop2, the symmetric aw3
-relations and master are polynomials in the registry's generators.
-Each is evaluated first on the registry's quotient table, the
-generators read on block_w / Delta(E)(block_(w-1)) with the seed states
-(no quanta on leg 1) as basis, and a zero there is zero on every column
-while the quotient certificate holds (the theorem of lifting.py,
-GeneratorRegistry.lifted); a residual the quotient leaves nonzero is
-recomputed on the full table, so every report is the full evaluation's.
-Their summaries add columns_computed and certificate_held.
+relations, master and the quadratic pair are polynomials in the
+registry's generators.  Each is evaluated first on the registry's
+quotient table, the generators read on block_w / Delta(E)(block_(w-1))
+with the seed states (no quanta on leg 1) as basis, and a zero there is
+zero on every column while the quotient certificate holds (the theorem
+of lifting.py, GeneratorRegistry.lifted); a residual the quotient
+leaves nonzero is recomputed on the full table, so every report is the
+full evaluation's.  The summaries of all but the quadratic pair add
+columns_computed and certificate_held.  A commutator with Q0, a
+single-leg Casimir or the total Casimir, whose reductions are block
+scalar, is zero by the corollary of lifting.py and is not evaluated
+(GeneratorRegistry.commutator_of).  The independence rank is taken on
+the quotient first (check_independence).
 """
 
 from __future__ import annotations
@@ -412,6 +417,11 @@ def check_aw3_linear(reg: GeneratorRegistry, tag: str = "linear") -> list[Relati
     ]
 
 
+def quadratic_constant(q):
+    """The constant term 2q^2/(q+1)^4 of D1 and D2 (check_aw3_quadratic)."""
+    return 2 * q * q / (q + 1) ** 4
+
+
 def check_aw3_quadratic(reg3: GeneratorRegistry) -> list[RelationReport]:
     """Quadratic relation pair in unshifted Casimirs, as printed:
 
@@ -423,75 +433,79 @@ def check_aw3_quadratic(reg3: GeneratorRegistry) -> list[RelationReport]:
              - (q+q^-1)(U1 U123 + U2 U3) + 2q^2/(q+1)^4
         D2 = same with U3 U123 + U1 U2 in the third term
 
+    The unshifted Casimir of an interval A is affine in the registry's
+    generators, U_A = -(t/s^2) Q_A + (2/s^2) Q0 with s = q - q^-1, t =
+    q + q^-1 and Q0 minus the identity (uqrep.casimir_unshifted).  So
+    each line is a polynomial in the registry's generators and one
+    reg3.lifted residual: the U, the inner q-commutator, U1 U3 + U2 U123
+    and B are one lincomb each on the table lifted hands it, and the
+    constant enters as a multiple of Q0.  (An identity on the whole
+    basis would leave a diagonal off the seeds, so the quotient residual
+    would never vanish.)
+
     These lines are verified and reported but never gate a run: when
-    the residual is nonzero the report carries a structural diagnosis
-    (scalar multiple of the identity, or scalar plus a multiple of the
-    lone linear term), pinning down which printed coefficient is off.
-    The linearized pair, which is exact, is checked alongside.
+    the residual is nonzero (recomputed on the full table by lifted)
+    the report carries a structural diagnosis (scalar multiple of the
+    identity, or scalar plus a multiple of the lone linear term),
+    pinning down which printed coefficient is off.  The linearized
+    pair, which is exact, is checked alongside.
     """
     p = reg3.params
     if p.legs != 3:
         raise ValueError("quadratic relation pair is stated on three legs")
     q = p.q
-    s2 = (q - inverse(q)) ** 2
-    t = q + inverse(q)
-    u = {
-        "U1": casimir_unshifted(p, (1, 1)),
-        "U2": casimir_unshifted(p, (2, 2)),
-        "U3": casimir_unshifted(p, (3, 3)),
-        "U12": casimir_unshifted(p, (1, 2)),
-        "U23": casimir_unshifted(p, (2, 3)),
-        "U123": casimir_unshifted(p, (1, 3)),
-    }
-    iden = SparseOperator.identity(reg3.basis)
-    central_sum = u["U1"] + u["U2"] + u["U3"] + u["U123"]
-    gg = u["U1"] * u["U3"] + u["U2"] * u["U123"]
-    b = gg.scale(s2) + central_sum.scale(2)
-    const = iden.scale(2 * q * q / (q + 1) ** 4)
-    d1 = (
-        gg.scale(2)
-        - central_sum.scale(2 * q / (q + 1) ** 2)
-        - (u["U1"] * u["U123"] + u["U2"] * u["U3"]).scale(t)
-        + const
-    )
-    d2 = (
-        gg.scale(2)
-        - central_sum.scale(2 * q / (q + 1) ** 2)
-        - (u["U3"] * u["U123"] + u["U1"] * u["U2"]).scale(t)
-        + const
-    )
-    anti = u["U12"] * u["U23"] + u["U23"] * u["U12"]
+    iq = inverse(q)
+    s2 = (q - iq) ** 2
+    t = q + iq
+    c1 = 2 * q / (q + 1) ** 2
+    central = ("U1", "U2", "U3", "U123")
+    intervals = {"U12": (1, 2), "U23": (2, 3)}
+
+    def line(x, y, pairs):
+        """Residual of [[x,y]_q,x]_q = -2 x^2 - 2{x,y} + B x + y + D,
+        D's third term summing the products pairs."""
+
+        def evaluate(gens):
+            basis = reg3.basis
+            lin = lambda terms: SparseOperator.lincomb(basis, terms)
+            q0 = gens["Q0"]
+            u = {
+                f"U{a}": lin(((-t / s2, gens[f"Q{a}"]), (2 / s2, q0)))
+                for a in ("1", "2", "3", "12", "23", "123")
+            }
+            ux, uy = u[x], u[y]
+            inner = lin(((q, ux, uy), (-iq, uy, ux)))
+            gg = lin(((1, u["U1"], u["U3"]), (1, u["U2"], u["U123"])))
+            b = lin(((s2, gg), *((2, u[a]) for a in central)))
+            return lin(
+                (
+                    (q, inner, ux),
+                    (-iq, ux, inner),
+                    (2, ux, ux),
+                    (2, ux, uy),
+                    (2, uy, ux),
+                    (-1, b, ux),
+                    (-1, uy),
+                    (-2, gg),
+                    *((c1, u[a]) for a in central),
+                    *((t, u[v], u[w]) for v, w in pairs),
+                    # minus the constant times the identity, which is -Q0
+                    (quadratic_constant(q), q0),
+                )
+            )
+
+        return reg3.lifted(evaluate).residual
+
     lines = [
-        (
-            "line1",
-            "U23",
-            q_commutator(q, q_commutator(q, u["U12"], u["U23"]), u["U12"])
-            - (
-                (u["U12"] * u["U12"]).scale(-2)
-                - anti.scale(2)
-                + b * u["U12"]
-                + u["U23"]
-                + d1
-            ),
-        ),
-        (
-            "line2",
-            "U12",
-            q_commutator(q, q_commutator(q, u["U23"], u["U12"]), u["U23"])
-            - (
-                (u["U23"] * u["U23"]).scale(-2)
-                - anti.scale(2)
-                + b * u["U23"]
-                + u["U12"]
-                + d2
-            ),
-        ),
+        ("line1", "U23", line("U12", "U23", (("U1", "U123"), ("U2", "U3")))),
+        ("line2", "U12", line("U23", "U12", (("U3", "U123"), ("U1", "U2")))),
     ]
     reports = []
     for name, lone_name, resid in lines:
         note = None
         if not resid.is_zero():
-            note = _diagnose_residual(resid, u[lone_name], lone_name)
+            lone = casimir_unshifted(p, intervals[lone_name])
+            note = _diagnose_residual(resid, lone, lone_name)
         reports.append(
             residual_report(
                 id=f"aw3-quadratic/{name}",
@@ -634,9 +648,18 @@ def check_independence(reg: GeneratorRegistry) -> RelationReport:
     The generators are block diagonal with truncation-independent
     blocks, so full rank certified on a leading set of weight blocks is
     full rank outright; blocks are added until the rank reaches 15 or
-    the truncation is exhausted.  The generators are read from
-    reg.restricted(cap), whose derived generators are built from the
-    restricted Casimirs (sound by restricted's docstring).
+    the truncation is exhausted.
+
+    At each cap the rows are first the quotient entries (reg.quotient)
+    on the seed columns of weight <= cap.  Column s of Xbar is the
+    remainder of column s of X, and the remainder is linear, so a
+    vanishing combination of the generators on the columns of weight
+    <= cap vanishes on their reductions: independent reductions prove
+    independent generators.  Only when that rank falls short are the
+    generators read from reg.restricted(cap), whose derived generators
+    are built from the restricted Casimirs (sound by restricted's
+    docstring), for the exact rank at that cap.  So the loop stops at
+    the same cap, with the same rank, as on the restricted rows alone.
     """
     if reg.params.legs != 4:
         raise ValueError("the fifteen-generator statement needs four legs")
@@ -644,22 +667,27 @@ def check_independence(reg: GeneratorRegistry) -> RelationReport:
         raise ValueError("rank check needs n_max >= 2")
     basis = reg.basis
     n = len(basis)
-    rank = 0
-    cap = min(2, basis.n_max)
-    while True:
-        leading = reg.restricted(cap)
+    full = len(NONCENTRAL_LABELS)
+
+    def rank_of(gens, cols):
         rows = []
         for label in NONCENTRAL_LABELS:
-            op = leading[label]
+            op = gens[label].restricted(cols)
             # integer numerators: dropping the row's den keeps the rank
-            rows.append(
-                {i * n + j: v for j, col in op.cols.items() for i, v in col.items()}
-            )
-        rank = fraction_free_rank(rows)
-        if rank == len(NONCENTRAL_LABELS) or cap == basis.n_max:
+            rows.append({i * n + j: v for j, col in op.cols.items() for i, v in col.items()})
+        return fraction_free_rank(rows)
+
+    quotient = reg.quotient
+    cap = min(2, basis.n_max)
+    while True:
+        cols = range(0, basis.weight_block(cap).stop)
+        rank = 0 if quotient is None else rank_of(quotient, cols)
+        if rank < full:
+            rank = rank_of(reg.restricted(cap), cols)
+        if rank == full or cap == basis.n_max:
             break
         cap += 1
-    ok = rank == len(NONCENTRAL_LABELS)
+    ok = rank == full
     return RelationReport(
         id="independence/rank",
         kind="linear-independence",
@@ -668,7 +696,7 @@ def check_independence(reg: GeneratorRegistry) -> RelationReport:
         residual_summary={
             "nonzero_entries": 0 if ok else 1,
             "sample": None,
-            "note": f"rank {rank} of {len(NONCENTRAL_LABELS)}",
+            "note": f"rank {rank} of {full}",
         },
     )
 

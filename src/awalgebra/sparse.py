@@ -276,11 +276,54 @@ class SparseOperator:
         return True
 
 
+# The Mersenne prime 2^61 - 1: fraction_free_rank's modular pass.
+RANK_PRIME = (1 << 61) - 1
+
+
+def rank_mod_prime(rows) -> int:
+    """Rank mod p = RANK_PRIME of integer rows (dicts coordinate ->
+    int), taken over the columns, which are short when the rows are
+    few: each column, a dict row index -> value, is reduced against the
+    pivot columns kept so far, led by its smallest live row index, and
+    kept, normalized, when anything is left.  It stops once every row
+    has a pivot."""
+    p = RANK_PRIME
+    cols = {}
+    for k, row in enumerate(rows):
+        for c, v in row.items():
+            if x := v % p:
+                cols.setdefault(c, {})[k] = x
+    pivots = {}
+    for c in sorted(cols):
+        if len(pivots) == len(rows):
+            break
+        r = cols[c]
+        while r:
+            lead = min(r)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(r[lead], -1, p)
+                pivots[lead] = {k: v * inv % p for k, v in r.items()}
+                break
+            f = r[lead]
+            for k, v in pivot.items():
+                x = (r.get(k, 0) - f * v) % p
+                if x:
+                    r[k] = x
+                else:
+                    r.pop(k, None)
+    return len(pivots)
+
+
 def fraction_free_rank(rows) -> int:
     """Exact rank of sparse rational rows (dicts coordinate -> value).
 
-    Rows are scaled integral, then eliminated by fraction-free (Bareiss
-    one-step) reduction: every update is
+    Rows are scaled integral, then eliminated mod RANK_PRIME.  The rank
+    mod a prime is at most the rational rank (a minor that vanishes
+    over the integers vanishes mod p), so a modular rank equal to the
+    number of nonzero rows is the rank outright.  Otherwise the integer
+    rows are eliminated by fraction-free (Bareiss one-step) reduction:
+    every update is
 
         new = (pivot * row - row[pivot_col] * pivot_row) / previous_pivot
 
@@ -297,6 +340,8 @@ def fraction_free_rank(rows) -> int:
             d = int(v.denominator)
             scale = scale // gcd(scale, d) * d
         work.append({c: int(v * scale) for c, v in row.items()})
+    if rank_mod_prime(work) == len(work):
+        return len(work)
     prev = 1
     rank = 0
     while work:

@@ -8,7 +8,14 @@ from pathlib import Path
 import pytest
 
 import awalgebra
-from awalgebra.opalgebra import is_consecutive, subset_of_label
+from awalgebra.opalgebra import GeneratorRegistry, is_consecutive, subset_of_label
+
+
+class FullEvaluation(GeneratorRegistry):
+    """The oracle: no quotient, so every residual is computed on the
+    full table."""
+
+    quotient = None
 
 
 def degree_is_consistent(op) -> bool:

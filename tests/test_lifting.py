@@ -4,31 +4,34 @@ against the full lincomb evaluation as the oracle: a registry whose
 quotient certificate never holds evaluates every residual on the full
 table."""
 
+import json
 from dataclasses import replace
 
 import pytest
 import sympy
 
-from awalgebra import relcheck
+from awalgebra import cli, opalgebra, relcheck
+from awalgebra.compass import CompassError, build_compass
 from awalgebra.exactnum import parse, rational
-from awalgebra.lifting import commutes_below_top, quotient_operator, quotient_table, remainder, seed_states
+from awalgebra.lifting import (
+    block_scalar,
+    commutes_below_top,
+    quotient_operator,
+    quotient_table,
+    remainder,
+    seed_states,
+)
 from awalgebra.opalgebra import GeneratorRegistry, build_registry, commutator
 from awalgebra.sparse import SparseOperator
 from awalgebra.spectra import predicted_eigenvalues
 from awalgebra.uqrep import RepParams, casimir, interval_ops
+from helpers import FullEvaluation
 
 LIFT_FIELDS = ("columns_computed", "certificate_held")
 PARAMS = {
     "default": RepParams(q=parse("5/3"), k=(1, 2, 1, 3), legs=4, n_max=4),
     "q=-2/5": RepParams(q=parse("-2/5"), k=(2, 1, 1, 1), legs=4, n_max=4),
 }
-
-
-class FullEvaluation(GeneratorRegistry):
-    """The oracle: no quotient, so every residual is computed on the
-    full table."""
-
-    quotient = None
 
 
 def full(reg):
@@ -355,3 +358,115 @@ def test_reduction_finds_exactly_the_image_of_e(interval):
             assert scale > 0 and rest == {s: scale}
         rest, scale = remainder({s: -1 for s in seed_states(basis, lo, w)}, e, lo)
         assert scale == 1 and rest == {s: -1 for s in seed_states(basis, lo, w)}
+
+
+# -- commutators answered by rule (the corollary of lifting.py) --------
+
+
+def three_legs(p, n_max=4):
+    return replace(p, legs=3, k=p.k[:3], n_max=n_max)
+
+
+@pytest.mark.parametrize("name", ["default", "alt"])
+def test_block_scalar_labels_are_the_central_ones(name, default_registry, alt_registry):
+    reg = {"default": default_registry, "alt": alt_registry}[name]
+    assert reg.central == {"Q0", "Q1", "Q2", "Q3", "Q4", "Q1234"}
+    assert fresh(three_legs(reg.params)).central == {"Q0", "Q1", "Q2", "Q3", "Q123"}
+    # the rule agrees with the full commutators, derived generators included
+    small = build_registry(replace(reg.params, n_max=3))
+    for x in small.central:
+        for y in small.labels():
+            assert commutator(small[x], small[y]).is_zero(), (x, y)
+
+
+def test_no_label_is_central_when_the_certificate_refuses():
+    reg = build_registry(PARAMS["default"])
+    bad = bumped(reg, "Q12", reg.basis.index_of((1, 0, 1, 0)))
+    assert bad.quotient is None and bad.central == frozenset()
+    assert full(reg).central == frozenset()
+    # so a central label's commutators are evaluated, and found nonzero
+    assert not bad.commutator_of("Q1234", "Q12").is_zero()
+
+
+def test_block_scalar_needs_one_value_per_block_on_the_seeds():
+    reg = build_registry(PARAMS["default"])
+    basis = reg.basis
+    top = basis.n_max
+    assert block_scalar(reg.quotient["Q1234"], top)
+    assert not block_scalar(reg.quotient["Q12"], top)
+    seeds = seeds_to(basis, top)
+    lam = {s: rational(basis.weights[s] + 2) for s in seeds}
+    assert block_scalar(SparseOperator(basis, {s: {s: lam[s]} for s in seeds}, 0), top)
+    assert block_scalar(SparseOperator.zero(basis), top)
+    s, t = seed_states(basis, 1, 2)[:2]
+    cases = [
+        {**lam, s: lam[s] + 1},  # two values in block 2
+        {x: v for x, v in lam.items() if x != s},  # an absent column is 0 for block 2
+    ]
+    for diag in cases:
+        assert not block_scalar(SparseOperator(basis, {x: {x: v} for x, v in diag.items()}, 0), top)
+    off = {x: {x: v} for x, v in lam.items()}
+    off[s] = {s: lam[s], t: rational(1)}
+    assert not block_scalar(SparseOperator(basis, off, 0), top)
+    j = basis.index_of((1, 0, 1, 0))  # a column off the seeds
+    assert not block_scalar(SparseOperator(basis, {**{x: {x: v} for x, v in lam.items()}, j: {j: rational(4)}}, 0), top)
+
+
+def test_central_pairs_are_not_evaluated(monkeypatch):
+    reg = fresh(PARAMS["q=-2/5"])
+    calls = []
+    real = opalgebra.commutator
+    monkeypatch.setattr(opalgebra, "commutator", lambda *args: calls.append(args) or real(*args))
+    out = reg.commutator_of("Q1234", "IQ13")
+    assert out.is_zero() and not calls
+    assert reg.lift_record(out) == (out, len(seeds_to(reg.basis, 4)), True)
+    reg.commutator_of("Q13", "IQ24")
+    assert len(calls) == 1
+    with pytest.raises(KeyError):
+        reg.commutator_of("Q1", "Q5")
+
+
+def test_a_wrongly_central_label_is_caught(default_registry):
+    # Q12 added to the rule's labels answers [Q12, Q23] with zero: the
+    # pentagon's non-commuting pairs no longer match the derived table
+    reg = fresh(replace(default_registry.params, n_max=2))
+    assert build_compass(reg)
+    reg.central = reg.central | {"Q12"}
+    with pytest.raises(CompassError):
+        build_compass(reg)
+
+
+# -- whole runs against the quotient switched off ----------------------
+
+
+def verify_report(tmp_path, argv):
+    path = tmp_path / "report.json"
+    assert cli.main(["verify", *argv, "--report", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    del payload["timings_ms"]
+    return payload
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--q=-3/7", "--k", "2,3,1,1", "--legs", "4", "--nmax", "2"],
+        ["--q=-7/2", "--k", "1,3,2", "--legs", "3", "--nmax", "3"],
+    ],
+)
+def test_verify_reports_equal_the_run_without_quotient(tmp_path, monkeypatch, argv):
+    got = verify_report(tmp_path, argv)
+    monkeypatch.setattr(cli, "build_registry", lambda p: full(build_registry(p)))
+    want = verify_report(tmp_path, argv)
+    # the registry's residuals differ in their lift fields alone: seed
+    # columns under the certificate against every column without it
+    lifted = 0
+    for a, b in zip(got["checks"], want["checks"]):
+        sa, sb = a["residual_summary"], b["residual_summary"]
+        if sa != sb:
+            assert sa["certificate_held"] and not sb["certificate_held"], a["id"]
+            for field in LIFT_FIELDS:
+                del sa[field], sb[field]
+            lifted += 1
+    assert lifted > 0
+    assert got == want

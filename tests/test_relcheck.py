@@ -1,12 +1,15 @@
 import random
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from awalgebra.exactnum import parse, rational
 from awalgebra.opalgebra import GeneratorRegistry, build_registry
-from awalgebra.sparse import fraction_free_rank
+from awalgebra.sparse import RANK_PRIME, fraction_free_rank, rank_mod_prime
 from awalgebra.uqrep import RepParams
 from awalgebra import opalgebra, relcheck
+from helpers import FullEvaluation
 from awalgebra.relcheck import (
     MasterRow,
     NONCENTRAL_LABELS,
@@ -114,9 +117,11 @@ def test_prop2_all_pass(reg4):
 
 
 def test_prop2_after_prop1_equals_prop2_alone(monkeypatch):
-    # prop2 takes its 40 commuting interval pairs both ways, so alone it
-    # computes 110 of its 150 commutators; after prop1, which remembers
-    # those 40 pairs, only the other 70 (each on the seed columns alone)
+    # 120 of prop2's 150 commutators have an operand of block scalar
+    # reduction (Q1..Q4, Q1234) and are answered by rule; of the other
+    # 30, five pairs of intervals come both ways, so alone it computes
+    # 25; after prop1, which remembers those five pairs, only the other
+    # 20 (each on the seed columns alone)
     base = registry("5/3", (1, 2, 1, 3), 3)
     calls = []
     real = opalgebra.commutator
@@ -128,7 +133,7 @@ def test_prop2_after_prop1_equals_prop2_alone(monkeypatch):
     del calls[:]
     after = check_prop2(warm)
     assert [r.to_json() for r in after] == [r.to_json() for r in alone]
-    assert (alone_calls, len(calls)) == (110, 70)
+    assert (alone_calls, len(calls)) == (25, 20)
 
 
 def test_prop2_needs_four_legs(reg3):
@@ -236,6 +241,82 @@ def test_aw3_quadratic_as_printed(reg3):
     assert reports["aw3/linear/line2"].gating
 
 
+def chained_quadratic_reports(reg3, const):
+    """The quadratic pair on the full space, each line a chain of +,
+    * and scale on the unshifted Casimirs with constant term const times
+    the identity: the oracle of check_aw3_quadratic."""
+    from awalgebra.opalgebra import q_commutator
+    from awalgebra.relcheck import _diagnose_residual
+    from awalgebra.reporting import residual_report
+    from awalgebra.sparse import SparseOperator
+    from awalgebra.uqrep import casimir_unshifted
+
+    p = reg3.params
+    q = p.q
+    s2 = (q - 1 / q) ** 2
+    t = q + 1 / q
+    u = {f"U{x}": casimir_unshifted(p, (int(x[0]), int(x[-1]))) for x in ("1", "2", "3", "12", "23", "123")}
+    central_sum = u["U1"] + u["U2"] + u["U3"] + u["U123"]
+    gg = u["U1"] * u["U3"] + u["U2"] * u["U123"]
+    b = gg.scale(s2) + central_sum.scale(2)
+    const = SparseOperator.identity(reg3.basis).scale(const)
+    reports = []
+    for name, x, y, (m1, m2, m3, m4) in (
+        ("line1", "U12", "U23", ("U1", "U123", "U2", "U3")),
+        ("line2", "U23", "U12", ("U3", "U123", "U1", "U2")),
+    ):
+        d = gg.scale(2) - central_sum.scale(2 * q / (q + 1) ** 2) - (u[m1] * u[m2] + u[m3] * u[m4]).scale(t) + const
+        anti = u["U12"] * u["U23"] + u["U23"] * u["U12"]
+        resid = q_commutator(q, q_commutator(q, u[x], u[y]), u[x]) - (
+            (u[x] * u[x]).scale(-2) - anti.scale(2) + b * u[x] + u[y] + d
+        )
+        note = None if resid.is_zero() else _diagnose_residual(resid, u[y], y)
+        reports.append(
+            residual_report(
+                id=f"aw3-quadratic/{name}",
+                kind="quadratic-aw3",
+                inputs={"relation": name, "normalization": "unshifted"},
+                residual=resid,
+                gating=False,
+                note=note,
+            )
+        )
+    return reports
+
+
+# the three-leg sub-realizations of the default verify, of
+# --q -2/5 --k 2,1,1,1 --nmax 4, and of --legs 3 --nmax 5
+QUADRATIC_CONFIGS = [("5/3", (1, 2, 1), 6), ("-2/5", (2, 1, 1), 4), ("5/3", (1, 2, 1), 5)]
+
+
+@pytest.mark.parametrize("qtxt,k,n_max", QUADRATIC_CONFIGS)
+def test_aw3_quadratic_equals_the_full_space_path(qtxt, k, n_max):
+    base = registry(qtxt, k, n_max)
+    reg = GeneratorRegistry(base.params, base.held)
+    lifts = []
+    lifted = reg.lifted
+    reg.lifted = lambda evaluate: lifts.append(lifted(evaluate)) or lifts[-1]
+    got = check_aw3_quadratic(reg)
+    want = chained_quadratic_reports(reg, relcheck.quadratic_constant(reg.params.q))
+    assert [r.to_json() for r in got[:2]] == [r.to_json() for r in want]
+    assert [r.status for r in got] == ["pass"] * 4
+    # one lifted residual per line, both certified on the seed columns
+    assert [(x.columns, x.certified) for x in lifts] == [(reg._seed_count, True)] * 2
+
+
+@pytest.mark.parametrize("qtxt,k,n_max", QUADRATIC_CONFIGS[1:])
+def test_aw3_quadratic_wrong_constant_fails_with_the_full_path_note(qtxt, k, n_max, monkeypatch):
+    reg = registry(qtxt, k, n_max)
+    wrong = relcheck.quadratic_constant(reg.params.q) + rational(1, 7)
+    monkeypatch.setattr(relcheck, "quadratic_constant", lambda q: wrong)
+    got = check_aw3_quadratic(reg)[:2]
+    want = chained_quadratic_reports(reg, wrong)
+    assert [r.to_json() for r in got] == [r.to_json() for r in want]
+    for r in got:
+        assert r.status == "fail" and not r.gating
+        assert r.residual_summary["note"] == "residual = (-1/7) * identity: constant term off by that amount"
+
+
 def test_aw3_quadratic_needs_three_legs(reg4):
     with pytest.raises(ValueError):
         check_aw3_quadratic(reg4)
@@ -317,26 +398,55 @@ def test_independence_is_not_vacuous(reg4):
     assert fraction_free_rank(rows) == 14
 
 
-def test_fraction_free_rank_against_gaussian():
-    def gaussian_rank(rows, width):
-        mat = [[row.get(c, rational(0)) for c in range(width)] for row in rows]
-        rank = 0
-        for col in range(width):
-            piv = next(
-                (r for r in range(rank, len(mat)) if mat[r][col] != 0), None
-            )
-            if piv is None:
-                continue
-            mat[rank], mat[piv] = mat[piv], mat[rank]
-            inv = 1 / mat[rank][col]
-            mat[rank] = [x * inv for x in mat[rank]]
-            for r in range(len(mat)):
-                if r != rank and mat[r][col] != 0:
-                    f = mat[r][col]
-                    mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-            rank += 1
-        return rank
+@pytest.mark.parametrize("fixture", ["default_registry", "alt_registry", "reg4"])
+def test_independence_on_the_quotient_equals_the_restricted_rank(fixture, request, monkeypatch):
+    reg = request.getfixturevalue(fixture)
+    want = check_independence(FullEvaluation(reg.params, reg.held)).to_json()
+    caps = []
+    real = GeneratorRegistry.restricted
+    monkeypatch.setattr(GeneratorRegistry, "restricted", lambda self, w: caps.append(w) or real(self, w))
+    assert check_independence(reg).to_json() == want
+    assert want["status"] == "pass" and not caps  # the quotient rank is full
 
+
+def test_independence_falls_back_when_the_quotient_rank_falls_short(monkeypatch):
+    # Q13 replaced by 2 Q12 + Q23: rank 14 on the quotient, so every cap
+    # takes the restricted rank, and the note is the restricted one
+    base = registry("-2/5", (2, 1, 1, 1), 3)
+    table = {**base.table, "Q13": base["Q12"].scale(rational(2)) + base["Q23"]}
+    reg = GeneratorRegistry(base.params, table)
+    assert reg.quotient is not None
+    caps = []
+    real = GeneratorRegistry.restricted
+    monkeypatch.setattr(GeneratorRegistry, "restricted", lambda self, w: caps.append(w) or real(self, w))
+    got = check_independence(reg).to_json()
+    assert caps == [2, 3]
+    assert got == check_independence(FullEvaluation(reg.params, table)).to_json()
+    assert got["status"] == "fail" and got["residual_summary"]["note"] == "rank 14 of 15"
+    assert got["inputs"]["certified_at_weight"] == 3
+
+
+def gaussian_rank(rows, width):
+    mat = [[row.get(c, rational(0)) for c in range(width)] for row in rows]
+    rank = 0
+    for col in range(width):
+        piv = next(
+            (r for r in range(rank, len(mat)) if mat[r][col] != 0), None
+        )
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = 1 / mat[rank][col]
+        mat[rank] = [x * inv for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+def test_fraction_free_rank_against_gaussian():
     rng = random.Random(5)
     for _ in range(25):
         rows = []
@@ -348,6 +458,53 @@ def test_fraction_free_rank_against_gaussian():
             }
             rows.append({c: v for c, v in row.items() if v})
         assert fraction_free_rank(rows) == gaussian_rank(rows, 8)
+
+
+WIDTH = 6
+entries = st.builds(rational, st.integers(-6, 6), st.integers(1, 4))
+rows_ = st.lists(st.dictionaries(st.integers(0, WIDTH - 1), entries, max_size=WIDTH), max_size=6)
+
+
+@st.composite
+def rank_cases(draw):
+    """Rows, with a rational combination of them appended (dependent over
+    Q), or with a copy of one of them plus P times a fresh coordinate
+    appended (independent over Q but dependent mod P), or as drawn."""
+    rows = [{c: v for c, v in r.items() if v} for r in draw(rows_)]
+    kind = draw(st.sampled_from(("plain", "dependent", "mod-p")))
+    if kind == "dependent" and rows:
+        combo = {}
+        for r in rows:
+            f = draw(entries)
+            for c, v in r.items():
+                combo[c] = combo.get(c, 0) + f * v
+        rows.append({c: v for c, v in combo.items() if v})
+    if kind == "mod-p" and any(rows):
+        r = draw(st.sampled_from([r for r in rows if r]))
+        scale = lcm(*(int(v.denominator) for v in r.values()))
+        integral = {c: v * scale for c, v in r.items()}
+        rows += [integral, {**integral, WIDTH: rational(RANK_PRIME)}]
+    return kind, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank_cases())
+def test_fraction_free_rank_against_gaussian_on_dependent_rows(case):
+    kind, rows = case
+    assert fraction_free_rank(rows) == gaussian_rank(rows, WIDTH + 1)
+    if kind == "mod-p" and any(rows):
+        # the modular pass falls short, so the Bareiss elimination ran
+        integral = [{c: int(v) for c, v in r.items()} for r in rows[-2:]]
+        assert rank_mod_prime(integral) == 1 < gaussian_rank(rows[-2:], WIDTH + 1) == 2
+
+
+def test_modular_rank_shortfall_falls_back_to_bareiss():
+    one = rational(1)
+    rows = [{0: one}, {0: one, 1: rational(RANK_PRIME)}]
+    assert rank_mod_prime([{0: 1}, {0: 1, 1: RANK_PRIME}]) == 1
+    assert fraction_free_rank(rows) == 2
+    assert rank_mod_prime([{0: 2, 1: 3}, {0: 4, 1: 6}]) == 1
+    assert rank_mod_prime([{0: 2, 1: 3}, {1: 5}, {0: -1}]) == 2
 
 
 def test_fraction_free_rank_simple_cases():
