@@ -25,8 +25,8 @@ from . import relcheck
 from .compass import CompassError, build_compass, export_dot
 from .exactnum import parse as parse_rational, to_text
 from .opalgebra import build_registry, is_consecutive, label_of_subset, subset_of_label
-from .spectra import annihilating_residual, chain_counts, predicted_eigenvalues
-from .uqrep import RepParams, casimir, interval_ops
+from .spectra import annihilating_residual, chain_counts
+from .uqrep import RepParams, casimir, interval_ops, predicted_eigenvalues
 
 SUITE_ORDER = (
     "defining",
@@ -42,18 +42,12 @@ SUITE_ORDER = (
 FORMAT_VERSION = 1
 
 # Fewest basis states at which a four-leg verify is shared with one
-# forked worker (two_process_map).  The worker is forked from the built
-# realization and its quotient table and rebuilds nothing; a fork, its
-# pipes and the reaping cost about 8 ms the first time in a process and
-# 4 ms after that.  Serial against forked wall time of one default
-# verify in a fresh process, import included (fractions backend, Python
-# 3.11.7, 2 cores, medians of ten alternated pairs, two runs minutes
-# apart): 0.33/0.32 s and 0.34/0.26 s at nmax 5 (126 states; serial
-# faster in 7 and 0 of 10), 0.49/0.53 s and 0.39/0.28 s at nmax 6 (210;
-# 8 and 0 of 10) and 0.95/0.75 s and 0.99/0.65 s at nmax 8 (495; 0 and
-# 0 of 10).  So the host's load decides at nmax 5 and 6, and the fork
-# pays at nmax 8.  The benchmark's traced nmax-4 verify must stay in
-# one process until its tracer sees the worker.
+# forked worker (two_process_map), which is forked from the built
+# realization and its quotient table and rebuilds nothing.  Smaller
+# runs stay in one process: the fork, its pipes and the reaping cost a
+# few ms whatever the size, and the benchmark's traced nmax-4 verify
+# must stay in one process until its tracer sees the worker.  The
+# serial against forked timings behind this value are in README.md.
 PARALLEL_MIN_STATES = 126
 
 DEFAULT_K = (1, 2, 1, 3)
@@ -103,19 +97,16 @@ def run_suite(name: str, p: RepParams) -> list:
     if name == "prop2":
         return relcheck.check_prop2(reg)
     if name == "aw3":
+        if p.legs == 3:
+            # the linearized pair on three legs is aw3-quadratic's
+            return relcheck.check_aw3_symmetric(reg, ((1,), (2,), (3,)))
+        # weight blocks <= 3 pre-screen orientation assignments; the
+        # full registry always confirms
+        probe = reg.restricted(3) if p.n_max > 3 else None
         reports = []
-        if p.legs == 4:
-            # weight blocks <= 3 pre-screen orientation assignments; the
-            # full registry always confirms
-            probe = reg.restricted(3) if p.n_max > 3 else None
-            for triple in relcheck.enumerate_allowable():
-                reports.extend(relcheck.check_aw3_symmetric(reg, triple, probe))
-            tag = "linear-embedded"
-        else:
-            reports.extend(relcheck.check_aw3_symmetric(reg, ((1,), (2,), (3,))))
-            tag = "linear"
-        reports.extend(relcheck.check_aw3_linear(reg, tag=tag))
-        return reports
+        for triple in relcheck.enumerate_allowable():
+            reports.extend(relcheck.check_aw3_symmetric(reg, triple, probe))
+        return reports + relcheck.check_aw3_linear(reg)
     if name == "master":
         return relcheck.check_master_all(reg)
     if name == "spectra":
@@ -187,8 +178,10 @@ def two_process_map(fn, tasks):
     pipe, this process takes front.  After each of its own tasks this
     process drains the pipe, and at a task the worker took it reads
     until that result arrives.  A task whose result never comes (the
-    worker died) runs here.  The worker leaves through os._exit, so it
-    flushes no copy of this process's output buffers.
+    worker died) runs here, and every task does when the worker cannot
+    start (an OSError from mmap, os.pipe or os.fork).  The worker leaves
+    through os._exit, so it flushes no copy of this process's output
+    buffers.
 
     A Linux pipe holds 64 KiB.  The worker waits to send only when that
     much of its output is unread, and then only until this process
@@ -203,17 +196,20 @@ def two_process_map(fn, tasks):
     import select
     import signal
 
-    ends = memoryview(mmap.mmap(-1, 16)).cast("q")
-    ends[1] = len(tasks)
-    lock = os.pipe()
-    os.write(lock[1], b"\0")
-    read_end, write_end = os.pipe()
+    fds = []
     try:
+        ends = memoryview(mmap.mmap(-1, 16)).cast("q")
+        ends[1] = len(tasks)
+        fds.extend(os.pipe())
+        os.write(fds[1], b"\0")
+        fds.extend(os.pipe())
         pid = os.fork()
     except OSError:
-        for fd in (*lock, read_end, write_end):
+        for fd in fds:
             os.close(fd)
-        raise
+        yield from map(fn, tasks)
+        return
+    lock, (read_end, write_end) = fds[:2], fds[2:]
     if pid == 0:
         code = 1
         try:

@@ -39,7 +39,7 @@ def build_compass(reg: GeneratorRegistry) -> CompassGraph:
     commuting = set()
     noncommuting = set()
     for a, b in combinations(VERTICES, 2):
-        if reg.commutator_of(a, b).is_zero():
+        if reg.commutator_of(a, b).residual.is_zero():
             commuting.add(frozenset((a, b)))
         else:
             noncommuting.add(frozenset((a, b)))

@@ -33,7 +33,7 @@ from typing import NamedTuple
 from .exactnum import ONE, inverse
 from .lifting import block_scalar, quotient_table, seed_states
 from .sparse import SparseOperator
-from .uqrep import RepParams, casimir, interval_ops
+from .uqrep import RepParams, casimir, interval_ops, predicted_eigenvalues
 
 # q-commutator pairs and subtracted products defining the derived
 # generators; the involuted partner swaps the pair, keeps the rest.
@@ -188,8 +188,8 @@ class GeneratorRegistry:
         # every column of weight > top is empty (restricted)
         self.top = params.n_max if top is None else top
         self._width = self.basis.weight_block(self.top).stop
-        # unordered label pairs whose commutator is zero; see commutator_of
-        self._commuting = set()
+        # unordered label pair -> its zero commutator's record; see commutator_of
+        self._commuting = {}
 
     def __getitem__(self, label: str) -> SparseOperator:
         if label not in self._labels:
@@ -212,26 +212,29 @@ class GeneratorRegistry:
         """self[la] * self[lb]."""
         return self[la] * self[lb]
 
-    def commutator_of(self, la: str, lb: str) -> SparseOperator:
-        """[self[la], self[lb]], evaluated by lifted.
+    def commutator_of(self, la: str, lb: str) -> Lifted:
+        """[self[la], self[lb]] as the record lifted gives it.
 
         A pair with a label in central commutes by the corollary of
-        lifting.py and is answered with the zero operator unevaluated.
-        A pair found to commute is remembered, in either order, since
-        [b, a] = -[a, b], and answered with the zero operator from then
-        on; nonzero commutators are recomputed, which keeps the memo a
-        set of label pairs.
+        lifting.py and gets the zero record unevaluated.  A pair found to
+        commute is remembered with its record, in either order, since
+        [b, a] = -[a, b], and gets that record from then on; nonzero
+        commutators are recomputed, which keeps the memo to zero
+        records.
         """
         for label in (la, lb):
             if label not in self._labels:
                 raise KeyError(f"no generator {label!r} at legs={self.params.legs}")
         pair = frozenset((la, lb))
-        if pair in self._commuting or not self.central.isdisjoint(pair):
-            return SparseOperator.zero(self.basis)
-        out = self.lifted(lambda gens: commutator(gens[la], gens[lb])).residual
-        if out.is_zero():
-            self._commuting.add(pair)
-        return out
+        if pair in self._commuting:
+            return self._commuting[pair]
+        if self.central.isdisjoint(pair):
+            lift = self.lifted(lambda gens: commutator(gens[la], gens[lb]))
+        else:
+            lift = self.lifted(lambda gens: SparseOperator.zero(self.basis))
+        if lift.residual.is_zero():
+            self._commuting[pair] = lift
+        return lift
 
     @cached_property
     def quotient(self):
@@ -241,8 +244,6 @@ class GeneratorRegistry:
         first use; None when the certificate (i)-(v) of lifting.py fails
         for the held entries, the total Delta(E), the total Casimir and
         the total interval's predicted eigenvalues."""
-        from .spectra import predicted_eigenvalues  # spectra imports this module
-
         p = self.params
         total = (1, p.legs)
         held = quotient_table(
@@ -282,15 +283,6 @@ class GeneratorRegistry:
             if out.is_zero():
                 return Lifted(out, self._seed_count, True)
         return Lifted(evaluate(self._full), self._width, quotient is not None)
-
-    def lift_record(self, residual: SparseOperator) -> Lifted:
-        """The record lifted gives a residual of generators alone: the
-        seed columns when the certificate holds and it is zero, every
-        column otherwise."""
-        held = self.quotient is not None
-        if held and residual.is_zero():
-            return Lifted(residual, self._seed_count, True)
-        return Lifted(residual, self._width, held)
 
     def restricted(self, max_weight: int) -> GeneratorRegistry:
         """The same realization with every held generator restricted to

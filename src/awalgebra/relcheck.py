@@ -12,23 +12,25 @@ prop2          [Q^(A), involution(Q^(B))] = 0 for nested or disjoint
                leg subsets A, B, over all ordered pairs
 aw3            symmetric three-generator relations for every allowable
                triple, with the orientation search for derived
-               generators, plus the linearized relation pair
-aw3-quadratic  the quadratic (unshifted) relation pair, verify-and-report
+               generators, plus, at four legs, the linearized relation
+               pair embedded there
+aw3-quadratic  the quadratic (unshifted) relation pair, verify-and-report,
+               and the linearized pair on three legs
 master         twenty six-term q-commutator exchange identities
 spectra        annihilating polynomials of every interval Casimir on
                every weight block, certified by one quotient-membership
                test per seed under a checked certificate (spectra.py)
 independence   exact rank of the fifteen non-central generators
 
-The residuals of prop1's commuting pairs, prop2, the symmetric aw3
-relations, master and the quadratic pair are polynomials in the
-registry's generators.  Each is evaluated first on the registry's
-quotient table, the generators read on block_w / Delta(E)(block_(w-1))
-with the seed states (no quanta on leg 1) as basis, and a zero there is
-zero on every column while the quotient certificate holds (the theorem
-of lifting.py, GeneratorRegistry.lifted); a residual the quotient
-leaves nonzero is recomputed on the full table, so every report is the
-full evaluation's.  The summaries of all but the quadratic pair add
+The residuals of prop1, prop2, the symmetric aw3 relations, master and
+the quadratic pair are polynomials in the registry's generators.  Each
+is evaluated first on the registry's quotient table, the generators
+read on block_w / Delta(E)(block_(w-1)) with the seed states (no
+quanta on leg 1) as basis, and a zero there is zero on every column
+while the quotient certificate holds (the theorem of lifting.py,
+GeneratorRegistry.lifted); a residual the quotient leaves nonzero is
+recomputed on the full table, so every report is the full
+evaluation's.  The summaries of all but the quadratic pair add
 columns_computed and certificate_held.  A commutator with Q0, a
 single-leg Casimir or the total Casimir, whose reductions are block
 scalar, is zero by the corollary of lifting.py and is not evaluated
@@ -47,7 +49,6 @@ from itertools import combinations, product
 from .exactnum import inverse
 from .opalgebra import (
     GeneratorRegistry,
-    commutator,
     consecutive_subsets,
     involute_monomial,
     involution,
@@ -154,18 +155,17 @@ def check_prop1(reg: GeneratorRegistry) -> list[RelationReport]:
     for a, b in combinations(subsets, 2):
         la, lb = label_of_subset(a), label_of_subset(b)
         qual = _qualifying(a, b)
-        # crossing pairs are nonzero by design: a seed pass would be redone
-        resid = reg.commutator_of(la, lb) if qual else commutator(reg[la], reg[lb])
-        if not resid.is_zero():
+        lift = reg.commutator_of(la, lb)
+        if not lift.residual.is_zero():
             noncommuting.append((la, lb))
         out.append(
             residual_report(
                 id=f"prop1/{la}-{lb}",
                 kind="casimir-commutator",
                 inputs={"a": la, "b": lb, "qualifying": qual},
-                residual=resid,
+                residual=lift.residual,
                 expected="zero" if qual else "nonzero",
-                lift=reg.lift_record(resid),
+                lift=lift,
             )
         )
     crossing = [
@@ -230,14 +230,14 @@ def check_prop2(reg: GeneratorRegistry) -> list[RelationReport]:
             continue
         la = label_of_subset(a)
         lb = involution(label_of_subset(b))
-        resid = reg.commutator_of(la, lb)
+        lift = reg.commutator_of(la, lb)
         out.append(
             residual_report(
                 id=f"prop2/{la}-{lb}",
                 kind="subset-commutator",
                 inputs={"a": la, "b": lb},
-                residual=resid,
-                lift=reg.lift_record(resid),
+                residual=lift.residual,
+                lift=lift,
             )
         )
     return out
@@ -292,7 +292,7 @@ def _fermionic_subsets(triple):
 
 
 def _aw3_residual(reg: GeneratorRegistry, rel, assign, order):
-    """Residual of (q-q^-1)^-1 [Q^(uv), Q^(vw)]_q
+    """Lifted record of the residual (q-q^-1)^-1 [Q^(uv), Q^(vw)]_q
     - Q^(wu) - I(Q^(u) Q^(w)) - I(Q^(uvw) Q^(v))."""
 
     def resolve(subset):
@@ -313,7 +313,7 @@ def _aw3_residual(reg: GeneratorRegistry, rel, assign, order):
         terms += [(-1, *(gens[x] for x in labels)) for labels in monomials]
         return SparseOperator.lincomb(reg.basis, terms)
 
-    return reg.lifted(evaluate).residual
+    return reg.lifted(evaluate)
 
 
 def check_aw3_symmetric(
@@ -350,22 +350,22 @@ def check_aw3_symmetric(
     for order in ("direct", "reversed"):
         for assign in assignments():
             if probe_reg is not None:
-                if not all(r.is_zero() for r in evaluate(probe_reg, assign, order)):
+                if not all(x.residual.is_zero() for x in evaluate(probe_reg, assign, order)):
                     continue
-            resids = evaluate(reg, assign, order)
-            if all(r.is_zero() for r in resids):
-                found = (assign, order, resids)
+            lifts = evaluate(reg, assign, order)
+            if all(x.residual.is_zero() for x in lifts):
+                found = (assign, order, lifts)
                 break
         if found:
             break
     if found is None:
         assign = next(assignments())
         order = "direct"
-        resids = evaluate(reg, assign, order)
+        lifts = evaluate(reg, assign, order)
     else:
-        assign, order, resids = found
+        assign, order, lifts = found
     reports = []
-    for i, resid in enumerate(resids, start=1):
+    for i, lift in enumerate(lifts, start=1):
         reports.append(
             residual_report(
                 id=f"aw3/{text}/rel{i}",
@@ -376,20 +376,21 @@ def check_aw3_symmetric(
                     "assignment": {label_of_subset(s): a for s, a in assign.items()},
                     "monomial_order": order,
                 },
-                residual=resid,
-                lift=reg.lift_record(resid),
+                residual=lift.residual,
+                lift=lift,
             )
         )
     return reports
 
 
-def check_aw3_linear(reg: GeneratorRegistry, tag: str = "linear") -> list[RelationReport]:
+def check_aw3_linear(reg: GeneratorRegistry) -> list[RelationReport]:
     """Linearized relation pair on the first three legs:
 
         [[Q12,Q23]_q,Q12]_q = (q-q^-1)^2 (B Q12 + Q23 + Q1 Q123 + Q2 Q3)
         [[Q23,Q12]_q,Q23]_q = (q-q^-1)^2 (B Q23 + Q12 + Q3 Q123 + Q1 Q2)
 
-    with B = Q1 Q3 + Q2 Q123, all in shifted Casimirs."""
+    with B = Q1 Q3 + Q2 Q123, all in shifted Casimirs; reported as
+    aw3/linear/* at three legs, aw3/linear-embedded/* at four."""
     q = reg.params.q
     s2 = (q - inverse(q)) ** 2
     q12, q23 = reg["Q12"], reg["Q23"]
@@ -406,6 +407,7 @@ def check_aw3_linear(reg: GeneratorRegistry, tag: str = "linear") -> list[Relati
             - (b * q23 + q12 + reg.product("Q3", "Q123") + reg.product("Q1", "Q2")).scale(s2),
         ),
     ]
+    tag = "linear" if reg.params.legs == 3 else "linear-embedded"
     return [
         residual_report(
             id=f"aw3/{tag}/{name}",

@@ -66,27 +66,12 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .exactnum import ONE, inverse
+from .exactnum import ONE
 from .lifting import commutes_below_top, remainder, seed_states, spanned_by_lifting
 from .opalgebra import label_of_subset
 from .reporting import RelationReport
 from .sparse import SparseOperator
-from .uqrep import check_interval, interval_ops
-
-
-def casimir_eigenvalue(q, kappa: int):
-    """Shifted eigenvalue -(q^(2 kappa - 1) + q^(1 - 2 kappa))/(q + q^-1).
-
-    Symmetric under kappa -> 1 - kappa; equals -1 at kappa = 1 for
-    every q.
-    """
-    return -(q ** (2 * kappa - 1) + q ** (1 - 2 * kappa)) / (q + inverse(q))
-
-
-def predicted_eigenvalues(p, interval, weight: int) -> list:
-    """lambda(k_A + x) for x = 0..weight on the weight block."""
-    k_a = p.interval_weight(interval)
-    return [casimir_eigenvalue(p.q, k_a + x) for x in range(weight + 1)]
+from .uqrep import check_interval, interval_ops, predicted_eigenvalues
 
 
 def annihilating_residual(op, eigenvalues, block) -> int:
@@ -216,10 +201,3 @@ def spectrum_reports(reg, interval, weights) -> list[RelationReport]:
         )
         for w in weights
     ]
-
-
-def check_annihilating(reg, interval, weight: int) -> RelationReport:
-    """Annihilating-polynomial check for one interval Casimir on one
-    weight block, as a report; alone, the block has no chain and every
-    column is counted."""
-    return spectrum_reports(reg, interval, [weight])[0]

@@ -49,7 +49,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 
-from .exactnum import ONE, Rational
+from .exactnum import ONE, Rational, inverse
 from .fockspace import TruncatedBasis
 from .sparse import SparseOperator
 
@@ -248,6 +248,23 @@ def casimir(p: RepParams, interval) -> SparseOperator:
         p.basis,
         ((-iq / t, k, k), (-q / t, ki, ki), (-s2 / t, ops["E"], ops["F"])),
     )
+
+
+def casimir_eigenvalue(q, kappa: int):
+    """Shifted eigenvalue -(q^(2 kappa - 1) + q^(1 - 2 kappa))/(q + q^-1).
+
+    Symmetric under kappa -> 1 - kappa; equals -1 at kappa = 1 for
+    every q.
+    """
+    return -(q ** (2 * kappa - 1) + q ** (1 - 2 * kappa)) / (q + inverse(q))
+
+
+def predicted_eigenvalues(p, interval, weight: int) -> list:
+    """lambda(k_A + x) for x = 0..weight, lambda = casimir_eigenvalue and
+    k_A the interval's weight: the eigenvalues of casimir(p, interval)
+    on the weight block (spectra.py checks them)."""
+    k_a = p.interval_weight(interval)
+    return [casimir_eigenvalue(p.q, k_a + x) for x in range(weight + 1)]
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -16,7 +16,7 @@ Criteria:
 
 from awalgebra import relcheck
 from awalgebra.exactnum import rational
-from awalgebra.spectra import casimir_eigenvalue
+from awalgebra.uqrep import casimir_eigenvalue
 
 
 def _all_ok(reports):
@@ -114,9 +114,7 @@ def test_A5_symmetric_cubic_relations(default_registry, default_probe, announce)
 
 
 def test_A6_cubic_pair(default_registry, leg3_registry, announce):
-    reports = relcheck.check_aw3_linear(leg3_registry) + relcheck.check_aw3_linear(
-        default_registry, tag="linear-embedded"
-    )
+    reports = relcheck.check_aw3_linear(leg3_registry) + relcheck.check_aw3_linear(default_registry)
     assert len(reports) == 4
     bad = [r.id for r in reports if not r.ok]
     announce(

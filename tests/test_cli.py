@@ -1,6 +1,9 @@
 """End-to-end tests of the command line interface (main() called directly)."""
 
 import json
+import re
+
+import pytest
 
 from awalgebra import cli, relcheck
 from awalgebra.cli import main
@@ -67,6 +70,26 @@ def test_verify_all_expansion_skips_lower_rank(capsys, tmp_path):
     }
     assert data["summary"]["skipped"] == 3
     assert "skipped (needs legs=4)" in out
+
+
+@pytest.mark.parametrize("legs, nmax", [(2, 3), (3, 3), (4, 2)])
+def test_verify_reports_each_check_once(capsys, tmp_path, legs, nmax):
+    # at three legs the linearized aw3 pair is aw3-quadratic's alone
+    path = tmp_path / "report.json"
+    code, out, _ = run(
+        capsys, "verify", "--legs", str(legs), "--nmax", str(nmax), "--report", str(path)
+    )
+    assert code == 0
+    ids = [c["id"] for c in json.loads(path.read_text())["checks"]]
+    assert len(ids) == len(set(ids))
+    verdict = re.search(r"VERDICT: PASS \(\d+ suites, (\d+) checks", out)
+    assert verdict and int(verdict.group(1)) == len(ids)
+    linear = [i for i in ids if i.startswith("aw3/linear")]
+    assert linear == {
+        2: [],
+        3: ["aw3/linear/line1", "aw3/linear/line2"],
+        4: [f"aw3/{tag}/line{n}" for tag in ("linear-embedded", "linear") for n in (1, 2)],
+    }[legs]
 
 
 def test_verify_explicit_incompatible_suite_is_config_error(capsys):

@@ -174,7 +174,7 @@ def test_aw3_residuals_match_chained(reg):
         for rel in relcheck._aw3_rotations(triple):
             for assign in (plain, flipped):
                 for order in ("direct", "reversed"):
-                    got = relcheck._aw3_residual(reg, rel, assign, order)
+                    got = relcheck._aw3_residual(reg, rel, assign, order).residual
                     assert_identical(got, aw3_residual(reg, rel, assign, order))
 
 

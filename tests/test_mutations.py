@@ -11,8 +11,8 @@ from awalgebra import relcheck
 from awalgebra.exactnum import rational
 from awalgebra.opalgebra import GeneratorRegistry, build_registry
 from awalgebra.sparse import SparseOperator
-from awalgebra.spectra import annihilating_residual, predicted_eigenvalues
-from awalgebra.uqrep import RepParams
+from awalgebra.spectra import annihilating_residual
+from awalgebra.uqrep import RepParams, predicted_eigenvalues
 
 WEIGHT = 1  # the bumped entry sits on the diagonal of this weight block
 

@@ -203,13 +203,15 @@ def test_product_cache(reg):
 
 def test_commutator_of_remembers_only_commuting_pairs(reg):
     fresh = GeneratorRegistry(reg.params, reg.table)
-    assert fresh.commutator_of("Q12", "Q34").is_zero()
-    assert fresh.commutator_of("Q34", "Q12") == SparseOperator.zero(reg.basis)
+    zero = fresh.commutator_of("Q12", "Q34")
+    assert zero.residual.is_zero()
+    assert fresh.commutator_of("Q34", "Q12") is zero
+    assert zero.residual == SparseOperator.zero(reg.basis)
     crossing = fresh.commutator_of("Q12", "Q23")
-    assert not crossing.is_zero()
-    assert crossing == commutator(reg["Q12"], reg["Q23"])
-    assert fresh._commuting == {frozenset(("Q12", "Q34"))}
-    assert fresh.restricted(1)._commuting == set()
+    assert not crossing.residual.is_zero()
+    assert crossing.residual == commutator(reg["Q12"], reg["Q23"])
+    assert fresh._commuting == {frozenset(("Q12", "Q34")): zero}
+    assert fresh.restricted(1)._commuting == {}
 
 
 def test_monomial(reg):

@@ -1,10 +1,12 @@
 """verify shared with a worker process: the same reports as one process,
 one suite at a time in the worker, this process running the worker's
-suites when it dies, and a serial run whenever a worker cannot pay for
-itself."""
+suites when it dies or every suite when it cannot start, and a serial
+run whenever a worker cannot pay for itself."""
 
+import errno
 import json
 import os
+import re
 import threading
 import time
 from collections import Counter
@@ -118,6 +120,41 @@ def test_dead_worker_leaves_its_suites_to_this_process(monkeypatch):
     assert forked == serial
     assert sorted(here) == sorted(SUITE_ORDER)
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("call", ["fork", "pipe"])
+def test_worker_that_cannot_start_leaves_every_suite_here(monkeypatch, tmp_path, capsys, call):
+    # an OSError from os.fork, or from os.pipe before it, starts no
+    # process: the run is the serial one
+    def report(cpus):
+        monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+        path = tmp_path / f"report-{cpus}.json"
+        assert main(["verify", "--nmax", "5", "--report", str(path)]) == 0
+        payload = json.loads(path.read_text())
+        del payload["timings_ms"]
+        return payload, capsys.readouterr().out
+
+    serial = report(1)
+    calls = Counter()
+    real = {name: getattr(os, name) for name in ("fork", "pipe")}
+
+    def refusing(name):
+        def attempt(*args):
+            calls[name] += 1
+            if name == call:
+                raise OSError(errno.EAGAIN, "refused by the test")
+            return real[name](*args)
+
+        return attempt
+
+    for name in real:
+        monkeypatch.setattr(os, name, refusing(name))
+    got = report(2)
+    assert calls[call] == 1 and calls["fork"] == (call == "fork")
+    assert_no_child_left()
+    assert got[0] == serial[0]
+    strip = lambda out: re.sub(r"\[\d+\.\ds\]", "", out)
+    assert strip(got[1]) == strip(serial[1])
 
 
 def test_each_suite_runs_once_under_contention(monkeypatch, tmp_path):

@@ -6,15 +6,12 @@ from awalgebra.opalgebra import build_registry, consecutive_subsets
 from awalgebra.sparse import SparseOperator
 from awalgebra.spectra import (
     annihilating_residual,
-    casimir_eigenvalue,
     chain_counts,
-    check_annihilating,
     keeps_interval_weight,
-    predicted_eigenvalues,
     spanned_by_lifting,
     spectrum_reports,
 )
-from awalgebra.uqrep import RepParams, casimir, interval_ops
+from awalgebra.uqrep import RepParams, casimir, casimir_eigenvalue, interval_ops, predicted_eigenvalues
 
 
 def registry(q, k, n_max):
@@ -65,7 +62,7 @@ def test_predicted_eigenvalues_list():
 def test_annihilating_two_legs():
     reg = registry(rational(2), (1, 1), 2)
     for w in range(3):
-        rep = check_annihilating(reg, (1, 2), w)
+        rep = spectrum_reports(reg, (1, 2), [w])[0]
         assert rep.status == "pass", rep
         assert len(rep.inputs["eigenvalues"]) == w + 1
 
@@ -74,7 +71,7 @@ def test_annihilating_all_intervals_small():
     reg = registry(parse("5/3"), (1, 2, 1), 2)
     for interval in [(1, 1), (2, 2), (3, 3), (1, 2), (2, 3), (1, 3)]:
         for w in range(reg.params.n_max + 1):
-            assert check_annihilating(reg, interval, w).status == "pass"
+            assert spectrum_reports(reg, interval, [w])[0].status == "pass"
 
 
 def test_annihilating_needs_every_factor():
@@ -94,7 +91,7 @@ def test_annihilating_needs_every_factor():
 def test_weight_out_of_range():
     reg = registry(rational(2), (1, 1), 1)
     with pytest.raises(ValueError):
-        check_annihilating(reg, (1, 2), 5)
+        spectrum_reports(reg, (1, 2), [5])[0]
 
 
 def test_annihilating_needs_degree_zero():
@@ -332,7 +329,7 @@ def test_entry_breaking_the_interval_weight_refuses_the_certificate(monkeypatch)
 def test_single_block_has_no_chain():
     p = CHAIN_PARAMS["default"]
     reg = build_registry(p)
-    rep = check_annihilating(reg, (1, 4), 3)
+    rep = spectrum_reports(reg, (1, 4), [3])[0]
     assert rep.residual_summary == {
         "nonzero_entries": 0,
         "sample": None,

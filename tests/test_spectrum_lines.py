@@ -11,8 +11,8 @@ from awalgebra import cli
 from awalgebra.cli import main
 from awalgebra.exactnum import parse, rational, to_text
 from awalgebra.opalgebra import subset_of_label
-from awalgebra.spectra import annihilating_residual, predicted_eigenvalues
-from awalgebra.uqrep import RepParams, casimir
+from awalgebra.spectra import annihilating_residual
+from awalgebra.uqrep import RepParams, casimir, predicted_eigenvalues
 
 LABELS = ("Q1", "Q2", "Q3", "Q4", "Q12", "Q23", "Q34", "Q123", "Q234", "Q1234")
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
