@@ -42,9 +42,9 @@ SUITE_ORDER = (
 FORMAT_VERSION = 1
 
 # Fewest basis states at which a four-leg verify is shared with one
-# forked worker (two_process_map), which is forked from the built
+# forked worker (suite_results), which is forked from the built
 # realization and its quotient table and rebuilds nothing.  Smaller
-# runs stay in one process: the fork, its pipes and the reaping cost a
+# runs stay in one process: the fork, its pipe and the reaping cost a
 # few ms whatever the size, and the benchmark's traced nmax-4 verify
 # must stay in one process until its tracer sees the worker.  The
 # serial against forked timings behind this value are in README.md.
@@ -114,13 +114,6 @@ def run_suite(name: str, p: RepParams) -> list:
     return [relcheck.check_independence(reg)]
 
 
-def _timed_suite(name: str, p: RepParams):
-    """(reports, elapsed ms) of run_suite(name, p)."""
-    start = time.perf_counter()
-    reports = run_suite(name, p)
-    return reports, int((time.perf_counter() - start) * 1000)
-
-
 def usable_cpus() -> int:
     """CPUs this process may run on (all of them where the platform
     cannot say)."""
@@ -149,123 +142,87 @@ def use_worker(n_suites: int, p: RepParams, cpus: int) -> bool:
     )
 
 
-def _take(ends, lock, from_back: bool):
-    """Take the index at one end of the untaken range [front, back) =
-    ends, or None when it is empty.  lock is a pipe that holds one byte
-    while nobody holds the range."""
-    os.read(lock[0], 1)
-    try:
-        front, back = ends
-        if front >= back:
-            return None
-        if from_back:
-            ends[1] = back - 1
-            return back - 1
-        ends[0] = front + 1
-        return front
-    finally:
-        os.write(lock[1], b"\0")
-
-
-def two_process_map(fn, tasks):
-    """Yield fn(task) for each task, in order, computed by this process
-    and one forked worker.
-
-    The worker inherits everything this process has built, so callers
-    build what every task shares before the first value is asked for.
-    The untaken tasks are the index range [front, back) in shared
-    memory: the worker takes back - 1 and sends its result through a
-    pipe, this process takes front.  After each of its own tasks this
-    process drains the pipe, and at a task the worker took it reads
-    until that result arrives.  A task whose result never comes (the
-    worker died) runs here, and every task does when the worker cannot
-    start (an OSError from mmap, os.pipe or os.fork).  The worker leaves
-    through os._exit, so it flushes no copy of this process's output
-    buffers.
-
-    A Linux pipe holds 64 KiB.  The worker waits to send only when that
-    much of its output is unread, and then only until this process
-    finishes its current task; it never deadlocks, since this process
-    reads every result the worker owes before it reaps the worker.
-    verify's suite results pickle to 38.5 KB at nmax 6 and 46.6 KB at
-    nmax 8 in all, so its worker does not wait at those sizes.
-    """
-    # imported here, so that runs which never fork do not load them
-    import mmap
-    import pickle
-    import select
-    import signal
-
-    fds = []
-    try:
-        ends = memoryview(mmap.mmap(-1, 16)).cast("q")
-        ends[1] = len(tasks)
-        fds.extend(os.pipe())
-        os.write(fds[1], b"\0")
-        fds.extend(os.pipe())
-        pid = os.fork()
-    except OSError:
-        for fd in fds:
-            os.close(fd)
-        yield from map(fn, tasks)
-        return
-    lock, (read_end, write_end) = fds[:2], fds[2:]
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_end)
-            with open(write_end, "wb") as out:
-                while (i := _take(ends, lock, True)) is not None:
-                    pickle.dump((i, fn(tasks[i])), out)
-                    out.flush()
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_end)
-    inbox = open(read_end, "rb")
-    done = {}
-    try:
-        for i, task in enumerate(tasks):
-            mine = _take(ends, lock, False) is not None
-            if mine:
-                value = fn(task)
-            try:
-                while (not mine and i not in done) or select.select([inbox], [], [], 0)[0]:
-                    j, sent = pickle.load(inbox)
-                    done[j] = sent
-            except (EOFError, pickle.UnpicklingError):
-                pass
-            if not mine:
-                value = done.pop(i) if i in done else fn(task)
-            yield value
-    except BaseException:
-        os.kill(pid, signal.SIGTERM)
-        raise
-    finally:
-        os.waitpid(pid, 0)
-        inbox.close()
-        os.close(lock[0])
-        os.close(lock[1])
-
-
 def suite_results(names, p: RepParams, worker: bool):
     """Yield (name, reports, elapsed ms) for each suite, in order.
 
     With a worker, this process runs the first suite and builds the
-    registry and its quotient table, as a serial run does, and shares
-    the other suites with a worker forked after that (two_process_map),
-    so the worker rebuilds nothing.
+    registry and its quotient table, as a serial run does, and then
+    forks one worker, which inherits them and rebuilds nothing.  Of the
+    other suites, rest, this process runs rest[:len(rest) // 2] and the
+    worker rest[len(rest) // 2:], sending each (name, reports, ms) as a
+    pickle through one pipe as it finishes.  After its own half this
+    process reads the pipe to its end.  A suite whose result never comes
+    (the worker died) runs here, and every suite does when the worker
+    cannot start (an OSError from os.pipe or os.fork).  When this
+    process raises, or its caller closes the generator early, the worker
+    is sent SIGTERM; it is reaped and the pipe closed on every path.  The
+    worker leaves through os._exit, so it flushes no copy of this
+    process's output buffers.
+
+    A Linux pipe holds 64 KiB.  The worker waits to send only when that
+    much of its output is unread, and then only until this process has
+    run its own half; it never deadlocks, since this process reads the
+    pipe to its end before it reaps the worker.  At the default q and k
+    the worker's results pickle to 19.3 KB at nmax 6 and 52.0 KB at
+    nmax 12 (spectra's reports grow with nmax), so at those sizes the
+    worker does not wait.
     """
 
     def timed(name):
-        return (name, *_timed_suite(name, p))
+        start = time.perf_counter()
+        reports = run_suite(name, p)
+        return name, reports, int((time.perf_counter() - start) * 1000)
 
     if not worker:
         yield from map(timed, names)
         return
     yield timed(names[0])
     build_registry(p).quotient
-    yield from two_process_map(timed, names[1:])
+    rest = names[1:]
+    mine, theirs = rest[: len(rest) // 2], rest[len(rest) // 2 :]
+    # imported here, so that runs which never fork do not load them
+    import pickle
+    import signal
+
+    fds = []
+    try:
+        fds.extend(os.pipe())
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        yield from map(timed, rest)
+        return
+    read_end, write_end = fds
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as out:
+                for name in theirs:
+                    pickle.dump(timed(name), out)
+                    out.flush()
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as inbox:
+            yield from map(timed, mine)
+            # the worker sends in order, so what came is a prefix of theirs
+            sent = []
+            try:
+                while True:
+                    sent.append(pickle.load(inbox))
+            except (EOFError, pickle.UnpicklingError):
+                pass
+        yield from sent
+        yield from map(timed, theirs[len(sent) :])
+    except BaseException:
+        os.kill(pid, signal.SIGTERM)
+        raise
+    finally:
+        os.waitpid(pid, 0)
 
 
 def cmd_verify(args, p: RepParams) -> int:

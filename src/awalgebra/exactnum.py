@@ -26,7 +26,7 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 ZERO = Rational(0)
 ONE = Rational(1)
 
-_LITERAL = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
+_LITERAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def rational(num, den=1):
@@ -45,7 +45,7 @@ def parse(text):
     Anything outside that grammar is a ValueError; a zero denominator
     is a ZeroDivisionError.
     """
-    if not isinstance(text, str) or not _LITERAL.match(text):
+    if not isinstance(text, str) or not _LITERAL.fullmatch(text):
         raise ValueError(f"not a rational literal: {text!r}")
     return Rational(text.lstrip("+"))
 

@@ -45,7 +45,7 @@ def test_parse_zero_denominator():
         parse("5/0")
 
 
-@pytest.mark.parametrize("bad", ["", "1.5", "2/3/4", "a/b", "1/-2", " 1/2", "5/ 3"])
+@pytest.mark.parametrize("bad", ["", "1.5", "2/3/4", "a/b", "1/-2", " 1/2", "5/ 3", "5/3\n"])
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         parse(bad)

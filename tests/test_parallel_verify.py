@@ -1,7 +1,8 @@
 """verify shared with a worker process: the same reports as one process,
-one suite at a time in the worker, this process running the worker's
-suites when it dies or every suite when it cannot start, and a serial
-run whenever a worker cannot pay for itself."""
+the back half of the suites after the first in the worker, this process
+running the worker's unsent suites when it dies or every suite when it
+cannot start, no worker or pipe left behind when this process's half
+raises, and a serial run whenever a worker cannot pay for itself."""
 
 import errno
 import json
@@ -10,6 +11,7 @@ import re
 import threading
 import time
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -56,47 +58,29 @@ def test_worker_results_equal_serial_results(monkeypatch):
     forked = [(name, _json(reports)) for name, reports, _ in suite_results(SUITE_ORDER, p, True)]
     assert forked == serial
     assert_no_child_left()
-    # front to back here, back to front in the worker
-    assert here[0] == "defining" and "independence" not in here
-    assert here == list(SUITE_ORDER[: len(here)])
+    # the first suite and the front half of the rest here, the back
+    # half in the worker
+    assert here == ["defining", "prop1", "prop2", "aw3"]
 
 
-def _recording_ranges(monkeypatch):
-    """The shared task ranges that cli._take sees from now on."""
-    ranges = []
-    real = cli._take
-
-    def take(ends, lock, from_back):
-        ranges.append(ends)
-        return real(ends, lock, from_back)
-
-    monkeypatch.setattr(cli, "_take", take)
-    return ranges
-
-
-def test_worker_holds_one_suite_at_a_time(monkeypatch):
-    # each suite reports the untaken range [front, back) it sees while
-    # it runs: the worker, taking from the back, holds only the suite it
-    # runs, and this process only the one it runs
-    ranges = _recording_ranges(monkeypatch)
-
-    def fake_suite(name, p):
-        time.sleep(0.02)
-        return [(os.getpid(), tuple(ranges[-1]) if ranges else None)]
-
-    monkeypatch.setattr(cli, "run_suite", fake_suite)
+def _fake_suites(monkeypatch, run):
+    """run(name) in place of every suite, and no registry to build."""
+    monkeypatch.setattr(cli, "run_suite", lambda name, p: run(name))
     monkeypatch.setattr(cli, "build_registry", lambda p: SimpleNamespace(quotient=None))
-    names = [f"s{i}" for i in range(8)]
-    seen = [reports[0] for _, reports, _ in suite_results(names, None, True)]
-    assert seen[0] == (os.getpid(), None)
-    mine = [i for i, (pid, _) in enumerate(seen) if pid == os.getpid()]
-    theirs = [i for i, (pid, _) in enumerate(seen) if pid != os.getpid()]
-    assert theirs and mine == list(range(len(mine))) and theirs == list(range(len(mine), 8))
-    # suite i is task i - 1 of the range shared after the first suite
-    for i in mine[1:]:
-        assert seen[i][1][0] == i
-    for i in theirs:
-        assert seen[i][1][1] == i - 1
+
+
+@pytest.mark.parametrize("count", [2, 3, 8, 9])
+def test_worker_runs_the_back_half_after_the_first_suite(monkeypatch, count):
+    # each suite reports the pid that ran it
+    _fake_suites(monkeypatch, lambda name: [os.getpid()])
+    names = [f"s{i}" for i in range(count)]
+    results = list(suite_results(names, None, True))
+    assert [name for name, _, _ in results] == names
+    ran = {name: reports[0] for name, reports, _ in results}
+    rest = names[1:]
+    theirs = rest[len(rest) // 2 :]
+    assert {name for name, pid in ran.items() if pid != os.getpid()} == set(theirs)
+    assert len({ran[name] for name in theirs}) == 1
     assert_no_child_left()
 
 
@@ -120,6 +104,63 @@ def test_dead_worker_leaves_its_suites_to_this_process(monkeypatch):
     assert forked == serial
     assert sorted(here) == sorted(SUITE_ORDER)
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("sent", [1, 3])
+def test_worker_dying_after_some_results_leaves_the_rest_here(monkeypatch, sent):
+    # the worker exits when it starts its suite number sent + 1, after
+    # sending sent results; this process runs its own half and the
+    # worker's unsent suites, each once
+    p = RepParams(q=rational(5, 3), k=(1, 2, 1, 3), legs=4, n_max=3)
+    serial = [(name, _json(reports)) for name, reports, _ in suite_results(SUITE_ORDER, p, False)]
+    here = []
+    started = []
+    me = os.getpid()
+    real = cli.run_suite
+
+    def run_or_die(name, p):
+        if os.getpid() != me:
+            started.append(name)
+            if len(started) > sent:
+                os._exit(1)
+        else:
+            here.append(name)
+        return real(name, p)
+
+    monkeypatch.setattr(cli, "run_suite", run_or_die)
+    forked = [(name, _json(reports)) for name, reports, _ in suite_results(SUITE_ORDER, p, True)]
+    assert forked == serial
+    rest = list(SUITE_ORDER[1:])
+    mine, theirs = rest[: len(rest) // 2], rest[len(rest) // 2 :]
+    assert here == ["defining", *mine, *theirs[sent:]]
+    assert_no_child_left()
+
+
+def test_error_here_stops_the_worker_and_closes_the_pipe(monkeypatch):
+    # the worker's suites would take a minute; an exception in this
+    # process's half reaches the caller at once, the worker is stopped
+    # and reaped, and no descriptor of the pipe stays open, though the
+    # traceback still holds the generator's frame
+    fds = Path("/proc/self/fd")
+    if not fds.is_dir():
+        pytest.skip("no /proc/self/fd on this platform")
+    me = os.getpid()
+
+    def run(name):
+        if os.getpid() != me:
+            time.sleep(60)
+        if name == "s2":
+            raise RuntimeError("suite s2 failed")
+        return [name]
+
+    _fake_suites(monkeypatch, run)
+    before = sorted(os.listdir(fds))
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="suite s2 failed") as raised:
+        list(suite_results([f"s{i}" for i in range(6)], None, True))
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
+    assert sorted(os.listdir(fds)) == before
 
 
 @pytest.mark.parametrize("call", ["fork", "pipe"])
@@ -155,36 +196,6 @@ def test_worker_that_cannot_start_leaves_every_suite_here(monkeypatch, tmp_path,
     assert got[0] == serial[0]
     strip = lambda out: re.sub(r"\[\d+\.\ds\]", "", out)
     assert strip(got[1]) == strip(serial[1])
-
-
-def test_each_suite_runs_once_under_contention(monkeypatch, tmp_path):
-    # this process and a forked worker take suites from the two ends of
-    # one shared range; where they meet, a lost update would run a suite
-    # twice or not at all.  Every run appends "pid name" to one log.
-    log = tmp_path / "ran.log"
-
-    def fake_suite(name, p):
-        time.sleep(int(name[1:]) % 3 * 1e-4)
-        with open(log, "a") as f:
-            f.write(f"{os.getpid()} {name}\n")
-        return [name]
-
-    monkeypatch.setattr(cli, "run_suite", fake_suite)
-    monkeypatch.setattr(cli, "build_registry", lambda p: SimpleNamespace(quotient=None))
-    pids = set()
-    deadline = time.monotonic() + 3
-    for trial in range(1000):
-        names = [f"s{i}" for i in range(2 + trial % 7)]
-        log.write_text("")
-        results = [(name, reports) for name, reports, _ in suite_results(names, None, True)]
-        assert results == [(name, [name]) for name in names]
-        ran = [line.split() for line in log.read_text().splitlines()]
-        assert Counter(name for _, name in ran) == Counter(names)
-        pids.update(pid for pid, _ in ran)
-        if time.monotonic() > deadline:
-            break
-    assert str(os.getpid()) in pids and len(pids) > 2
-    assert_no_child_left()
 
 
 def test_worker_rebuilds_nothing(monkeypatch):
