@@ -30,8 +30,8 @@ class TruncatedBasis:
     """
 
     def __init__(self, legs: int, n_max: int):
-        if legs not in (2, 3, 4):
-            raise ValueError(f"legs must be 2, 3 or 4, got {legs}")
+        if legs not in (1, 2, 3, 4):
+            raise ValueError(f"legs must be 1, 2, 3 or 4, got {legs}")
         if n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {n_max}")
         self.legs = legs

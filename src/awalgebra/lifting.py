@@ -1,5 +1,6 @@
 """The quotient realization: operators that commute with Delta(E), read
-on block_w / E(block_(w-1)).
+on block_w / E(block_(w-1)); and the slices of an interval, on which its
+operators are those of the interval's own realization.
 
 Let E = Delta(E) be the raising operator of an interval of legs lo..hi,
 assembled through the coproduct.  It maps weight block w-1 into block w
@@ -91,10 +92,63 @@ spectra (spectra.chain_counts)
 use (span) and remainder with E = Delta_A(E) for an interval A; each
 seed is tested for one quotient membership, and spectra.py carries its
 own proof.
+
+Slices.  Let A = lo..hi be an interval of legs of a realization p and
+p_A the realization of its legs alone (RepParams.interval_realization:
+hi - lo + 1 legs, the labels k_lo..k_hi, the same q and n_max).  Split
+a state into its inner part m[lo-1:hi], whose weight is its A-weight,
+and its outside part o, the quanta on the other legs.  The slice of o
+is the span of the states with outside part o; the slice of o = 0 is
+the zero-outside slice (zero_outside).
+
+    Slice lemma.  On the slice of o, with |o| = m outside quanta, A's
+    E, F, K and Kinv (interval_ops(p, A), either fold) are those of
+    p_A under the index map state -> inner part, restricted to the
+    A-weights <= n_max - m, with E also cut on the columns of A-weight
+    n_max - m.  A's Casimir there is p_A's restricted, with no cut.
+    So on the zero-outside slice (m = 0) all five are p_A's.
+
+Proof.  Each leg generator is filled from a table of one value per
+occupation of its own leg, computed from q and the leg's label alone
+(uqrep.primitive_generator), and is the identity on the other legs;
+only E's cut, at total weight n_max = A-weight + m, sees the outside
+quanta.  A's generators are lincombs of products of the generators of
+its legs (the coproduct folds), so they keep o and act on the slice of
+o as p_A's do, with E cut at A-weight n_max - m.  The Casimir is a lincomb of K K, Kinv Kinv and E F, and in
+E F the E acts below the column's A-weight, where nothing is cut.
+
+Corollary (slice first).  A monomial in A's generators, applied to a
+column of A-weight a, climbs to A-weight a + c at most, its climb c
+fixed by its factors' degrees.  On the slice of o it is p_A's monomial
+when a + c <= n_max - m and zero otherwise: an E that would climb past
+n_max - m acts on A-weight n_max - m, where it is cut.  Let R be a
+lincomb of such monomials, checked on the columns of weight <= top,
+whose monomials all have one climb or all climb at most n_max - top.
+A checked column of the slice of o has A-weight a <= top - m.  If one
+monomial is cut there, all have that climb and all are cut, so R is
+zero there; otherwise every monomial is p_A's on that column and on
+the zero-outside column of the same inner part, which is checked too,
+and R takes the same values on both.  So R is zero on every checked
+column iff it is zero on the checked columns of the zero-outside slice
+(slice_first).  This covers the defining relations (K Kinv - 1 and
+q K F - F K: climb 0; K E - q E K: climb 1; the E, F commutator, climbs
+0 and 1, checked with top = n_max - 1), coassociativity (both folds of
+one generator, one climb) and every polynomial in A's Casimirs (climb
+0), such as the linearized aw3 pair on legs 1..3.  The lemma is a
+property of how uqrep builds A's operators; for operators taken from a
+registry, which may hold any table, keeps_slices checks in code what a
+polynomial in them needs: op e_(s,o) is op e_(s,0) with o put back on
+its rows, for every state (s, o).  By induction on the factors a
+product, and so every polynomial, has it too, and is zero on every
+column iff it is zero on the zero-outside slice.  Casimir spectra use
+the lemma directly: block w of p is the sum over o of A-weight w - |o|
+on the slice of o, on which A's Casimir is p_A's block w - |o|
+(cli.cmd_spectrum).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd, lcm
 
 from .sparse import SparseOperator
@@ -105,6 +159,75 @@ def seed_states(basis, lo: int, w: int) -> list:
     order."""
     states = basis.states
     return [j for j in basis.weight_block(w) if not states[j][lo - 1]]
+
+
+# Entries kept by zero_outside's cache: a four-leg verify fills 10, one
+# per interval, and a three-leg one 6; the four basis shapes of the
+# benchmark's sweep (legs 3 and 4, nmax 2 and 3) fill 32.
+SLICE_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=SLICE_CACHE_SIZE)
+def zero_outside(basis, interval) -> tuple:
+    """The zero-outside slice of the interval lo..hi: the indices of
+    the states of basis with no quanta on the other legs, in index
+    order.  Cached per basis shape (bases of one shape are
+    interchangeable)."""
+    lo, hi = interval
+    return tuple(
+        j for j, m in enumerate(basis.states) if not any(m[: lo - 1]) and not any(m[hi:])
+    )
+
+
+def keeps_slices(op, interval) -> bool:
+    """op maps the zero-outside slice of the interval lo..hi into
+    itself, and its column of every state (s, o), inner part s and
+    outside part o, is its column of (s, 0) with o put back on every
+    row (the module doc, slices)."""
+    basis = op.basis
+    states, index_of = basis.states, basis.index_of
+    lo, hi = interval
+    left, right = (0,) * (lo - 1), (0,) * (basis.legs - hi)
+    cols = op.cols
+    try:
+        for j, m in enumerate(states):
+            zero = cols.get(index_of(left + m[lo - 1 : hi] + right), {})
+            col = cols.get(j, {})
+            if len(col) != len(zero):
+                return False
+            for i, v in zero.items():
+                t = states[i]
+                if t[: lo - 1] != left or t[hi:] != right:
+                    return False
+                if col.get(index_of(m[: lo - 1] + t[lo - 1 : hi] + m[hi:])) != v:
+                    return False
+    except KeyError:  # a row with o put back lies above the truncation
+        return False
+    return True
+
+
+def slice_first(basis, interval, terms, top=None):
+    """The lincomb of terms, a residual of the generators of the
+    interval lo..hi that the corollary (slice first) covers when
+    checked on the columns of weight <= top (default n_max).
+
+    It is first evaluated on the zero-outside slice's columns of weight
+    <= top and on every column of weight > top.  A zero on those slice
+    columns is zero on every column of weight <= top, so that result is
+    the whole residual; otherwise, or when the slice holds every column
+    of weight <= top, the residual is evaluated on every column.
+    """
+    top = basis.n_max if top is None else top
+    stop = basis.weight_block(top).stop
+    checked = [j for j in zero_outside(basis, interval) if j < stop]
+    if len(checked) < stop:
+        cols = checked + list(range(stop, len(basis)))
+        # column j of A B is A applied to column j of B
+        part = [(c, *ops[:-1], ops[-1].restricted(cols)) for c, *ops in terms]
+        out = SparseOperator.lincomb(basis, part)
+        if not any(j < stop for j in out.cols):
+            return out
+    return SparseOperator.lincomb(basis, terms)
 
 
 def commutes_below_top(op, e, top=None) -> bool:

@@ -60,6 +60,13 @@ of the V(w, a), since each prod_(y<=a) (Q - mu_y) divides P_w.
 Block 0, and every block from the first that is refused up, is counted
 whole with annihilating_residual, so every block's count is its
 whole-block count.
+
+The spectra suite (spectrum_reports) runs the chain on the registry's
+realization.  `awalgebra spectrum` runs it first, for a proper
+sub-interval A, on A's own realization p_A, whose blocks make up every
+block of the full one by the slice lemma of lifting.py, and counts the
+full realization's blocks only when p_A leaves a block nonzero
+(cli.interval_blocks_vanish).
 """
 
 from __future__ import annotations

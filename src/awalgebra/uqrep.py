@@ -62,9 +62,13 @@ GENERATOR_NAMES = ("E", "F", "K", "Kinv")
 # process from holding all of them.  One default verify run fills at
 # most 19 entries of any of them (interval_ops: 10 left folds, single
 # legs included, and 3 right folds at four legs, 6 left folds for the
-# three-leg sub-realization; casimir 16, _leg_ops 7, casimir_unshifted
-# 6), and spectrum --nmax 7 over all ten labels 10.  Every shorter fold
-# a fold extends is one of these entries.
+# three-leg sub-realization; casimir 16, _leg_ops 7; casimir_unshifted
+# only to diagnose a nonzero quadratic aw3 line).  One process running
+# spectrum --nmax 7 for all ten labels fills 19 entries of interval_ops
+# and 19 of _leg_ops, 9 of casimir and 4 of the basis cache, since each
+# proper sub-interval builds its own realization of one to three legs
+# (Q1 and Q3 share one at k = 1,2,1,3): still within the bound.  Every
+# shorter fold a fold extends is one of these entries.
 CACHE_SIZE = 32
 
 
@@ -85,8 +89,8 @@ class RepParams:
 
     def __post_init__(self):
         object.__setattr__(self, "k", tuple(self.k))
-        if self.legs not in (2, 3, 4):
-            raise ValueError(f"legs must be 2, 3 or 4, got {self.legs}")
+        if self.legs not in (1, 2, 3, 4):
+            raise ValueError(f"legs must be 1, 2, 3 or 4, got {self.legs}")
         if len(self.k) != self.legs:
             raise ValueError(
                 f"need one weight label per leg: got {len(self.k)} for {self.legs}"
@@ -108,6 +112,12 @@ class RepParams:
         """The truncated occupation basis every operator lives on, one
         object per shape (legs, n_max) while it stays in the cache."""
         return _basis(self.legs, self.n_max)
+
+    def interval_realization(self, interval) -> RepParams:
+        """p_A of the slice lemma (lifting.py): the legs lo..hi alone,
+        with their weight labels, the same q and the same n_max."""
+        lo, hi = check_interval(self, interval)
+        return RepParams(self.q, self.k[lo - 1 : hi], hi - lo + 1, self.n_max)
 
     def interval_weight(self, interval) -> int:
         """Sum of the weight labels over an interval of legs."""
