@@ -12,8 +12,8 @@ center of the three-generator subalgebra the edge generates).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .opalgebra import DERIVED_DEFS, GeneratorRegistry
 
@@ -25,8 +25,7 @@ class CompassError(RuntimeError):
     table; the realization is inconsistent."""
 
 
-@dataclass(frozen=True)
-class CompassGraph:
+class CompassGraph(NamedTuple):
     vertices: tuple  # fixed drawing order
     dashed: tuple  # (src, dst, derived label) directed, non-commuting
     solid: tuple  # (a, b) undirected, commuting

@@ -109,13 +109,16 @@ the zero-outside slice (zero_outside).
     So on the zero-outside slice (m = 0) all five are p_A's.
 
 Proof.  Each leg generator is filled from a table of one value per
-occupation of its own leg, computed from q and the leg's label alone
-(uqrep.primitive_generator), and is the identity on the other legs;
-only E's cut, at total weight n_max = A-weight + m, sees the outside
-quanta.  A's generators are lincombs of products of the generators of
-its legs (the coproduct folds), so they keep o and act on the slice of
-o as p_A's do, with E cut at A-weight n_max - m.  The Casimir is a lincomb of K K, Kinv Kinv and E F, and in
-E F the E acts below the column's A-weight, where nothing is cut.
+occupation of its own leg, and is the identity on the other legs.  The
+table is uqrep.leg_table(q, k, n_max, generator): its arguments are q,
+the leg's label and the truncation, with no leg index and no outside
+quanta, so this premise lives in its signature.  Only E's cut, at total
+weight n_max = A-weight + m, sees the outside quanta.  A's generators
+are lincombs of products of the generators of its legs (the coproduct
+folds), so they keep o and act on the slice of o as p_A's do, with E
+cut at A-weight n_max - m.  The Casimir is a lincomb of K K, Kinv Kinv
+and E F, and in E F the E acts below the column's A-weight, where
+nothing is cut.
 
 Corollary (slice first).  A monomial in A's generators, applied to a
 column of A-weight a, climbs to A-weight a + c at most, its climb c
@@ -207,27 +210,30 @@ def keeps_slices(op, interval) -> bool:
 
 
 def slice_first(basis, interval, terms, top=None):
-    """The lincomb of terms, a residual of the generators of the
-    interval lo..hi that the corollary (slice first) covers when
-    checked on the columns of weight <= top (default n_max).
+    """The lincomb of terms on the columns of weight <= top (default
+    n_max), the ones its check reads, for a residual of the generators
+    of the interval lo..hi that the corollary (slice first) covers.
 
     It is first evaluated on the zero-outside slice's columns of weight
-    <= top and on every column of weight > top.  A zero on those slice
-    columns is zero on every column of weight <= top, so that result is
-    the whole residual; otherwise, or when the slice holds every column
-    of weight <= top, the residual is evaluated on every column.
+    <= top.  A zero there is zero on every column of weight <= top, so
+    that result is the whole checked residual; otherwise, or when the
+    slice holds every column of weight <= top, it is evaluated on every
+    column of weight <= top.
     """
     top = basis.n_max if top is None else top
     stop = basis.weight_block(top).stop
     checked = [j for j in zero_outside(basis, interval) if j < stop]
     if len(checked) < stop:
-        cols = checked + list(range(stop, len(basis)))
-        # column j of A B is A applied to column j of B
-        part = [(c, *ops[:-1], ops[-1].restricted(cols)) for c, *ops in terms]
-        out = SparseOperator.lincomb(basis, part)
-        if not any(j < stop for j in out.cols):
+        out = _on_columns(basis, terms, checked)
+        if out.is_zero():
             return out
-    return SparseOperator.lincomb(basis, terms)
+    return _on_columns(basis, terms, range(stop))
+
+
+def _on_columns(basis, terms, cols):
+    # column j of A B is A applied to column j of B
+    part = [(c, *ops[:-1], ops[-1].restricted(cols)) for c, *ops in terms]
+    return SparseOperator.lincomb(basis, part)
 
 
 def commutes_below_top(op, e, top=None) -> bool:

@@ -49,10 +49,10 @@ recomputed on every column, so every report is the full evaluation's.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .exactnum import inverse
 from .lifting import keeps_slices, slice_first, zero_outside
@@ -580,8 +580,7 @@ def _diagnose_residual(resid, lone, lone_name) -> str:
 # -- master identity ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MasterRow:
+class MasterRow(NamedTuple):
     table: str
     index: int
     triples: tuple  # ((A,B,C), (alpha,beta,gamma), (X,Y,Z)) as labels

@@ -10,16 +10,15 @@ make a run fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass
-class RelationReport:
+class RelationReport(NamedTuple):
     id: str
     kind: str
     inputs: dict
     status: str  # "pass" (zero residual) | "fail" (nonzero residual)
-    residual_summary: dict = field(default_factory=dict)
+    residual_summary: dict
     expected: str = "zero"  # "zero" | "nonzero"
     gating: bool = True
 

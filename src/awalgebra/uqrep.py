@@ -19,9 +19,12 @@ a diagonal matrix, so every algebra relation, every Casimir entry and
 every spectrum is untouched, while all matrix entries become rational
 in q.
 
-Every entry depends on the leg's occupation n alone, so each generator
-is built from a table of at most n_max + 1 values, one per n, written
-as int numerators over the table's common denominator.
+Every entry depends on q, the leg's label k and its occupation n
+alone, so each generator is filled from a table of at most n_max + 1
+values, one per n, written as int numerators over the table's common
+denominator (leg_table), which every leg of that label shares, through
+the leg's index map of entry positions, which every basis of that
+shape shares.
 
 Multi-leg operators on a consecutive interval of legs come from
 iterating the comultiplication
@@ -44,10 +47,10 @@ are exact on columns of weight <= n_max - 1 and are checked there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import lcm
+from typing import NamedTuple
 
 from .exactnum import ONE, Rational, inverse
 from .fockspace import TruncatedBasis
@@ -55,59 +58,80 @@ from .sparse import SparseOperator
 
 GENERATOR_NAMES = ("E", "F", "K", "Kinv")
 
-# Entries kept by the basis cache (keyed on shape) and by each of the
-# four operator caches below.  They are keyed on parameter values, so
-# equal parameters share one entry across runs in a process; the bound
-# drops the least recently used parameter sets and keeps a long-lived
-# process from holding all of them.  One default verify run fills at
-# most 19 entries of any of them (interval_ops: 10 left folds, single
-# legs included, and 3 right folds at four legs, 6 left folds for the
-# three-leg sub-realization; casimir 16, _leg_ops 7; casimir_unshifted
-# only to diagnose a nonzero quadratic aw3 line).  One process running
-# spectrum --nmax 7 for all ten labels fills 19 entries of interval_ops
-# and 19 of _leg_ops, 9 of casimir and 4 of the basis cache, since each
-# proper sub-interval builds its own realization of one to three legs
-# (Q1 and Q3 share one at k = 1,2,1,3): still within the bound.  Every
-# shorter fold a fold extends is one of these entries.
+# Weight degree of each generator: E raises the weight, F lowers it.
+DEGREE = {"E": 1, "F": -1, "K": 0, "Kinv": 0}
+
+# Entries kept by each cache below: the basis cache (keyed on shape),
+# the leg tables (q, label, n_max, generator), the index maps (shape,
+# leg), the four operator caches and the eigenvalues (q, kappa).  They
+# are keyed on values, so equal parameters share one entry across runs
+# in a process; the bound drops the least recently used entries and
+# keeps a long-lived process from holding all of them.  One default
+# verify fills at most 19 entries of any of them: interval_ops 10 left
+# folds, single legs included, and 3 right folds at four legs, 6 left
+# folds for the three-leg sub-realization; casimir 16, _leg_ops 7, the
+# index maps 7 (legs 1-4, then legs 1-3 of the sub-realization),
+# leg_table 12 (the labels 1, 2, 3, four generators each),
+# casimir_eigenvalue 13; casimir_unshifted only to diagnose a nonzero
+# quadratic aw3 line.  One process running spectrum --nmax 7 for all
+# ten labels fills 19 entries of interval_ops and 19 of _leg_ops, 9 of
+# casimir, 4 of the basis cache, 10 index maps, 12 leg tables and 14
+# eigenvalues, since each proper sub-interval builds its own
+# realization of one to three legs (Q1 and Q3 share one at k =
+# 1,2,1,3): still within the bound.  Every shorter fold a fold extends
+# is one of these entries.
 CACHE_SIZE = 32
 
 
-@dataclass(frozen=True)
-class RepParams:
+class _Fields(NamedTuple):
+    q: object
+    k: tuple
+    legs: int
+    n_max: int
+
+
+class RepParams(_Fields):
     """One realization: deformation parameter q, one integer weight label
     per leg, the number of legs and the truncation n_max.
 
     q must be exact (int, Fraction or the backend's Rational) and is
     stored as the backend's Rational; bools are rejected in q and k.
-    Compared and hashed by these values, which key the operator caches.
+    An immutable named tuple, compared and hashed by these values, which
+    key the operator caches.  Every way to make one validates: the
+    constructor, replace (and the named tuple's _replace and _make) and
+    unpickling.
     """
 
-    q: object
-    k: tuple[int, ...]
-    legs: int
-    n_max: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", tuple(self.k))
-        if self.legs not in (1, 2, 3, 4):
-            raise ValueError(f"legs must be 1, 2, 3 or 4, got {self.legs}")
-        if len(self.k) != self.legs:
-            raise ValueError(
-                f"need one weight label per leg: got {len(self.k)} for {self.legs}"
-            )
-        if not all(_is_integer(x) and x >= 1 for x in self.k):
-            raise ValueError(f"weight labels must be integers >= 1, got {self.k}")
-        q = self.q
+    def __new__(cls, q, k, legs, n_max):
+        k = tuple(k)
+        if legs not in (1, 2, 3, 4):
+            raise ValueError(f"legs must be 1, 2, 3 or 4, got {legs}")
+        if len(k) != legs:
+            raise ValueError(f"need one weight label per leg: got {len(k)} for {legs}")
+        if not all(_is_integer(x) and x >= 1 for x in k):
+            raise ValueError(f"weight labels must be integers >= 1, got {k}")
         if not (_is_integer(q) or isinstance(q, (Fraction, Rational))):
             raise ValueError(f"q must be an exact rational, got {q!r}")
         q = Rational(q)
-        object.__setattr__(self, "q", q)
         if q == 0 or q == 1 or q == -1:
             raise ValueError("q must be nonzero and not a root of unity")
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+        if n_max < 1:
+            raise ValueError(f"n_max must be >= 1, got {n_max}")
+        return super().__new__(cls, q, k, legs, n_max)
 
-    @cached_property
+    @classmethod
+    def _make(cls, iterable):
+        # the named tuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
+
+    def replace(self, **changes) -> RepParams:
+        """These parameters with the given fields changed, validated as
+        a new set."""
+        return self._replace(**changes)
+
+    @property
     def basis(self) -> TruncatedBasis:
         """The truncated occupation basis every operator lives on, one
         object per shape (legs, n_max) while it stays in the cache."""
@@ -141,31 +165,19 @@ def check_interval(p: RepParams, interval):
     return lo, hi
 
 
-def primitive_generator(p: RepParams, leg: int, which: str) -> SparseOperator:
-    """Generator acting on a single leg, identity on all others, filled
-    from its table of one value per occupation n (module doc)."""
-    if not 1 <= leg <= p.legs:
-        raise ValueError(f"leg {leg} not within 1..{p.legs}")
-    basis = p.basis
-    q = p.q
-    k = p.k[leg - 1]
-    ax = leg - 1
-    n_max = basis.n_max
-    index_of = basis.index_of
-    # (column, row, occupation n of the column's state) per entry
+@lru_cache(maxsize=CACHE_SIZE)
+def leg_table(q, k: int, n_max: int, which: str) -> tuple:
+    """(nums, den): the entries of generator which on a leg of weight
+    label k, one per occupation n of that leg (the module doc), as int
+    numerators over their common denominator.  They depend on q, the
+    label and n alone, the premise of the slice lemma (lifting.py), so
+    every leg of every realization with this label shares the table.
+    No numerator is zero: q is nonzero and no root of unity."""
     if which in ("K", "Kinv"):
         sign = 1 if which == "K" else -1
         table = [q ** (sign * (k + n)) for n in range(n_max + 1)]
-        entries = [(j, j, m[ax]) for j, m in enumerate(basis.states)]
-        degree = 0
     elif which == "F":
         table = [ONE] * (n_max + 1)
-        entries = [
-            (j, index_of(m[:ax] + (m[ax] - 1,) + m[ax + 1 :]), m[ax])
-            for j, m in enumerate(basis.states)
-            if m[ax] >= 1
-        ]
-        degree = -1
     elif which == "E":
         denom = (ONE / q - q) ** 2
         table = [
@@ -175,20 +187,47 @@ def primitive_generator(p: RepParams, leg: int, which: str) -> SparseOperator:
             / denom
             for n in range(n_max)
         ]
-        # raising out of the truncation (the top weight block) is cut off
-        entries = [
-            (j, index_of(m[:ax] + (m[ax] + 1,) + m[ax + 1 :]), m[ax])
-            for j, m in enumerate(basis.states)
-            if basis.weights[j] < n_max
-        ]
-        degree = 1
     else:
         raise ValueError(f"unknown generator {which!r}")
     den = lcm(*(int(v.denominator) for v in table))
-    nums = [int(v.numerator) * (den // int(v.denominator)) for v in table]
-    # no numerator is zero: q is nonzero and no root of unity
-    cols = {j: {i: nums[n]} for j, i, n in entries}
-    return SparseOperator._reduced(basis, cols, degree, den)
+    return tuple(int(v.numerator) * (den // int(v.denominator)) for v in table), den
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _leg_entries(basis: TruncatedBasis, leg: int) -> dict:
+    """degree -> the (column, row, occupation n of the column's state)
+    of every entry of a generator of that degree on one leg: K and Kinv
+    (0), F (-1) and E (1), whose raising out of the truncation (the top
+    weight block) is cut off.  Cached per basis shape and leg."""
+    ax = leg - 1
+    states, index_of, n_max = basis.states, basis.index_of, basis.n_max
+    return {
+        0: [(j, j, m[ax]) for j, m in enumerate(states)],
+        -1: [
+            (j, index_of(m[:ax] + (m[ax] - 1,) + m[ax + 1 :]), m[ax])
+            for j, m in enumerate(states)
+            if m[ax] >= 1
+        ],
+        1: [
+            (j, index_of(m[:ax] + (m[ax] + 1,) + m[ax + 1 :]), m[ax])
+            for j, m in enumerate(states)
+            if basis.weights[j] < n_max
+        ],
+    }
+
+
+def primitive_generator(p: RepParams, leg: int, which: str) -> SparseOperator:
+    """Generator acting on a single leg, identity on all others, filled
+    from its label's table (leg_table) through the leg's index map."""
+    if not 1 <= leg <= p.legs:
+        raise ValueError(f"leg {leg} not within 1..{p.legs}")
+    nums, den = leg_table(p.q, p.k[leg - 1], p.n_max, which)
+    degree = DEGREE[which]
+    basis = p.basis
+    cols = {j: {i: nums[n]} for j, i, n in _leg_entries(basis, leg)[degree]}
+    # canonical as it stands: the table's numerators over the lcm of its
+    # denominators share no factor with it, and every entry occurs
+    return SparseOperator._raw(basis, cols, degree, den)
 
 
 def _couple(left: dict, right: dict) -> dict:
@@ -260,11 +299,14 @@ def casimir(p: RepParams, interval) -> SparseOperator:
     )
 
 
+# typed: an int q would give a float, which must not answer for an
+# equal Rational q
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
 def casimir_eigenvalue(q, kappa: int):
     """Shifted eigenvalue -(q^(2 kappa - 1) + q^(1 - 2 kappa))/(q + q^-1).
 
     Symmetric under kappa -> 1 - kappa; equals -1 at kappa = 1 for
-    every q.
+    every q.  Cached per (q, kappa).
     """
     return -(q ** (2 * kappa - 1) + q ** (1 - 2 * kappa)) / (q + inverse(q))
 

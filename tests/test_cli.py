@@ -10,6 +10,7 @@ from awalgebra.cli import main
 from awalgebra.opalgebra import build_registry
 from awalgebra.reporting import RelationReport
 from awalgebra.uqrep import _leg_ops, casimir, interval_ops
+from helpers import run_script
 
 
 def run(capsys, *argv):
@@ -268,3 +269,15 @@ def test_successive_calls_share_the_parser_but_no_options(capsys, tmp_path):
     code, _, _ = run(capsys, "verify", "--nmax", "1", "--suite", "defining")
     assert code == 0 and not report.exists()
     assert cli._parser.cache_info().misses == 1
+
+
+def test_commands_import_neither_dataclasses_nor_inspect(tmp_path):
+    # dataclasses pulls in inspect, ast, dis and tokenize, about 14 ms of
+    # every command's start
+    source = (
+        "import sys\n"
+        "import awalgebra.cli, awalgebra.relcheck\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    done = run_script(tmp_path / "imports.py", source)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr

@@ -3,8 +3,6 @@ stored numerator of Q12 must flip the checks that use it to FAIL, and so
 must two exchanged labels in a master row and one flipped monomial sign
 in an aw3 relation."""
 
-from dataclasses import replace
-
 import pytest
 
 from awalgebra import relcheck
@@ -85,7 +83,7 @@ def test_master_row_with_exchanged_labels_fails(reg):
     # [[b, a]_q, c]_q in place of [[a, b]_q, c]_q in the first triple
     for row in relcheck.load_master_rows():
         (a, b, c), *rest = row.triples
-        swapped = replace(row, triples=((b, a, c), *rest))
+        swapped = row._replace(triples=((b, a, c), *rest))
         assert relcheck.check_master(reg, row).ok
         assert relcheck.check_master(reg, swapped).status == "fail", row
 

@@ -148,6 +148,22 @@ def scaled_leg_2_e_entry(monkeypatch):
     monkeypatch.setattr(uqrep, "primitive_generator", generator)
 
 
+def perturbed_cached_e_table(monkeypatch):
+    """The cached E table of weight label 2 with the entry of occupation
+    1 doubled.  The table is keyed on q, the label, n_max and the
+    generator, with no leg index, so every leg of label 2 in every
+    realization reads the perturbed entry."""
+    real = uqrep.leg_table
+
+    def table(q, k, n_max, which):
+        nums, den = real(q, k, n_max, which)
+        if (k, which) == (2, "E"):
+            nums = (nums[0], 2 * nums[1], *nums[2:])
+        return nums, den
+
+    monkeypatch.setattr(uqrep, "leg_table", table)
+
+
 def doubled_coupling_term(monkeypatch):
     """Delta(E) = K (x) E + 2 E (x) Kinv in every coupling, so that the
     left and right folds of three or more legs differ."""
@@ -165,7 +181,7 @@ def defining_reports(p):
     return relcheck.check_defining_relations(p) + relcheck.check_coassociativity(p)
 
 
-@pytest.mark.parametrize("mutant", [scaled_leg_2_e_entry, doubled_coupling_term])
+@pytest.mark.parametrize("mutant", [scaled_leg_2_e_entry, doubled_coupling_term, perturbed_cached_e_table])
 def test_slice_first_flips_what_every_column_flips(cold_caches, monkeypatch, mutant):
     p = RepParams(q=parse("5/3"), k=(1, 2, 1, 3), legs=4, n_max=4)
     assert all(r.ok for r in defining_reports(p))
@@ -180,7 +196,7 @@ def test_slice_first_flips_what_every_column_flips(cold_caches, monkeypatch, mut
     flipped = [r["id"] for r in first if not r["ok"]]
     ef_with_leg_2 = [f"defining/{x}/EF" for x in ("Q2", "Q12", "Q23", "Q123", "Q234", "Q1234")]
     coassoc = [x for x in flipped if x.startswith("defining/coassoc/")]
-    if mutant is scaled_leg_2_e_entry:
+    if mutant is not doubled_coupling_term:
         # both folds read the one table, so coassociativity still holds
         assert flipped == ef_with_leg_2
         # nonzero on the slice, so counted on every column
@@ -210,12 +226,22 @@ def test_embedded_linear_pair_flips_what_every_column_flips(cold_caches, monkeyp
 
 @pytest.mark.parametrize("label", ["Q2", "Q23", "Q123"])
 def test_spectrum_of_a_mutated_table_equals_the_four_leg_count(cold_caches, monkeypatch, capsys, label):
+    scaled_leg_2_e_entry(monkeypatch)
+    spectrum_equals_the_four_leg_count(capsys, label)
+
+
+@pytest.mark.parametrize("label", ["Q2", "Q23"])
+def test_spectrum_of_a_perturbed_cached_table_equals_the_four_leg_count(cold_caches, monkeypatch, capsys, label):
+    perturbed_cached_e_table(monkeypatch)
+    spectrum_equals_the_four_leg_count(capsys, label)
+
+
+def spectrum_equals_the_four_leg_count(capsys, label):
     # label 2's E table scaled at occupation 1: the Casimirs of intervals
     # holding leg 2 are off on the states with two quanta there, in
     # p_A's block 2 and in every four-leg block from weight 2 on
     from test_spectrum_lines import _whole_block_lines
 
-    scaled_leg_2_e_entry(monkeypatch)
     p = RepParams(q=parse("5/3"), k=(1, 2, 1, 3), legs=4, n_max=4)
     subset = subset_of_label(label)
     interval = (subset[0], subset[-1])

@@ -36,6 +36,21 @@ def test_eigenvalue_reflection_symmetry(q):
         assert casimir_eigenvalue(q, kappa) == casimir_eigenvalue(q, 1 - kappa)
 
 
+@pytest.mark.parametrize("q", [parse("5/3"), parse("-2/5")])
+def test_cached_eigenvalue_equals_the_formula(q):
+    casimir_eigenvalue.cache_clear()
+    for _ in range(2):  # computed, then taken from the cache
+        for kappa in range(1, 21):
+            want = -(q ** (2 * kappa - 1) + q ** (1 - 2 * kappa)) / (q + 1 / q)
+            assert casimir_eigenvalue(q, kappa) == want
+    assert casimir_eigenvalue.cache_info().hits == 20
+    # an int q's value, with its float power, does not answer for the
+    # equal exact q
+    assert isinstance(casimir_eigenvalue(2, 2), float)
+    exact = casimir_eigenvalue(rational(2), 2)
+    assert exact == rational(-13, 4) and type(exact) is type(rational(2))
+
+
 def casimir_eigenvalue_unshifted(q, kappa: int):
     """Unshifted eigenvalue (q^(2 kappa - 1) + q^(1 - 2 kappa) - 2)/(q - q^-1)^2."""
     return (q ** (2 * kappa - 1) + q ** (1 - 2 * kappa) - 2) / (q - 1 / q) ** 2

@@ -13,8 +13,10 @@ from awalgebra.uqrep import (
     _basis,
     _leg_ops,
     casimir,
+    casimir_eigenvalue,
     casimir_unshifted,
     interval_ops,
+    predicted_eigenvalues,
     primitive_generator,
 )
 from helpers import below_top, degree_is_consistent
@@ -54,6 +56,46 @@ def test_params_reject_bool_q():
 def test_params_reject_bool_weight():
     with pytest.raises(ValueError):
         RepParams(q=Q2, k=(True, 1), legs=2, n_max=2)
+
+
+def test_params_are_immutable_values():
+    p = RepParams(q=Q53, k=[1, 2], legs=2, n_max=3)
+    same = RepParams(q=Fraction(5, 3), k=(1, 2), legs=2, n_max=3)
+    assert p == same and p is not same
+    assert hash(p) == hash(same) and len({p, same}) == 1
+    assert p.replace() == p and p.replace(n_max=4) == RepParams(Q53, (1, 2), 2, 4)
+    assert p.replace(k=[2, 1]).k == (2, 1) and p != p.replace(n_max=4)
+    for field, value in (("q", Q2), ("k", (2, 2)), ("legs", 3), ("n_max", 4), ("basis", None), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(p, field, value)
+    assert p == same and p.basis is same.basis
+
+
+# each rejected field value, on top of a valid two-leg parameter set
+REJECTED = {
+    "bool q": {"q": True},
+    "bool k": {"k": (True, 1)},
+    "k too long": {"k": (1, 1, 1)},
+    "k too short": {"k": (1,)},
+    "q=0": {"q": 0},
+    "q=1": {"q": rational(1)},
+    "q=-1": {"q": -1},
+    "n_max=0": {"n_max": 0},
+    "legs=0": {"legs": 0, "k": ()},
+    "legs=5": {"legs": 5, "k": (1,) * 5},
+}
+
+
+@pytest.mark.parametrize("bad", REJECTED.values(), ids=REJECTED.keys())
+def test_params_reject_through_constructor_and_replace(bad):
+    good = RepParams(q=Q53, k=(1, 2), legs=2, n_max=3)
+    with pytest.raises(ValueError):
+        RepParams(**{**good._asdict(), **bad})
+    with pytest.raises(ValueError):
+        good.replace(**bad)
+    # the named tuple's own _replace validates too
+    with pytest.raises(ValueError):
+        good._replace(**bad)
 
 
 def test_params_store_q_as_backend_rational():
@@ -134,7 +176,7 @@ ACCEPTANCE = [(Q53, (1, 2, 1, 3)), (parse("2/5"), (2, 1, 1, 1))]
 
 
 @pytest.mark.parametrize("n_max", [1, 5])
-@pytest.mark.parametrize("legs", [2, 3, 4])
+@pytest.mark.parametrize("legs", [1, 2, 3, 4])
 @pytest.mark.parametrize("q, k", ACCEPTANCE)
 def test_leg_tables_match_per_state_formula(q, k, legs, n_max):
     # n_max 1 leaves one raising coefficient below the cut-off block
@@ -330,7 +372,7 @@ def test_casimir_caching_returns_same_object():
     assert casimir(p, (1, 2)) is casimir(p, (1, 2))
 
 
-CACHES = (_leg_ops, interval_ops, casimir, casimir_unshifted)
+CACHES = (_leg_ops, interval_ops, casimir, casimir_unshifted, uqrep.leg_table, uqrep._leg_entries, casimir_eigenvalue)
 
 
 def test_caches_stay_bounded():
@@ -342,6 +384,9 @@ def test_caches_stay_bounded():
         casimir(p, (1, 2))
         casimir_unshifted(p, (1, 2))
         interval_ops(p, (1, 2), "right")
+        predicted_eigenvalues(p, (1, 2), 1)
+    for n_max in range(1, CACHE_SIZE + 4):
+        interval_ops(make(Q53, (1, 2), n_max)[0], (1, 2))
     for cached in CACHES:
         info = cached.cache_info()
         assert info.maxsize == CACHE_SIZE
