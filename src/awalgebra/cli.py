@@ -21,7 +21,7 @@ from functools import cache
 from pathlib import Path
 
 from .compass import CompassError, build_compass, export_dot
-from .exactnum import parse as parse_rational, to_text
+from .exactnum import parse as parse_rational, parse_integer, to_text
 from .opalgebra import build_registry, is_consecutive, label_of_subset, subset_of_label
 from .spectra import annihilating_residual, chain_counts
 from .uqrep import RepParams, casimir, interval_ops, predicted_eigenvalues
@@ -60,7 +60,7 @@ def make_config(args) -> RepParams:
         k = DEFAULT_K[: args.legs]
     else:
         try:
-            k = tuple(int(x) for x in args.k.split(","))
+            k = tuple(parse_integer(x) for x in args.k.split(","))
         except ValueError:
             raise ValueError(f"k must be comma-separated integers, got {args.k!r}")
     return RepParams(q=q, k=k, legs=args.legs, n_max=args.nmax)
@@ -415,8 +415,8 @@ def _add_params(sub, nmax_default=6):
         "--k",
         help="weight labels, comma separated (default: the first --legs of 1,2,1,3)",
     )
-    sub.add_argument("--legs", type=int, default=4, choices=(2, 3, 4))
-    sub.add_argument("--nmax", type=int, default=nmax_default, help="truncation")
+    sub.add_argument("--legs", type=parse_integer, default=4, choices=(2, 3, 4))
+    sub.add_argument("--nmax", type=parse_integer, default=nmax_default, help="truncation")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_params(spectrum)
     spectrum.add_argument("--op", required=True, help="label, e.g. Q123")
-    spectrum.add_argument("--weight", type=int, default=None)
+    spectrum.add_argument("--weight", type=parse_integer, default=None)
     spectrum.set_defaults(func=cmd_spectrum, needs_config=True)
 
     compass = subs.add_parser("compass", help="pentagon graph as DOT")

@@ -27,6 +27,7 @@ ZERO = Rational(0)
 ONE = Rational(1)
 
 _LITERAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def rational(num, den=1):
@@ -48,6 +49,15 @@ def parse(text):
     if not isinstance(text, str) or not _LITERAL.fullmatch(text):
         raise ValueError(f"not a rational literal: {text!r}")
     return Rational(text.lstrip("+"))
+
+
+def parse_integer(text) -> int:
+    """Parse "n" (optional sign, ASCII digits), the grammar of parse's
+    numerator.  Anything else, such as blanks, underscores or other
+    digits int() accepts, is a ValueError."""
+    if not isinstance(text, str) or not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer literal: {text!r}")
+    return int(text)
 
 
 def to_text(a) -> str:

@@ -135,17 +135,13 @@ and R takes the same values on both.  So R is zero on every checked
 column iff it is zero on the checked columns of the zero-outside slice
 (slice_first).  This covers the defining relations (K Kinv - 1 and
 q K F - F K: climb 0; K E - q E K: climb 1; the E, F commutator, climbs
-0 and 1, checked with top = n_max - 1), coassociativity (both folds of
-one generator, one climb) and every polynomial in A's Casimirs (climb
-0), such as the linearized aw3 pair on legs 1..3.  The lemma is a
-property of how uqrep builds A's operators; for operators taken from a
-registry, which may hold any table, keeps_slices checks in code what a
-polynomial in them needs: op e_(s,o) is op e_(s,0) with o put back on
-its rows, for every state (s, o).  By induction on the factors a
-product, and so every polynomial, has it too, and is zero on every
-column iff it is zero on the zero-outside slice.  Casimir spectra use
-the lemma directly: block w of p is the sum over o of A-weight w - |o|
-on the slice of o, on which A's Casimir is p_A's block w - |o|
+0 and 1, checked with top = n_max - 1) and coassociativity (both folds
+of one generator, one climb).  The lemma is a property of how uqrep
+builds A's operators, so slices serve only operators uqrep builds; a
+residual in a registry's generators, which may hold any table, is
+decided on the quotient (GeneratorRegistry.lifted).  Casimir spectra
+use the lemma directly: block w of p is the sum over o of A-weight
+w - |o| on the slice of o, on which A's Casimir is p_A's block w - |o|
 (cli.cmd_spectrum).
 """
 
@@ -180,33 +176,6 @@ def zero_outside(basis, interval) -> tuple:
     return tuple(
         j for j, m in enumerate(basis.states) if not any(m[: lo - 1]) and not any(m[hi:])
     )
-
-
-def keeps_slices(op, interval) -> bool:
-    """op maps the zero-outside slice of the interval lo..hi into
-    itself, and its column of every state (s, o), inner part s and
-    outside part o, is its column of (s, 0) with o put back on every
-    row (the module doc, slices)."""
-    basis = op.basis
-    states, index_of = basis.states, basis.index_of
-    lo, hi = interval
-    left, right = (0,) * (lo - 1), (0,) * (basis.legs - hi)
-    cols = op.cols
-    try:
-        for j, m in enumerate(states):
-            zero = cols.get(index_of(left + m[lo - 1 : hi] + right), {})
-            col = cols.get(j, {})
-            if len(col) != len(zero):
-                return False
-            for i, v in zero.items():
-                t = states[i]
-                if t[: lo - 1] != left or t[hi:] != right:
-                    return False
-                if col.get(index_of(m[: lo - 1] + t[lo - 1 : hi] + m[hi:])) != v:
-                    return False
-    except KeyError:  # a row with o put back lies above the truncation
-        return False
-    return True
 
 
 def slice_first(basis, interval, terms, top=None):

@@ -22,26 +22,26 @@ spectra        annihilating polynomials of every interval Casimir on
                test per seed under a checked certificate (spectra.py)
 independence   exact rank of the fifteen non-central generators
 
-The residuals of prop1, prop2, the symmetric aw3 relations, master and
-the quadratic pair are polynomials in the registry's generators.  Each
-is evaluated first on the registry's quotient table, the generators
+The residuals of prop1, prop2, the symmetric aw3 relations, master, the
+quadratic pair and, at four legs, the linearized aw3 pair are
+polynomials in the registry's generators.  Each is evaluated first on
+the registry's quotient table, the generators
 read on block_w / Delta(E)(block_(w-1)) with the seed states (no
 quanta on leg 1) as basis, and a zero there is zero on every column
 while the quotient certificate holds (the theorem of lifting.py,
 GeneratorRegistry.lifted); a residual the quotient leaves nonzero is
 recomputed on the full table, so every report is the full
-evaluation's.  The summaries of all but the quadratic pair add
-columns_computed and certificate_held.  A commutator with Q0, a
+evaluation's.  The summaries of all but the quadratic and the
+linearized pair add columns_computed and certificate_held.  A commutator with Q0, a
 single-leg Casimir or the total Casimir, whose reductions are block
 scalar, is zero by the corollary of lifting.py and is not evaluated
 (GeneratorRegistry.commutator_of).  The independence rank is taken on
 the quotient first (check_independence).
 
-The defining relations and coassociativity of an interval, and at four
-legs the linearized aw3 pair (a polynomial in the Casimirs of legs
-1..3), are evaluated slice first: on the interval's zero-outside slice,
-the states with no quanta on the other legs, where the interval's
-operators are those of its own realization.  A zero there is zero on
+The defining relations and coassociativity of an interval are
+evaluated slice first: on the interval's zero-outside slice, the states
+with no quanta on the other legs, where the interval's operators are
+those of its own realization.  A zero there is zero on
 every column by the corollary (slice first) of lifting.py; a nonzero is
 recomputed on every column, so every report is the full evaluation's.
 """
@@ -50,12 +50,12 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from importlib import resources
 from itertools import combinations, product
+from pathlib import Path
 from typing import NamedTuple
 
 from .exactnum import inverse
-from .lifting import keeps_slices, slice_first, zero_outside
+from .lifting import slice_first
 from .opalgebra import (
     GeneratorRegistry,
     consecutive_subsets,
@@ -404,39 +404,46 @@ def check_aw3_linear(reg: GeneratorRegistry) -> list[RelationReport]:
         [[Q23,Q12]_q,Q23]_q = (q-q^-1)^2 (B Q23 + Q12 + Q3 Q123 + Q1 Q2)
 
     with B = Q1 Q3 + Q2 Q123, all in shifted Casimirs; reported as
-    aw3/linear/* at three legs, aw3/linear-embedded/* at four.  At four
-    legs both lines are polynomials in the Casimirs of legs 1..3.  When
-    each of them passes lifting.keeps_slices, both lines are evaluated
-    first on the generators restricted to the zero-outside slice of
-    legs 1..3, and both zero there are zero on every column (lifting.py,
-    slices); otherwise both are evaluated on every column."""
+    aw3/linear/* at three legs, aw3/linear-embedded/* at four.  Each
+    line is a polynomial in the registry's generators.  At four legs it
+    is one reg.lifted residual, decided on the quotient table first like
+    every other registry residual.  At three legs both lines are
+    evaluated on the full table with their products formed through
+    GeneratorRegistry.product: they are the only products of it that a
+    default verify and the benchmark's sweep form, and the benchmark's
+    trace (perfbench/layers.py) requires its span in both."""
     q = reg.params.q
-    s2 = (q - inverse(q)) ** 2
+    iq = inverse(q)
+    s2 = (q - iq) ** 2
+    # name, x, y and the two products closing the line
+    # [[x,y]_q,x]_q = (q-q^-1)^2 (B x + y + ...)
+    pair = (
+        ("line1", "Q12", "Q23", (("Q1", "Q123"), ("Q2", "Q3"))),
+        ("line2", "Q23", "Q12", (("Q3", "Q123"), ("Q1", "Q2"))),
+    )
 
-    def lines(gens, product):
-        q12, q23 = gens["Q12"], gens["Q23"]
-        b = product("Q1", "Q3") + product("Q2", "Q123")
-        return [
-            (
-                "line1",
-                q_commutator(q, q_commutator(q, q12, q23), q12)
-                - (b * q12 + q23 + product("Q1", "Q123") + product("Q2", "Q3")).scale(s2),
-            ),
-            (
-                "line2",
-                q_commutator(q, q_commutator(q, q23, q12), q23)
-                - (b * q23 + q12 + product("Q3", "Q123") + product("Q1", "Q2")).scale(s2),
-            ),
+    def inhomogeneous(product):  # B
+        return product("Q1", "Q3") + product("Q2", "Q123")
+
+    def line(gens, product, b, x, y, closing):
+        gx, gy = gens[x], gens[y]
+        inner = q_commutator(q, gx, gy)
+        terms = [(q, inner, gx), (-iq, gx, inner), (-s2, b, gx), (-s2, gy)]
+        terms += [(-s2, product(*factors)) for factors in closing]
+        return SparseOperator.lincomb(reg.basis, terms)
+
+    def lifted_line(gens, *spec):
+        product = lambda a, b: gens[a] * gens[b]
+        return line(gens, product, inhomogeneous(product), *spec)
+
+    if reg.params.legs == 3:
+        b = inhomogeneous(reg.product)
+        found = [(name, line(reg, reg.product, b, *spec)) for name, *spec in pair]
+    else:
+        found = [
+            (name, reg.lifted(lambda gens: lifted_line(gens, *spec)).residual)
+            for name, *spec in pair
         ]
-
-    found = None
-    labels = ("Q1", "Q2", "Q3", "Q12", "Q23", "Q123")
-    if reg.params.legs > 3 and all(keeps_slices(reg[x], (1, 3)) for x in labels):
-        cols = zero_outside(reg.basis, (1, 3))
-        part = {x: reg[x].restricted(cols) for x in labels}
-        found = lines(part, lambda a, b: part[a] * part[b])
-    if found is None or not all(resid.is_zero() for _, resid in found):
-        found = lines(reg, reg.product)
     tag = "linear" if reg.params.legs == 3 else "linear-embedded"
     return [
         residual_report(
@@ -588,10 +595,7 @@ class MasterRow(NamedTuple):
 
 @lru_cache(maxsize=None)
 def load_master_rows() -> tuple:
-    text = (
-        resources.files("awalgebra").joinpath("data/master_tables.json").read_text()
-    )
-    data = json.loads(text)
+    data = json.loads((Path(__file__).parent / "data" / "master_tables.json").read_text())
     rows = []
     for table in ("table1", "table2"):
         for idx, triples in enumerate(data[table], start=1):

@@ -56,13 +56,14 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def run_script(path, source, *args):
-    """Write source to path and run it in a fresh interpreter that
-    imports this checkout's awalgebra; the CompletedProcess."""
+def run_script(path, source, *args, flags=()):
+    """Write source to path and run it in a fresh interpreter, started
+    with the interpreter flags flags, that imports this checkout's
+    awalgebra; the CompletedProcess."""
     path.write_text(source)
     env = dict(os.environ, PYTHONPATH=str(Path(awalgebra.__file__).parents[1]))
     return subprocess.run(
-        [sys.executable, str(path), *args], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *flags, str(path), *args], env=env, capture_output=True, text=True, timeout=120
     )
 
 

@@ -140,6 +140,41 @@ def test_verify_rejects_unknown_suite(capsys):
     assert "unknown suite" in err
 
 
+# spellings int() takes and the integer options refuse: underscores,
+# blanks and non-ASCII digits (int("1_0") is 10)
+NOT_ASCII_INTEGERS = [
+    ("verify", "--k", "1_0,1,1,1"),
+    ("verify", "--k", "1,2,1,3 "),
+    ("verify", "--k", "1,\u0662,1,3"),
+    ("verify", "--legs", "0_3"),
+    ("verify", "--legs", "\uff13"),
+    ("verify", "--nmax", " 1"),
+    ("verify", "--nmax", "1\n"),
+    ("spectrum", "--weight", "0_1"),
+    ("spectrum", "--weight", "\u0661"),
+]
+
+
+@pytest.mark.parametrize("command, option, value", NOT_ASCII_INTEGERS)
+def test_integer_options_take_ascii_digits_only(capsys, command, option, value):
+    first = ["verify", "--suite", "defining"] if command == "verify" else ["spectrum", "--op", "Q12"]
+    nmax = [] if option == "--nmax" else ["--nmax", "1"]
+    code, out, err = run(capsys, *first, *nmax, option, value)
+    assert (code, out) == (2, ""), value
+    assert "error" in err
+
+
+def test_integer_options_keep_every_ascii_spelling(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "defining", "--k", "+1,02,1,3", "--legs", "+04", "--nmax", "01")
+    assert code == 0
+    assert "params: q=5/3 k=1,2,1,3 legs=4 nmax=1" in out
+    code, out, _ = run(capsys, "spectrum", "--op", "Q12", "--legs", "03", "--nmax", "+2", "--weight", "02")
+    assert code == 0
+    assert "weight 2" in out and "weight 1" not in out
+    code, _, err = run(capsys, "spectrum", "--op", "Q12", "--nmax", "2", "--weight", "-1")
+    assert code == 2 and "outside" in err
+
+
 def test_argparse_errors_exit_2(capsys):
     assert main([]) == 2
     capsys.readouterr()
@@ -281,3 +316,16 @@ def test_commands_import_neither_dataclasses_nor_inspect(tmp_path):
     )
     done = run_script(tmp_path / "imports.py", source)
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
+def test_commands_do_not_import_importlib_resources(tmp_path):
+    # relcheck reads its table from next to the module; importlib.resources
+    # costs about 9 ms of start.  Without site (-S), no site hook has
+    # loaded it before awalgebra does.
+    source = (
+        "import sys\n"
+        "import awalgebra.cli, awalgebra.relcheck\n"
+        "print('importlib.resources' in sys.modules)\n"
+    )
+    done = run_script(tmp_path / "resources.py", source, flags=("-S",))
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr

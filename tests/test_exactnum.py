@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from awalgebra import exactnum
-from awalgebra.exactnum import ONE, ZERO, inverse, parse, rational, to_text
+from awalgebra.exactnum import ONE, ZERO, inverse, parse, parse_integer, rational, to_text
 
 
 def test_add():
@@ -49,6 +49,17 @@ def test_parse_zero_denominator():
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         parse(bad)
+
+
+def test_parse_integer():
+    assert [parse_integer(x) for x in ("7", "+7", "-7", "007")] == [7, 7, -7, 7]
+    # int() takes each of these
+    for bad in ("1_0", " 3", "3 ", "3\n", "\u0663", "\uff13"):
+        with pytest.raises(ValueError):
+            parse_integer(bad)
+    for bad in ("", "1/2", "1.0", "+", None):
+        with pytest.raises(ValueError):
+            parse_integer(bad)
 
 
 def test_q_combinations():

@@ -151,6 +151,27 @@ def test_nonzero_residuals_equal_the_oracle(name):
         assert got.residual_summary["certificate_held"]
 
 
+@pytest.mark.parametrize("name", ["default", "alt"])
+def test_embedded_linear_pair_is_decided_on_the_quotient(name, monkeypatch, default_registry, alt_registry):
+    # at four legs each line of the linearized aw3 pair is one lifted
+    # residual, zero on the seeds, with no GeneratorRegistry.product; at
+    # three legs the pair still forms its products through it
+    reg = {"default": default_registry, "alt": alt_registry}[name]
+    products, lifts = [], []
+    real_product, real_lifted = GeneratorRegistry.product, GeneratorRegistry.lifted
+    monkeypatch.setattr(GeneratorRegistry, "product", lambda self, *ab: products.append(ab) or real_product(self, *ab))
+    monkeypatch.setattr(GeneratorRegistry, "lifted", lambda self, f: lifts.append(real_lifted(self, f)) or lifts[-1])
+    got = [r.to_json() for r in relcheck.check_aw3_linear(reg)]
+    assert [r["status"] for r in got] == ["pass", "pass"]
+    seeds = len(seeds_to(reg.basis, reg.basis.n_max))
+    assert [(x.columns, x.certified) for x in lifts] == [(seeds, True)] * 2
+    assert got == [r.to_json() for r in relcheck.check_aw3_linear(full(reg))]
+    assert not products
+    reg3 = build_registry(reg.params.interval_realization((1, 3)))
+    assert [r.status for r in relcheck.check_aw3_linear(reg3)] == ["pass", "pass"]
+    assert len(products) == 6
+
+
 def test_changed_entry_off_the_seeds_refuses_the_certificate():
     # one diagonal numerator of Q12 changed in a column with a quantum
     # on leg 1: the quotient does not see it, so only the certificate

@@ -2,7 +2,9 @@
 an interval A, A's generators and Casimir are those of A's own
 realization p_A, cut at A-weight n_max - (outside quanta); and the
 checks that evaluate a residual on A's zero-outside slice first report
-what the evaluation on every column reports."""
+what the evaluation on every column reports.  The embedded linearized
+aw3 pair, a residual in legs 1..3 that is decided on the quotient, flips
+under the same mutants as its evaluation on the full table."""
 
 import pytest
 
@@ -10,10 +12,11 @@ from awalgebra import lifting, relcheck, uqrep
 from awalgebra.cli import main
 from awalgebra.exactnum import Rational, parse
 from awalgebra.fockspace import TruncatedBasis
-from awalgebra.lifting import keeps_slices, zero_outside
+from awalgebra.lifting import zero_outside
 from awalgebra.opalgebra import GeneratorRegistry, consecutive_subsets, subset_of_label
 from awalgebra.sparse import SparseOperator
 from awalgebra.uqrep import RepParams, casimir, casimir_eigenvalue, interval_ops, predicted_eigenvalues
+from helpers import FullEvaluation
 
 SETS = {"5/3": (1, 2, 1, 3), "-2/5": (2, 1, 1, 1)}
 CASES = [(q, legs, n) for q in SETS for legs in (2, 3, 4) for n in (3, 4)]
@@ -209,18 +212,18 @@ def test_slice_first_flips_what_every_column_flips(cold_caches, monkeypatch, mut
 def test_embedded_linear_pair_flips_what_every_column_flips(cold_caches, monkeypatch):
     p = RepParams(q=parse("5/3"), k=(1, 2, 1, 3), legs=4, n_max=3)
 
-    def reports():
+    def reports(registry=GeneratorRegistry):
         table = {"Q0": SparseOperator.identity(p.basis, -1)}
         for lo, hi in consecutive_subsets(4):
             table["Q" + "".join(map(str, range(lo, hi + 1)))] = casimir(p, (lo, hi))
-        return [r.to_json() for r in relcheck.check_aw3_linear(GeneratorRegistry(p, table))]
+        return [r.to_json() for r in relcheck.check_aw3_linear(registry(p, table))]
 
     assert all(r["ok"] for r in reports())
     cold_caches()
     doubled_coupling_term(monkeypatch)
     first = reports()
-    monkeypatch.setattr(relcheck, "zero_outside", lambda basis, interval: tuple(range(len(basis))))
-    assert first == reports()
+    # the oracle: no quotient, so both lines are evaluated on every column
+    assert first == reports(FullEvaluation)
     assert [r["id"] for r in first if not r["ok"]] == ["aw3/linear-embedded/line1", "aw3/linear-embedded/line2"]
 
 
@@ -256,18 +259,15 @@ def spectrum_equals_the_four_leg_count(capsys, label):
 
 def test_registry_entry_off_the_slice_is_not_taken_on_trust(default_registry):
     # one diagonal entry of Q12 bumped on the state (0, 0, 0, 1), which
-    # lies outside the zero-outside slice of legs 1..3: keeps_slices
-    # refuses it, and the pair is evaluated on every column
+    # lies outside the zero-outside slice of legs 1..3: both lines fail
+    # as on the full table
     reg = default_registry
-    for lo, hi in consecutive_subsets(4):
-        # Q4 is one scalar, so it keeps the slices too
-        label = "Q" + "".join(map(str, range(lo, hi + 1)))
-        assert keeps_slices(reg[label], (1, 3)) == (hi <= 3 or lo == 4), label
     q12 = reg["Q12"]
     j = reg.basis.index_of((0, 0, 0, 1))
     bump = SparseOperator(reg.basis, {j: {j: Rational(1, q12.den)}}, degree=0)
-    assert not keeps_slices(q12 + bump, (1, 3))
-    mutated = GeneratorRegistry(reg.params, {**reg.held, "Q12": q12 + bump})
-    reports = relcheck.check_aw3_linear(mutated)
+    table = {**reg.held, "Q12": q12 + bump}
+    reports = relcheck.check_aw3_linear(GeneratorRegistry(reg.params, table))
     assert [r.status for r in reports] == ["fail", "fail"]
     assert all(r.residual_summary["nonzero_entries"] > 0 for r in reports)
+    oracle = relcheck.check_aw3_linear(FullEvaluation(reg.params, table))
+    assert [r.to_json() for r in reports] == [r.to_json() for r in oracle]
