@@ -22,7 +22,13 @@ from pathlib import Path
 
 from .compass import CompassError, build_compass, export_dot
 from .exactnum import parse as parse_rational, parse_integer, to_text
-from .opalgebra import build_registry, is_consecutive, label_of_subset, subset_of_label
+from .opalgebra import (
+    build_registry,
+    consecutive_subsets,
+    is_consecutive,
+    label_of_subset,
+    subset_of_label,
+)
 from .spectra import annihilating_residual, chain_counts
 from .uqrep import RepParams, casimir, interval_ops, predicted_eigenvalues
 
@@ -39,13 +45,14 @@ SUITE_ORDER = (
 
 FORMAT_VERSION = 1
 
-# Fewest basis states at which a four-leg verify is shared with one
-# forked worker (suite_results), which is forked from the built
-# realization and its quotient table and rebuilds nothing.  Smaller
-# runs stay in one process: the fork, its pipe and the reaping cost a
-# few ms whatever the size, and the benchmark's traced nmax-4 verify
-# must stay in one process until its tracer sees the worker.  The
-# serial against forked timings behind this value are in README.md.
+# Fewest basis states at which a four-leg verify is shared with forked
+# workers (suite_results): one for the registry-free suites, forked
+# before anything is built, and one forked from the built realization
+# and its quotient table, which rebuilds nothing.  Smaller runs stay in
+# one process: each fork, its pipe and the reaping cost a few ms
+# whatever the size, and the benchmark's traced nmax-4 verify must stay
+# in one process until its tracer sees the workers.  The serial against
+# forked timings behind this value are in README.md.
 PARALLEL_MIN_STATES = 126
 
 DEFAULT_K = (1, 2, 1, 3)
@@ -123,17 +130,17 @@ def usable_cpus() -> int:
 
 
 def can_fork(cpus: int) -> bool:
-    """Whether a forked second process can help: two usable CPUs, a
-    platform that can fork and no other thread in this process (a fork
-    copies the locks other threads hold).  One worker is the only count
-    measured (on 2 cores), so more CPUs do not add workers."""
+    """Whether forked processes can help: two usable CPUs, a platform
+    that can fork and no other thread in this process (a fork copies the
+    locks other threads hold).  suite_results' two workers are the only
+    layout measured (on 2 cores), so more CPUs do not add workers."""
     return cpus >= 2 and hasattr(os, "fork") and threading.active_count() == 1
 
 
 def use_worker(n_suites: int, p: RepParams, cpus: int) -> bool:
-    """Whether verify hands suites to one forked worker process: at
-    least two suites, four legs, PARALLEL_MIN_STATES basis states and
-    can_fork."""
+    """Whether verify hands suites to forked worker processes
+    (suite_results): at least two suites, four legs,
+    PARALLEL_MIN_STATES basis states and can_fork."""
     return (
         n_suites >= 2
         and p.legs >= 4
@@ -142,30 +149,103 @@ def use_worker(n_suites: int, p: RepParams, cpus: int) -> bool:
     )
 
 
+class _Worker:
+    """A forked process that runs the suites names in order and sends
+    each (name, reports, elapsed ms) through a pipe as a pickle as it
+    finishes.  result(name) gives the next one sent, or runs name in
+    this process when none comes: the worker died, or it could not start
+    (an OSError from os.pipe or os.fork), and then every later suite of
+    names runs here too.  The worker leaves through os._exit, so it
+    flushes no copy of this process's output buffers.
+
+    A Linux pipe holds 64 KiB.  The worker waits to send only when that
+    much of its output is unread, and then until this process reads its
+    next result; this process waits only on the worker whose result is
+    due, so no two processes wait on each other.  At the default q and
+    k the registry-free suites' results pickle to 4.1 KB, and those of
+    master, spectra and independence to 17.1 KB at nmax 6 and 48.7 KB at
+    nmax 12 (spectra's reports grow with nmax), so at those sizes no
+    worker waits.
+    """
+
+    def __init__(self, names, timed):
+        # imported here, so that runs which never fork do not load it
+        import pickle
+
+        self.names = names
+        self.timed = timed
+        self.pid = self.inbox = None
+        fds = []
+        try:
+            fds.extend(os.pipe())
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            return
+        read_end, write_end = fds
+        if pid == 0:
+            code = 1
+            try:
+                os.close(read_end)
+                with open(write_end, "wb") as out:
+                    for name in names:
+                        pickle.dump(timed(name), out)
+                        out.flush()
+                code = 0
+            finally:
+                os._exit(code)
+        self.pid = pid
+        os.close(write_end)
+        self.inbox = open(read_end, "rb")
+
+    def result(self, name):
+        """(name, reports, ms) for name, the next of names not yet
+        given."""
+        import pickle
+
+        if self.inbox is not None:
+            try:
+                return pickle.load(self.inbox)
+            except (EOFError, pickle.UnpicklingError):
+                self.inbox.close()
+                self.inbox = None
+        return self.timed(name)
+
+    def stop(self):
+        """Send the worker SIGTERM."""
+        import signal
+
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGTERM)
+
+    def close(self):
+        """Close the pipe and reap the worker."""
+        if self.inbox is not None:
+            self.inbox.close()
+        if self.pid is not None:
+            os.waitpid(self.pid, 0)
+
+
 def suite_results(names, p: RepParams, worker: bool):
     """Yield (name, reports, elapsed ms) for each suite, in order.
 
-    With a worker, this process runs the first suite and builds the
-    registry and its quotient table, as a serial run does, and then
-    forks one worker, which inherits them and rebuilds nothing.  Of the
-    other suites, rest, this process runs rest[:len(rest) // 2] and the
-    worker rest[len(rest) // 2:], sending each (name, reports, ms) as a
-    pickle through one pipe as it finishes.  After its own half this
-    process reads the pipe to its end.  A suite whose result never comes
-    (the worker died) runs here, and every suite does when the worker
-    cannot start (an OSError from os.pipe or os.fork).  When this
-    process raises, or its caller closes the generator early, the worker
-    is sent SIGTERM; it is reaped and the pipe closed on every path.  The
-    worker leaves through os._exit, so it flushes no copy of this
-    process's output buffers.
-
-    A Linux pipe holds 64 KiB.  The worker waits to send only when that
-    much of its output is unread, and then only until this process has
-    run its own half; it never deadlocks, since this process reads the
-    pipe to its end before it reaps the worker.  At the default q and k
-    the worker's results pickle to 19.3 KB at nmax 6 and 52.0 KB at
-    nmax 12 (spectra's reports grow with nmax), so at those sizes the
-    worker does not wait.
+    With a worker, the registry-free suites go to a first worker, forked
+    before any realization is built; it builds what they need on the
+    core that would otherwise wait.  Meanwhile this process builds
+    the left fold of every consecutive interval, then the registry and
+    its quotient table, and imports relcheck, as a serial run does
+    before its registry suites.  Of the other suites, own, it forks a
+    second worker for the back half own[(len(own) + 1) // 2:], which
+    inherits the built operators and rebuilds nothing, and runs the
+    front half itself.  With no registry-free suite there is no first
+    worker; with only registry-free suites nothing is built and they are
+    split as own is.  Each suite runs once, in one process (_Worker runs
+    a dead worker's unsent suites here).  Results are yielded in the
+    order of names, a worker's read when its next suite is due.  When
+    this process raises, or its caller closes the generator early, every
+    worker is sent SIGTERM; each is reaped and its pipe closed on every
+    path.
     """
 
     def timed(name):
@@ -176,53 +256,36 @@ def suite_results(names, p: RepParams, worker: bool):
     if not worker:
         yield from map(timed, names)
         return
-    yield timed(names[0])
-    build_registry(p).quotient
-    rest = names[1:]
-    mine, theirs = rest[: len(rest) // 2], rest[len(rest) // 2 :]
-    # imported here, so that runs which never fork do not load them
-    import pickle
-    import signal
-
-    fds = []
+    # defining checks the interval folds alone, and aw3-quadratic builds
+    # its own three-leg registry: neither needs the four-leg registry
+    free = [name for name in names if name in ("defining", "aw3-quadratic")]
+    own = [name for name in names if name not in free]
+    workers = []
     try:
-        fds.extend(os.pipe())
-        pid = os.fork()
-    except OSError:
-        for fd in fds:
-            os.close(fd)
-        yield from map(timed, rest)
-        return
-    read_end, write_end = fds
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_end)
-            with open(write_end, "wb") as out:
-                for name in theirs:
-                    pickle.dump(timed(name), out)
-                    out.flush()
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_end)
-    try:
-        with open(read_end, "rb") as inbox:
-            yield from map(timed, mine)
-            # the worker sends in order, so what came is a prefix of theirs
-            sent = []
-            try:
-                while True:
-                    sent.append(pickle.load(inbox))
-            except (EOFError, pickle.UnpicklingError):
-                pass
-        yield from sent
-        yield from map(timed, theirs[len(sent) :])
+        if own:
+            if free:
+                workers.append(_Worker(free, timed))
+            for interval in consecutive_subsets(p.legs):
+                interval_ops(p, interval)
+            build_registry(p).quotient
+            # loaded here, so that the second worker inherits it
+            from . import relcheck  # noqa: F401
+        else:
+            own = free
+        back = own[(len(own) + 1) // 2 :]
+        if back:
+            workers.append(_Worker(back, timed))
+        source = {name: w for w in workers for name in w.names}
+        for name in names:
+            w = source.get(name)
+            yield timed(name) if w is None else w.result(name)
     except BaseException:
-        os.kill(pid, signal.SIGTERM)
+        for w in workers:
+            w.stop()
         raise
     finally:
-        os.waitpid(pid, 0)
+        for w in workers:
+            w.close()
 
 
 def cmd_verify(args, p: RepParams) -> int:

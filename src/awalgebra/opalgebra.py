@@ -299,6 +299,18 @@ class GeneratorRegistry:
         generators, so a nonzero restricted residual proves a nonzero
         full residual.  Blocks do not depend on the truncation either,
         so this equals the realization at n_max = max_weight.
+
+        When this registry's quotient is already built and certified and
+        max_weight <= top, the restricted registry takes its held
+        quotient entries restricted to the seed columns of weight <=
+        max_weight instead of certifying a quotient of its own.  That is
+        the quotient it would certify: each of (i)-(v) of lifting.py is
+        checked block by block, on the columns, seeds and eigenvalues of
+        weight <= top, and the restricted entries equal these entries on
+        the columns of weight <= max_weight, so the conditions at top =
+        max_weight are a subset of those that held here.  A reduction's
+        column depends only on that column of X and on Delta(E)
+        (lifting.remainder), so the restricted Xbar is Xbar restricted.
         """
         odd = [x for x, op in self.held.items() if op.degree != 0]
         if odd:
@@ -307,7 +319,12 @@ class GeneratorRegistry:
             )
         cols = range(0, self.basis.weight_block(max_weight).stop)
         table = {x: op.restricted(cols) for x, op in self.held.items()}
-        return GeneratorRegistry(self.params, table, max_weight)
+        sub = GeneratorRegistry(self.params, table, max_weight)
+        quotient = self.__dict__.get("quotient")
+        if quotient is not None and max_weight <= self.top:
+            held = {x: quotient[x].restricted(cols) for x in self.held}
+            sub.quotient = Generators(held, self.params.q)
+        return sub
 
 
 def consecutive_subsets(legs: int):

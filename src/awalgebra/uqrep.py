@@ -67,17 +67,21 @@ DEGREE = {"E": 1, "F": -1, "K": 0, "Kinv": 0}
 # are keyed on values, so equal parameters share one entry across runs
 # in a process; the bound drops the least recently used entries and
 # keeps a long-lived process from holding all of them.  One default
-# verify fills at most 19 entries of any of them: interval_ops 10 left
-# folds, single legs included, and 3 right folds at four legs, 6 left
-# folds for the three-leg sub-realization; casimir 16, _leg_ops 7, the
-# index maps 7 (legs 1-4, then legs 1-3 of the sub-realization),
-# leg_table 12 (the labels 1, 2, 3, four generators each),
-# casimir_eigenvalue 13; casimir_unshifted only to diagnose a nonzero
-# quadratic aw3 line.  One process running spectrum --nmax 7 for all
-# ten labels fills 19 entries of interval_ops and 19 of _leg_ops, 9 of
-# casimir, 4 of the basis cache, 10 index maps, 12 leg tables and 14
-# eigenvalues, since each proper sub-interval builds its own
-# realization of one to three legs (Q1 and Q3 share one at k =
+# verify in one process fills at most 19 entries of any of them:
+# interval_ops 10 left folds, single legs included, and 3 right folds at
+# four legs, 6 left folds for the three-leg sub-realization; casimir 16,
+# _leg_ops 7, the index maps 7 (legs 1-4, then legs 1-3 of the
+# sub-realization), leg_table 12 (the labels 1, 2, 3, four generators
+# each), casimir_eigenvalue 13; casimir_unshifted only to diagnose a
+# nonzero quadratic aw3 line.  Forked (cli.suite_results), the verify
+# process builds no right fold and no sub-realization: interval_ops 10,
+# casimir 10, _leg_ops 4, index maps 4, leg_table 12, eigenvalues 7;
+# the first worker fills interval_ops 19, casimir 6, _leg_ops 7, index
+# maps 7, leg_table 12, eigenvalues 7.  One process running spectrum
+# --nmax 7 for all ten labels fills 19 entries of interval_ops and 19 of
+# _leg_ops, 9 of casimir, 4 of the basis cache, 10 index maps, 12 leg
+# tables and 14 eigenvalues, since each proper sub-interval builds its
+# own realization of one to three legs (Q1 and Q3 share one at k =
 # 1,2,1,3): still within the bound.  Every shorter fold a fold extends
 # is one of these entries.
 CACHE_SIZE = 32

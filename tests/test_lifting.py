@@ -358,6 +358,31 @@ def test_probe_certifies_itself_up_to_its_top():
     assert bumped(reg, "Q12", j).restricted(3).quotient is None
 
 
+@pytest.mark.parametrize("n_max", [4, 5, 6])
+@pytest.mark.parametrize("name", PARAMS)
+def test_probe_takes_the_certified_quotient_restricted(name, n_max, monkeypatch):
+    # before the registry's quotient is built the probe certifies its
+    # own; after, it takes the registry's, which is the same table
+    reg = fresh(PARAMS[name].replace(n_max=n_max))
+    own = reg.restricted(3)
+    assert own.quotient is not None and reg.quotient is not None
+    monkeypatch.setattr(opalgebra, "quotient_table", None)
+    probe = reg.restricted(3)
+    assert probe.labels() == own.labels() and len(own.labels()) == 21
+    for label in own.labels():
+        assert probe.quotient[label] == own.quotient[label], label
+    assert probe.central == own.central and own.central
+
+
+def test_probe_of_a_refused_certificate_certifies_its_own():
+    p = PARAMS["default"]
+    j = p.basis.index_of((1, 0, 1, 0))
+    reg = bumped(build_registry(p), "Q12", j)
+    assert reg.quotient is None
+    # the change is off the seeds of weight <= 1
+    assert reg.restricted(1).quotient is not None
+
+
 @pytest.mark.parametrize("interval", [(1, 4), (2, 3), (3, 4)])
 def test_reduction_finds_exactly_the_image_of_e(interval):
     # E v for v a combination of block w-1 reduces to zero; adding any

@@ -1,8 +1,10 @@
-"""verify shared with a worker process: the same reports as one process,
-the back half of the suites after the first in the worker, this process
-running the worker's unsent suites when it dies or every suite when it
-cannot start, no worker or pipe left behind when this process's half
-raises, and a serial run whenever a worker cannot pay for itself."""
+"""verify shared with two worker processes: the same reports as one
+process, the registry-free suites in a first worker forked before any
+realization is built, the back half of the others in a second worker
+forked after the registry, this process running a worker's unsent
+suites when it dies or all of them when it cannot start, no worker or
+pipe left behind when this process raises, and a serial run whenever a
+worker cannot pay for itself."""
 
 import errno
 import json
@@ -12,7 +14,6 @@ import threading
 import time
 from collections import Counter
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -58,29 +59,61 @@ def test_worker_results_equal_serial_results(monkeypatch):
     forked = [(name, _json(reports)) for name, reports, _ in suite_results(SUITE_ORDER, p, True)]
     assert forked == serial
     assert_no_child_left()
-    # the first suite and the front half of the rest here, the back
-    # half in the worker
-    assert here == ["defining", "prop1", "prop2", "aw3"]
+    # the front half of the registry suites here, the rest in the workers
+    assert here == ["prop1", "prop2", "aw3"]
 
 
-def _fake_suites(monkeypatch, run):
-    """run(name) in place of every suite, and no registry to build."""
-    monkeypatch.setattr(cli, "run_suite", lambda name, p: run(name))
-    monkeypatch.setattr(cli, "build_registry", lambda p: SimpleNamespace(quotient=None))
+SMALL = RepParams(q=rational(5, 3), k=(1, 2, 1, 3), legs=4, n_max=2)
+
+# the suites that need no four-leg registry
+REGISTRY_FREE = {"defining", "aw3-quadratic"}
 
 
-@pytest.mark.parametrize("count", [2, 3, 8, 9])
-def test_worker_runs_the_back_half_after_the_first_suite(monkeypatch, count):
-    # each suite reports the pid that ran it
-    _fake_suites(monkeypatch, lambda name: [os.getpid()])
-    names = [f"s{i}" for i in range(count)]
-    results = list(suite_results(names, None, True))
+def _counted_forks(monkeypatch):
+    """A list that gets one entry per os.fork call in this process."""
+    forks = []
+    real = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real())
+    return forks
+
+
+# selection -> (the suites run here, the suites of each worker)
+SPLITS = {
+    "defining,aw3-quadratic": ({"defining"}, [{"aw3-quadratic"}]),
+    "prop1,prop2": ({"prop1"}, [{"prop2"}]),
+    "defining,prop1,prop2": ({"prop1"}, [{"defining"}, {"prop2"}]),
+    "defining,prop1": ({"prop1"}, [{"defining"}]),
+    "all": (
+        {"prop1", "prop2", "aw3"},
+        [{"defining", "aw3-quadratic"}, {"master", "spectra", "independence"}],
+    ),
+}
+
+
+@pytest.mark.parametrize("selection", SPLITS)
+def test_each_suite_runs_once_where_the_split_puts_it(monkeypatch, selection):
+    # each suite reports the pid that ran it, and the workers append to
+    # their own copies of calls; this process builds a four-leg registry
+    # only when a selected suite needs one
+    built, calls = [], []
+    real_build = cli.build_registry
+    monkeypatch.setattr(cli, "build_registry", lambda p: built.append(p.legs) or real_build(p))
+    monkeypatch.setattr(cli, "run_suite", lambda name, p: calls.append(name) or [os.getpid()])
+    forks = _counted_forks(monkeypatch)
+    here, workers = SPLITS[selection]
+    names = list(SUITE_ORDER) if selection == "all" else selection.split(",")
+    results = list(suite_results(names, SMALL, True))
     assert [name for name, _, _ in results] == names
     ran = {name: reports[0] for name, reports, _ in results}
-    rest = names[1:]
-    theirs = rest[len(rest) // 2 :]
-    assert {name for name, pid in ran.items() if pid != os.getpid()} == set(theirs)
-    assert len({ran[name] for name in theirs}) == 1
+    assert {name for name, pid in ran.items() if pid == os.getpid()} == here
+    assert sorted(calls) == sorted(here)
+    by_pid = {}
+    for name, pid in ran.items():
+        if pid != os.getpid():
+            by_pid.setdefault(pid, set()).add(name)
+    assert sorted(by_pid.values(), key=sorted) == sorted(workers, key=sorted)
+    assert len(forks) == len(workers)
+    assert built == ([] if set(names) <= REGISTRY_FREE else [4])
     assert_no_child_left()
 
 
@@ -106,11 +139,11 @@ def test_dead_worker_leaves_its_suites_to_this_process(monkeypatch):
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("sent", [1, 3])
+@pytest.mark.parametrize("sent", [0, 1, 3])
 def test_worker_dying_after_some_results_leaves_the_rest_here(monkeypatch, sent):
-    # the worker exits when it starts its suite number sent + 1, after
-    # sending sent results; this process runs its own half and the
-    # worker's unsent suites, each once
+    # each worker exits when it starts its suite number sent + 1, after
+    # sending sent results; this process runs its own suites and each
+    # worker's unsent ones, each once
     p = RepParams(q=rational(5, 3), k=(1, 2, 1, 3), legs=4, n_max=3)
     serial = [(name, _json(reports)) for name, reports, _ in suite_results(SUITE_ORDER, p, False)]
     here = []
@@ -130,43 +163,65 @@ def test_worker_dying_after_some_results_leaves_the_rest_here(monkeypatch, sent)
     monkeypatch.setattr(cli, "run_suite", run_or_die)
     forked = [(name, _json(reports)) for name, reports, _ in suite_results(SUITE_ORDER, p, True)]
     assert forked == serial
-    rest = list(SUITE_ORDER[1:])
-    mine, theirs = rest[: len(rest) // 2], rest[len(rest) // 2 :]
-    assert here == ["defining", *mine, *theirs[sent:]]
+    first, second = ["defining", "aw3-quadratic"], ["master", "spectra", "independence"]
+    unsent = set(first[sent:] + second[sent:])
+    assert here == [name for name in SUITE_ORDER if name in {"prop1", "prop2", "aw3"} | unsent]
     assert_no_child_left()
 
 
-def test_error_here_stops_the_worker_and_closes_the_pipe(monkeypatch):
-    # the worker's suites would take a minute; an exception in this
-    # process's half reaches the caller at once, the worker is stopped
-    # and reaped, and no descriptor of the pipe stays open, though the
-    # traceback still holds the generator's frame
+def _raise_here(monkeypatch, error_in, quick=()):
+    """Run every suite, each worker's taking a minute but those of
+    quick, so that every worker started is busy when error_in
+    ("registry" or a suite of this process) raises here.  The exception
+    must reach the caller at once, every worker be stopped and reaped,
+    and no descriptor of a pipe stay open, though the traceback still
+    holds the generator's frame.  The number of forks."""
     fds = Path("/proc/self/fd")
     if not fds.is_dir():
         pytest.skip("no /proc/self/fd on this platform")
     me = os.getpid()
 
-    def run(name):
-        if os.getpid() != me:
+    def run(name, p):
+        if os.getpid() != me and name not in quick:
             time.sleep(60)
-        if name == "s2":
-            raise RuntimeError("suite s2 failed")
+        if name == error_in:
+            raise RuntimeError(f"{name} failed")
         return [name]
 
-    _fake_suites(monkeypatch, run)
+    def build(p):
+        raise RuntimeError("registry failed")
+
+    monkeypatch.setattr(cli, "run_suite", run)
+    if error_in == "registry":
+        monkeypatch.setattr(cli, "build_registry", build)
+    forks = _counted_forks(monkeypatch)
     before = sorted(os.listdir(fds))
     start = time.monotonic()
-    with pytest.raises(RuntimeError, match="suite s2 failed") as raised:
-        list(suite_results([f"s{i}" for i in range(6)], None, True))
+    with pytest.raises(RuntimeError, match=f"{error_in} failed"):
+        list(suite_results(SUITE_ORDER, SMALL, True))
     assert time.monotonic() - start < 30
     assert_no_child_left()
     assert sorted(os.listdir(fds)) == before
+    return len(forks)
+
+
+def test_error_here_stops_the_worker_and_closes_the_pipe(monkeypatch):
+    # raised in this process's half, which starts once defining has come
+    # from the first worker, with both workers running
+    assert _raise_here(monkeypatch, "prop2", quick=("defining",)) == 2
+
+
+def test_error_while_building_stops_the_first_worker(monkeypatch):
+    # raised by the registry build, before the second fork; the first
+    # worker is still in defining, so it has not yet written to the pipe
+    # (a write to a closed pipe would end it without the SIGTERM)
+    assert _raise_here(monkeypatch, "registry") == 1
 
 
 @pytest.mark.parametrize("call", ["fork", "pipe"])
 def test_worker_that_cannot_start_leaves_every_suite_here(monkeypatch, tmp_path, capsys, call):
-    # an OSError from os.fork, or from os.pipe before it, starts no
-    # process: the run is the serial one
+    # an OSError from os.fork, or from os.pipe before it, at both forks
+    # starts no process: the run is the serial one
     def report(cpus):
         monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
         path = tmp_path / f"report-{cpus}.json"
@@ -191,16 +246,74 @@ def test_worker_that_cannot_start_leaves_every_suite_here(monkeypatch, tmp_path,
     for name in real:
         monkeypatch.setattr(os, name, refusing(name))
     got = report(2)
-    assert calls[call] == 1 and calls["fork"] == (call == "fork")
+    assert calls[call] == 2 and calls["fork"] == 2 * (call == "fork")
     assert_no_child_left()
     assert got[0] == serial[0]
     strip = lambda out: re.sub(r"\[\d+\.\ds\]", "", out)
     assert strip(got[1]) == strip(serial[1])
 
 
+@pytest.mark.parametrize("refused", ["pipe-1", "fork-1", "pipe-2", "fork-2"])
+def test_one_worker_that_cannot_start_leaves_its_suites_here(monkeypatch, refused):
+    # only the first or only the second fork fails; the other worker
+    # runs its suites, and this process the refused worker's
+    call, attempt = refused.split("-")
+    p = RepParams(q=rational(5, 3), k=(1, 2, 1, 3), legs=4, n_max=3)
+    serial = [(name, _json(reports)) for name, reports, _ in suite_results(SUITE_ORDER, p, False)]
+    real = getattr(os, call)
+    calls = []
+
+    def attempt_call(*args):
+        calls.append(None)
+        if len(calls) == int(attempt):
+            raise OSError(errno.EAGAIN, "refused by the test")
+        return real(*args)
+
+    monkeypatch.setattr(os, call, attempt_call)
+    here = []
+    me = os.getpid()
+    real_run = cli.run_suite
+
+    def run(name, p):
+        if os.getpid() == me:
+            here.append(name)
+        return real_run(name, p)
+
+    monkeypatch.setattr(cli, "run_suite", run)
+    forked = [(name, _json(reports)) for name, reports, _ in suite_results(SUITE_ORDER, p, True)]
+    assert forked == serial
+    refused_names = ["defining", "aw3-quadratic"] if attempt == "1" else ["master", "spectra", "independence"]
+    assert here == [name for name in SUITE_ORDER if name in {"prop1", "prop2", "aw3", *refused_names}]
+    assert_no_child_left()
+
+
+def test_first_worker_runs_the_registry_free_suites(monkeypatch):
+    # the first worker is forked before anything is built, and builds
+    # only the three-leg sub-realization; this process never builds it
+    p = RepParams(q=rational(5, 3), k=(1, 2, 1, 3), legs=4, n_max=3)
+    built = []
+    real_build = cli.build_registry
+    monkeypatch.setattr(cli, "build_registry", lambda p: built.append(p.legs) or real_build(p))
+    real = cli.run_suite
+
+    def counted(name, p):
+        real(name, p)
+        return [(os.getpid(), list(built))]
+
+    monkeypatch.setattr(cli, "run_suite", counted)
+    rows = {name: reports[0] for name, reports, _ in suite_results(SUITE_ORDER, p, True)}
+    first = rows["defining"][0]
+    assert first != os.getpid()
+    assert {name for name, (pid, _) in rows.items() if pid == first} == REGISTRY_FREE
+    assert rows["aw3-quadratic"][1] == [3]
+    assert set(built) == {4}
+    assert_no_child_left()
+
+
 def test_worker_rebuilds_nothing(monkeypatch):
-    # the worker is forked after the registry is built, so its suites
-    # miss no realization cache; fork carries this patch into it
+    # the second worker is forked after the registry is built, so its
+    # suites miss no realization cache; the first worker builds its
+    # own; fork carries this patch into both
     p = RepParams(q=rational(7, 4), k=(2, 1, 3, 1), legs=4, n_max=5)
     caches = (cli.build_registry, uqrep.interval_ops, uqrep.casimir)
     real = cli.run_suite
@@ -211,13 +324,12 @@ def test_worker_rebuilds_nothing(monkeypatch):
         return [(os.getpid(), [cache.cache_info().misses - n for cache, n in zip(caches, before)])]
 
     monkeypatch.setattr(cli, "run_suite", counted)
-    # aw3-quadratic builds its three-leg sub-realization wherever it runs
-    names = [name for name in SUITE_ORDER if name != "aw3-quadratic"]
-    rows = [reports[0] for _, reports, _ in suite_results(names, p, True)]
-    worker = [misses for pid, misses in rows if pid != os.getpid()]
-    here = [misses for pid, misses in rows if pid == os.getpid()]
-    assert worker and all(misses == [0, 0, 0] for misses in worker)
-    assert sum(map(sum, here)) > 0
+    rows = {name: reports[0] for name, reports, _ in suite_results(SUITE_ORDER, p, True)}
+    second = {pid for name, (pid, _) in rows.items() if name in ("master", "spectra", "independence")}
+    assert len(second) == 1 and os.getpid() not in second
+    assert all(misses == [0, 0, 0] for pid, misses in rows.values() if pid in second)
+    assert sum(rows["defining"][1]) > 0 and rows["defining"][0] not in second | {os.getpid()}
+    assert_no_child_left()
 
 
 _UNGUARDED = """\
@@ -251,13 +363,19 @@ def test_worker_path_leaves_no_child_process(tmp_path):
     assert run.stdout.splitlines()[-1] == "exit 0, 1 fork, child left: None"
 
 
+def test_default_verify_forks_twice(tmp_path):
+    run = run_script(tmp_path / "default.py", FORK_COUNTING_SCRIPT, "verify")
+    assert run.returncode == 0 and run.stderr == "", run.stderr
+    assert run.stdout.splitlines()[-1] == "exit 0, 2 fork, child left: None"
+
+
 def test_piped_stdout_prints_every_line_once(tmp_path):
     # stdout on a pipe is block buffered; nothing this process printed
     # before the fork may be printed again by the worker
     run = run_script(tmp_path / "piped.py", FORK_COUNTING_SCRIPT, "verify", "--nmax", "5")
     assert run.returncode == 0 and run.stderr == "", run.stderr
     lines = run.stdout.splitlines()
-    assert lines[-1] == "exit 0, 1 fork, child left: None"
+    assert lines[-1] == "exit 0, 2 fork, child left: None"
     assert lines[0].startswith("params:") and lines[-2].startswith("VERDICT: PASS (8 suites")
     assert [line.split()[0] for line in lines[1:9]] == list(SUITE_ORDER)
     assert max(Counter(lines).values()) == 1
