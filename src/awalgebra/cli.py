@@ -29,7 +29,7 @@ from .opalgebra import (
     label_of_subset,
     subset_of_label,
 )
-from .spectra import annihilating_residual, chain_counts
+from .spectra import annihilating_residual, certified_counts
 from .uqrep import RepParams, casimir, interval_ops, predicted_eigenvalues
 
 SUITE_ORDER = (
@@ -396,51 +396,16 @@ def cmd_spectrum(args, p: RepParams) -> int:
     print(f"operator {args.op}, interval weight k_A = {k_a}, q = {to_text(p.q)}")
     weights = range(p.n_max + 1) if args.weight is None else [args.weight]
     lams = {w: predicted_eigenvalues(p, interval, w) for w in weights}
-    if interval != (1, p.legs) and interval_blocks_vanish(p, interval, lams):
-        nonzero = dict.fromkeys(weights, 0)
-    else:
+    sub = p.interval_realization(interval)
+    nonzero = certified_counts(sub, casimir(sub, (1, sub.legs)), lams)
+    if nonzero is None:
         op = casimir(p, interval)
-        e = interval_ops(p, interval)["E"]
-        blocks = chain_counts(op, e, interval, lams, annihilating_residual)
-        nonzero = {w: blocks[w].nonzero for w in weights}
+        nonzero = {w: annihilating_residual(op, lams[w], p.basis.weight_block(w)) for w in weights}
     for w in weights:
         status = "ok" if nonzero[w] == 0 else "NONZERO RESIDUAL"
         values = ", ".join(to_text(x) for x in lams[w])
         print(f"weight {w} (block size {len(p.basis.weight_block(w))}): [{values}]  {status}")
     return 0 if not any(nonzero.values()) else 1
-
-
-def interval_blocks_vanish(p: RepParams, interval, lams: dict) -> bool:
-    """Whether the interval's own realization p_A proves the
-    annihilating polynomial zero on every block of lams (weight ->
-    list), so that no block of p needs counting.
-
-    Block w of p is the sum, over the outside parts o of its states, of
-    the states of A-weight w - |o| on the slice of o, and on each the
-    interval Casimir is p_A's on its block w - |o| (the slice lemma of
-    lifting.py).  Let each list be a prefix of the next, in weight
-    order, and of length at least its weight plus one, and let chain be
-    the last.  chain_counts then runs on p_A's blocks v <= max(lams),
-    block v with the list chain[:v + 1], a prefix of block w's list for
-    every w >= v.  If every such block's count is zero, the product
-    over block w's list, which that prefix's product divides, is zero on
-    every part of block w.  Any other outcome answers False, and the
-    caller counts the blocks of p.
-    """
-    weights = sorted(lams)
-    for w, v in zip(weights, weights[1:]):
-        if lams[v][: len(lams[w])] != lams[w]:
-            return False
-    if any(len(lams[w]) < w + 1 for w in weights):
-        return False
-    chain = lams[weights[-1]]
-    sub = p.interval_realization(interval)
-    whole = (1, sub.legs)
-    op = casimir(sub, whole)
-    e = interval_ops(sub, whole)["E"]
-    sub_lams = {v: chain[: v + 1] for v in range(weights[-1] + 1)}
-    blocks = chain_counts(op, e, whole, sub_lams, annihilating_residual)
-    return not any(b.nonzero for b in blocks.values())
 
 
 def cmd_compass(args, p: RepParams) -> int:

@@ -2,20 +2,20 @@
 on block_w / E(block_(w-1)); and the slices of an interval, on which its
 operators are those of the interval's own realization.
 
-Let E = Delta(E) be the raising operator of an interval of legs lo..hi,
-assembled through the coproduct.  It maps weight block w-1 into block w
-and is cut off out of the top block.  The seed states S_w of block w are
-its states with no quanta on leg lo.
+Let E = Delta(E) be the raising operator of a realization, over all its
+legs, assembled through the coproduct.  It maps weight block w-1 into
+block w and is cut off out of the top block.  The seed states S_w of
+block w are its states with no quanta on leg 1.
 
-    (span) for every state m of block w with m_lo >= 1, column m - e_lo
+    (span) for every state m of block w with m_1 >= 1, column m - e_1
            of E has a nonzero entry in row m and every other nonzero
-           entry in a row of block w with fewer quanta on leg lo.
+           entry in a row of block w with fewer quanta on leg 1.
 
 Under (span), block w = E(block w-1) (+) span S_w, and E is injective
-on block w-1.  Eliminating along the pivots E[m, m - e_lo], most
-lo-quanta first, writes any vector of block w as E of a vector of block
+on block w-1.  Eliminating along the pivots E[m, m - e_1], most leg-1
+quanta first, writes any vector of block w as E of a vector of block
 w-1 plus a remainder on the seeds (remainder).  A nonzero E v is
-nonzero in row u + e_lo for u a state of v with the most lo-quanta,
+nonzero in row u + e_1 for u a state of v with the most leg-1 quanta,
 which no other state of v reaches; so E v != 0, and E(block w-1) meets
 span S_w only in 0.
 
@@ -34,7 +34,7 @@ lowest-weight modules, the map that sends the lowest vector v2 of one
 to E v1 in the other, and E^i v2 to E^(i+1) v1, commutes with E and is
 zero on every M_w.  An operator C with distinct eigenvalues on the
 M_w tells them apart.  quotient_table checks, for operators ops
-(C among them), eigenvalues lambda_0..lambda_top and lo = 1:
+(C among them) and eigenvalues lambda_0..lambda_top:
 
     (i)   every op is block diagonal and commutes with E on the columns
           of weight <= top - 1 (commutes_below_top);
@@ -53,9 +53,8 @@ P_w(C) = prod_(x<=w) (C - lambda_x) is zero on block w <= top, by
 induction: block 0 is M_0, where C = lambda_0 by (iv); on block w,
 P_w(C) E v = E (C - lambda_w) P_(w-1)(C) v = 0 for v in block w-1, and
 for a seed s, (iv) gives (C - lambda_w) s = E u with u in block w-1, so
-P_w(C) s = P_(w-1)(C) E u = E P_(w-1)(C) u = 0.  (This is spectra.py's
-chain argument for the total interval, whose interval weight is the
-weight.)
+P_w(C) s = P_(w-1)(C) E u = E P_(w-1)(C) u = 0.  (spectra.py's
+corollary rests on this paragraph.)
 
 Theorem.  Let R be a polynomial in ops with Rbar = 0 on M_w for every
 w <= top.  Then R is zero on every column of weight <= top.  By (i) and
@@ -84,14 +83,14 @@ Ybar Xbar, and R = [X, Y] has Rbar = [Xbar, Ybar] = 0.  By the theorem,
 formed.
 
 Relation residuals (opalgebra.GeneratorRegistry.lifted) use this with
-E the total Delta(E), lo = 1, C the total Casimir and lambda_w =
+E the total Delta(E), C the total Casimir and lambda_w =
 lambda(k_1 + ... + k_legs + w); GeneratorRegistry.commutator_of answers
 a commutator with an operand of block scalar reduction (Q0, the
 single-leg Casimirs and the total Casimir) by the corollary.  Casimir
-spectra (spectra.chain_counts)
-use (span) and remainder with E = Delta_A(E) for an interval A; each
-seed is tested for one quotient membership, and spectra.py carries its
-own proof.
+spectra (spectra.certified_counts) use quotient_table with ops = {C}
+alone on an interval A's own realization p_A (below): E and C are p_A's
+total Delta(E) and Casimir, lambda_w = lambda(k_A + w), and (iii) is
+empty.
 
 Slices.  Let A = lo..hi be an interval of legs of a realization p and
 p_A the realization of its legs alone (RepParams.interval_realization:
@@ -142,7 +141,7 @@ residual in a registry's generators, which may hold any table, is
 decided on the quotient (GeneratorRegistry.lifted).  Casimir spectra
 use the lemma directly: block w of p is the sum over o of A-weight
 w - |o| on the slice of o, on which A's Casimir is p_A's block w - |o|
-(cli.cmd_spectrum).
+(spectra.certified_counts).
 """
 
 from __future__ import annotations
@@ -151,22 +150,17 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .sparse import SparseOperator
+from .uqrep import CACHE_SIZE
 
 
-def seed_states(basis, lo: int, w: int) -> list:
-    """S_w: the states of block w with no quanta on leg lo, in index
+def seed_states(basis, w: int) -> list:
+    """S_w: the states of block w with no quanta on leg 1, in index
     order."""
     states = basis.states
-    return [j for j in basis.weight_block(w) if not states[j][lo - 1]]
+    return [j for j in basis.weight_block(w) if not states[j][0]]
 
 
-# Entries kept by zero_outside's cache: a four-leg verify fills 10, one
-# per interval, and a three-leg one 6; the four basis shapes of the
-# benchmark's sweep (legs 3 and 4, nmax 2 and 3) fill 32.
-SLICE_CACHE_SIZE = 32
-
-
-@lru_cache(maxsize=SLICE_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def zero_outside(basis, interval) -> tuple:
     """The zero-outside slice of the interval lo..hi: the indices of
     the states of basis with no quanta on the other legs, in index
@@ -205,70 +199,67 @@ def _on_columns(basis, terms, cols):
     return SparseOperator.lincomb(basis, part)
 
 
-def commutes_below_top(op, e, top=None) -> bool:
+def commutes_below_top(op, e, top: int) -> bool:
     """op is block diagonal and op E - E op vanishes on the columns of
-    weight <= top - 1 (top defaults to the truncation n_max).  The
-    columns are restricted before the products, which leaves those
-    columns' values unchanged."""
+    weight <= top - 1.  The columns are restricted before the products,
+    which leaves those columns' values unchanged."""
     basis = op.basis
     weights = basis.weights
     for j, col in op.cols.items():
         w = weights[j]
         if any(weights[i] != w for i in col):
             return False
-    top = basis.n_max if top is None else top
     below = range(0, basis.weight_block(top - 1).stop if top else 0)
     return SparseOperator.lincomb(
         basis, ((1, op, e.restricted(below)), (-1, e, op.restricted(below)))
     ).is_zero()
 
 
-def spanned_by_lifting(e, lo: int, w: int) -> bool:
+def spanned_by_lifting(e, w: int) -> bool:
     """(span) for block w >= 1: block w = E(block w-1) + span S_w by
-    induction on the quanta on leg lo."""
+    induction on the quanta on leg 1."""
     basis = e.basis
     states, weights = basis.states, basis.weights
-    ax = lo - 1
     for row in basis.weight_block(w):
         m = states[row]
-        n = m[ax]
+        n = m[0]
         if n == 0:
             continue
-        col = e.cols.get(basis.index_of(m[:ax] + (n - 1,) + m[ax + 1 :]), {})
+        col = e.cols.get(basis.index_of((n - 1,) + m[1:]), {})
         if not col.get(row):
             return False
         for i in col:
-            if i != row and (weights[i] != w or states[i][ax] >= n):
+            if i != row and (weights[i] != w or states[i][0] >= n):
                 return False
     return True
 
 
-def remainder(r: dict, e, lo: int) -> tuple[dict, int]:
+def remainder(r: dict, e) -> tuple[dict, int]:
     """(rest, scale) for a vector r of block w >= 1 (int numerators by
     row): scale r - rest lies in E(block w-1), rest lies on the seed
     rows and scale is a positive int; (span) must hold for block w.  So
     r lies in E(block w-1) exactly when rest is empty, and the seed
     coordinates of r in M_w are rest / scale.
 
-    The rows of r with quanta on leg lo are eliminated, most quanta
-    first, along the pivots E[m, m - e_lo] that spanned_by_lifting
-    checks: eliminating row m subtracts a multiple of column m - e_lo,
-    whose other entries have fewer lo-quanta, so no row with as many
+    The rows of r with quanta on leg 1 are eliminated, most quanta
+    first, along the pivots E[m, m - e_1] that spanned_by_lifting
+    checks: eliminating row m subtracts a multiple of column m - e_1,
+    whose other entries have fewer leg-1 quanta, so no row with as many
     comes back.  The steps are fraction free: r is scaled by pivot/gcd,
     with the pivot's sign moved to the subtracted multiple, and scale
     collects those factors.
     """
     basis = e.basis
-    states, ax = basis.states, lo - 1
+    states = basis.states
     r = {i: x for i, x in r.items() if x}
     scale = 1
     while r:
-        m = max(r, key=lambda i: states[i][ax])
-        n = states[m][ax]
+        m = max(r, key=lambda i: states[i][0])
+        n = states[m][0]
         if not n:
             break
         x = r.pop(m)
-        col = e.cols[basis.index_of(states[m][:ax] + (n - 1,) + states[m][ax + 1 :])]
+        col = e.cols[basis.index_of((n - 1,) + states[m][1:])]
         pivot = col[m]
         g = gcd(pivot, x) if pivot > 0 else -gcd(pivot, x)
         pivot, x = pivot // g, x // g
@@ -293,7 +284,7 @@ def quotient_operator(op, e, seeds) -> SparseOperator:
     for s in seeds:
         col = op.cols.get(s)
         if col:
-            rest, scale = remainder(col, e, 1)
+            rest, scale = remainder(col, e)
             if rest:
                 rests[s] = rest, scale
     common = lcm(1, *(scale for _, scale in rests.values()))
@@ -312,7 +303,7 @@ def block_scalar(op, top: int) -> bool:
     seen = 0
     for w in range(top + 1):
         values = set()
-        for s in seed_states(basis, 1, w):
+        for s in seed_states(basis, w):
             col = cols.get(s)
             if col is None:
                 values.add(0)
@@ -335,11 +326,11 @@ def quotient_table(ops: dict, total: str, e, eigenvalues) -> dict | None:
     c = ops.get(total)
     if c is None or len(set(eigenvalues)) != len(eigenvalues):  # (v)
         return None
-    if not all(spanned_by_lifting(e, 1, w) for w in range(1, top + 1)):  # (ii)
+    if not all(spanned_by_lifting(e, w) for w in range(1, top + 1)):  # (ii)
         return None
     if not all(commutes_below_top(op, e, top) for op in ops.values()):  # (i)
         return None
-    seeds = [j for w in range(top + 1) for j in seed_states(basis, 1, w)]
+    seeds = [j for w in range(top + 1) for j in seed_states(basis, w)]
     c_seeds = c.restricted(seeds)
     for op in ops.values():  # (iii), by the lemma
         if op is not c and not SparseOperator.lincomb(

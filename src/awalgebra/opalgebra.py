@@ -265,7 +265,7 @@ class GeneratorRegistry:
 
     @cached_property
     def _seed_count(self) -> int:
-        return sum(len(seed_states(self.basis, 1, w)) for w in range(self.top + 1))
+        return sum(len(seed_states(self.basis, w)) for w in range(self.top + 1))
 
     def lifted(self, evaluate) -> Lifted:
         """A residual that is a polynomial in this registry's generators,

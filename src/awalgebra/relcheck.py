@@ -18,8 +18,8 @@ aw3-quadratic  the quadratic (unshifted) relation pair, verify-and-report,
                and the linearized pair on three legs
 master         twenty six-term q-commutator exchange identities
 spectra        annihilating polynomials of every interval Casimir on
-               every weight block, certified by one quotient-membership
-               test per seed under a checked certificate (spectra.py)
+               every weight block, certified by the quotient certificate
+               of the interval's own realization (spectra.py)
 independence   exact rank of the fifteen non-central generators
 
 The residuals of prop1, prop2, the symmetric aw3 relations, master, the
@@ -741,7 +741,7 @@ def check_independence(reg: GeneratorRegistry) -> RelationReport:
 
 def check_spectra(reg: GeneratorRegistry) -> list[RelationReport]:
     """Annihilating polynomial of every interval Casimir on every
-    weight block, each interval's blocks in one chain (spectra.py)."""
+    weight block, each interval's blocks decided at once (spectra.py)."""
     out = []
     for interval in consecutive_subsets(reg.params.legs):
         out.extend(spectrum_reports(reg, interval, range(reg.params.n_max + 1)))

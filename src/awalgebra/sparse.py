@@ -261,6 +261,8 @@ class SparseOperator:
         """Equal bases and the same values; denominators may differ."""
         if not isinstance(other, SparseOperator):
             return NotImplemented
+        if self is other:
+            return True
         if self.basis is not other.basis and self.basis != other.basis:
             return False
         da, db = self.den, other.den

@@ -47,7 +47,7 @@ def total_e(p):
 
 
 def seeds_to(basis, top):
-    return [j for w in range(top + 1) for j in seed_states(basis, 1, w)]
+    return [j for w in range(top + 1) for j in seed_states(basis, w)]
 
 
 def certificate(ops, p, top=None, lams=None):
@@ -246,7 +246,7 @@ def test_operand_outside_the_registry_is_checked_against_e():
     basis = reg.basis
     e = total_e(reg.params)
     y = reg["Q1"] * lowest_weight_projector(reg.params)
-    assert y != reg["Q1"] and not commutes_below_top(y, e)
+    assert y != reg["Q1"] and not commutes_below_top(y, e, basis.n_max)
     assert commutator(y, reg["Q1234"]).is_zero()
     assert quotient_operator(y, e, seeds_to(basis, 4)) == reg.quotient["Q1"]
     bad = GeneratorRegistry(reg.params, {**reg.held, "Q1": y})
@@ -289,7 +289,7 @@ def string_map(p, source, target):
         block = basis.weight_block(w)
         strings, images = [], []
         for v in range(w + 1):
-            for s in seed_states(basis, 1, v):
+            for s in seed_states(basis, v):
                 strings.append(dense_e ** (w - v) * unit(s))
                 images.append(dense_e ** (w - v + 1) * unit(target) if s == source else sympy.zeros(len(basis), 1))
         x = sympy.Matrix.hstack(*images) * sympy.Matrix.hstack(*strings)[list(block), :].inv()
@@ -306,7 +306,7 @@ def test_casimir_not_commuting_with_c_refuses_the_separation_step():
     basis = reg.basis
     e = total_e(p)
     x = string_map(p, basis.index_of((0, 2)), basis.index_of((0, 1)))
-    assert commutes_below_top(x, e) and not x.is_zero()
+    assert commutes_below_top(x, e, p.n_max) and not x.is_zero()
     assert quotient_operator(x, e, seeds_to(basis, p.n_max)).is_zero()
     assert not commutator(x, reg["Q12"]).is_zero()
     bad = GeneratorRegistry(p, {**reg.held, "Q1": x})
@@ -336,7 +336,7 @@ def test_probe_certifies_itself_up_to_its_top():
     probe = reg.restricted(3)
     # restricted generators commute with E only below their own top
     assert certificate(probe.held, p) is None
-    assert not commutes_below_top(probe["Q12"], total_e(p))
+    assert not commutes_below_top(probe["Q12"], total_e(p), p.n_max)
     seeds = seeds_to(basis, 3)
     assert certificate(probe.held, p, top=3) is not None
     assert probe.quotient is not None
@@ -386,22 +386,22 @@ def test_probe_of_a_refused_certificate_certifies_its_own():
 @pytest.mark.parametrize("interval", [(1, 4), (2, 3), (3, 4)])
 def test_reduction_finds_exactly_the_image_of_e(interval):
     # E v for v a combination of block w-1 reduces to zero; adding any
-    # nonzero multiple of a seed state leaves a remainder, scaled
-    p = PARAMS["q=-2/5"]
+    # nonzero multiple of a seed state leaves a remainder, scaled; on
+    # the interval's own realization, whose first leg is its leg lo
+    p = PARAMS["q=-2/5"].interval_realization(interval)
     basis = p.basis
-    lo = interval[0]
-    e = interval_ops(p, interval)["E"]
+    e = interval_ops(p, (1, p.legs))["E"]
     for w in range(1, p.n_max + 1):
         below = basis.weight_block(w - 1)
         v = SparseOperator(basis, {0: {j: rational(3 * j - 7, j % 4 + 1) for j in below}}, None)
         image = (e * v).cols.get(0, {})
-        assert image and remainder(image, e, lo)[0] == {}
+        assert image and remainder(image, e)[0] == {}
         doubled = {i: 2 * x for i, x in image.items()}
-        for s in seed_states(basis, lo, w):
-            rest, scale = remainder({**doubled, s: doubled.get(s, 0) + 1}, e, lo)
+        for s in seed_states(basis, w):
+            rest, scale = remainder({**doubled, s: doubled.get(s, 0) + 1}, e)
             assert scale > 0 and rest == {s: scale}
-        rest, scale = remainder({s: -1 for s in seed_states(basis, lo, w)}, e, lo)
-        assert scale == 1 and rest == {s: -1 for s in seed_states(basis, lo, w)}
+        rest, scale = remainder({s: -1 for s in seed_states(basis, w)}, e)
+        assert scale == 1 and rest == {s: -1 for s in seed_states(basis, w)}
 
 
 # -- commutators answered by rule (the corollary of lifting.py) --------
@@ -442,7 +442,7 @@ def test_block_scalar_needs_one_value_per_block_on_the_seeds():
     lam = {s: rational(basis.weights[s] + 2) for s in seeds}
     assert block_scalar(SparseOperator(basis, {s: {s: lam[s]} for s in seeds}, 0), top)
     assert block_scalar(SparseOperator.zero(basis), top)
-    s, t = seed_states(basis, 1, 2)[:2]
+    s, t = seed_states(basis, 2)[:2]
     cases = [
         {**lam, s: lam[s] + 1},  # two values in block 2
         {x: v for x, v in lam.items() if x != s},  # an absent column is 0 for block 2

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from awalgebra import cli, uqrep
+from awalgebra import cli, opalgebra, relcheck, spectra, uqrep
 from awalgebra.cli import SUITE_ORDER, main, run_suite, suite_results, use_worker
 from awalgebra.exactnum import rational
 from awalgebra.uqrep import RepParams
@@ -312,23 +312,43 @@ def test_first_worker_runs_the_registry_free_suites(monkeypatch):
 
 def test_worker_rebuilds_nothing(monkeypatch):
     # the second worker is forked after the registry is built, so its
-    # suites miss no realization cache; the first worker builds its
-    # own; fork carries this patch into both
+    # suites miss no cache entry keyed on p itself (its registry, folds
+    # and Casimirs); spectra builds each interval's own realization
+    # there; the first worker builds its own; fork carries these patches
+    # into both
     p = RepParams(q=rational(7, 4), k=(2, 1, 3, 1), legs=4, n_max=5)
     caches = (cli.build_registry, uqrep.interval_ops, uqrep.casimir)
+    on_p = [0]  # misses of the calls keyed on p, in this process
+
+    def keyed(cache):
+        def call(key, *args):
+            before = cache.cache_info().misses
+            try:
+                return cache(key, *args)
+            finally:
+                if key == p:
+                    on_p[0] += cache.cache_info().misses - before
+
+        return call
+
+    for cache in caches:
+        for module in (cli, opalgebra, relcheck, spectra, uqrep):
+            if getattr(module, cache.__name__, None) is cache:
+                monkeypatch.setattr(module, cache.__name__, keyed(cache))
     real = cli.run_suite
 
     def counted(name, p):
-        before = [cache.cache_info().misses for cache in caches]
+        before = on_p[0], [cache.cache_info().misses for cache in caches]
         real(name, p)
-        return [(os.getpid(), [cache.cache_info().misses - n for cache, n in zip(caches, before)])]
+        return [(os.getpid(), on_p[0] - before[0], sum(c.cache_info().misses for c in caches) - sum(before[1]))]
 
     monkeypatch.setattr(cli, "run_suite", counted)
     rows = {name: reports[0] for name, reports, _ in suite_results(SUITE_ORDER, p, True)}
-    second = {pid for name, (pid, _) in rows.items() if name in ("master", "spectra", "independence")}
+    second = {pid for name, (pid, _, _) in rows.items() if name in ("master", "spectra", "independence")}
     assert len(second) == 1 and os.getpid() not in second
-    assert all(misses == [0, 0, 0] for pid, misses in rows.values() if pid in second)
-    assert sum(rows["defining"][1]) > 0 and rows["defining"][0] not in second | {os.getpid()}
+    assert all(misses == 0 for pid, misses, _ in rows.values() if pid in second)
+    assert rows["spectra"][2] > 0
+    assert rows["defining"][1] > 0 and rows["defining"][0] not in second | {os.getpid()}
     assert_no_child_left()
 
 

@@ -4,7 +4,9 @@ realization p_A, cut at A-weight n_max - (outside quanta); and the
 checks that evaluate a residual on A's zero-outside slice first report
 what the evaluation on every column reports.  The embedded linearized
 aw3 pair, a residual in legs 1..3 that is decided on the quotient, flips
-under the same mutants as its evaluation on the full table."""
+under the same mutants as its evaluation on the full table, and the
+spectra suite, decided on each p_A, flips the intervals a leg-table
+mutant reaches."""
 
 import pytest
 
@@ -15,6 +17,7 @@ from awalgebra.fockspace import TruncatedBasis
 from awalgebra.lifting import zero_outside
 from awalgebra.opalgebra import GeneratorRegistry, consecutive_subsets, subset_of_label
 from awalgebra.sparse import SparseOperator
+from awalgebra.spectra import annihilating_residual, spectrum_reports
 from awalgebra.uqrep import RepParams, casimir, casimir_eigenvalue, interval_ops, predicted_eigenvalues
 from helpers import FullEvaluation
 
@@ -255,6 +258,27 @@ def spectrum_equals_the_four_leg_count(capsys, label):
         shown = lams if not weights else {3: lams[3]}
         assert lines == _whole_block_lines(p, label, shown)
         assert code == 1 and lines[-1].endswith("NONZERO RESIDUAL")
+
+
+def test_spectra_suite_flips_the_intervals_holding_leg_2(cold_caches, monkeypatch):
+    # p and every p_A holding leg 2 read the perturbed table, so p_A's
+    # certificate refuses and the whole counts flip; the other intervals
+    # stay certified
+    p = RepParams(q=parse("5/3"), k=(1, 2, 1, 3), legs=4, n_max=3)
+    perturbed_cached_e_table(monkeypatch)
+    failed = set()
+    for lo, hi in consecutive_subsets(p.legs):
+        label = "Q" + "".join(map(str, range(lo, hi + 1)))
+        op = casimir(p, (lo, hi))
+        reports = spectrum_reports(GeneratorRegistry(p, {label: op}), (lo, hi), range(p.n_max + 1))
+        for w, r in enumerate(reports):
+            lams = predicted_eigenvalues(p, (lo, hi), w)
+            whole = annihilating_residual(op, lams, p.basis.weight_block(w))
+            assert r.residual_summary["nonzero_entries"] == whole, r.id
+            assert r.residual_summary["certificate_held"] == (not lo <= 2 <= hi and w > 0), r.id
+            if not r.ok:
+                failed.add(label)
+    assert failed == {"Q2", "Q12", "Q23", "Q123", "Q234", "Q1234"}
 
 
 def test_registry_entry_off_the_slice_is_not_taken_on_trust(default_registry):

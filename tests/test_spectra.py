@@ -2,15 +2,10 @@ import pytest
 
 from awalgebra import spectra
 from awalgebra.exactnum import parse, rational
-from awalgebra.opalgebra import build_registry, consecutive_subsets
+from awalgebra.lifting import seed_states, spanned_by_lifting
+from awalgebra.opalgebra import GeneratorRegistry, build_registry, consecutive_subsets, label_of_subset
 from awalgebra.sparse import SparseOperator
-from awalgebra.spectra import (
-    annihilating_residual,
-    chain_counts,
-    keeps_interval_weight,
-    spanned_by_lifting,
-    spectrum_reports,
-)
+from awalgebra.spectra import annihilating_residual, certified_counts, spectrum_reports
 from awalgebra.uqrep import RepParams, casimir, casimir_eigenvalue, interval_ops, predicted_eigenvalues
 
 
@@ -120,10 +115,11 @@ def test_annihilating_needs_degree_zero():
 
 
 def _variants(lams):
-    """The predicted eigenvalues, one shifted by 1/den and one dropped."""
+    """The predicted eigenvalues, one shifted by 1/den, one dropped, and
+    the list cut to its first three values."""
     last = lams[-1]
     shifted = lams[:-1] + [last + rational(1, last.denominator)]
-    return {"predicted": lams, "shifted": shifted, "dropped": lams[1:]}
+    return {"predicted": lams, "shifted": shifted, "dropped": lams[1:], "capped": lams[:3]}
 
 
 def test_column_range_must_lie_in_one_block():
@@ -147,7 +143,7 @@ def test_column_range_must_lie_in_one_block():
             annihilating_residual(op, lams, cols)
 
 
-# -- one quotient-membership test per seed ------------------------------
+# -- one quotient certificate on the interval's own realization --------
 
 CHAIN_PARAMS = {
     "default": RepParams(q=parse("5/3"), k=(1, 2, 1, 3), legs=4, n_max=5),
@@ -156,21 +152,47 @@ CHAIN_PARAMS = {
 }
 
 
-def _seeds(basis, lo, w):
-    return [j for j in basis.weight_block(w) if basis.states[j][lo - 1] == 0]
+def _label(interval):
+    return label_of_subset(range(interval[0], interval[1] + 1))
 
 
-def _chain(p, interval, lams, op=None, e=None, count=None):
+def _reports(monkeypatch, p, interval, lams, op=None):
+    """spectrum_reports on every block of lams (weight -> list), the
+    lists read in place of the predicted ones, for a registry holding op
+    (default: uqrep's Casimir of the interval) as the interval's label."""
     op = casimir(p, interval) if op is None else op
-    e = interval_ops(p, interval)["E"] if e is None else e
-    return chain_counts(op, e, interval, lams, count)
+    monkeypatch.setattr(spectra, "predicted_eigenvalues", lambda p, interval, w: lams[w])
+    reg = GeneratorRegistry(p, {_label(interval): op})
+    return {r.inputs["weight"]: r.residual_summary for r in spectrum_reports(reg, interval, sorted(lams))}
+
+
+def _whole(p, op, lams):
+    """Every block of lams counted whole, with its own column count."""
+    out = {}
+    for w, values in lams.items():
+        block = p.basis.weight_block(w)
+        out[w] = {
+            "nonzero_entries": annihilating_residual(op, values, block),
+            "sample": None,
+            "columns_computed": len(block),
+            "certificate_held": False,
+        }
+    return out
+
+
+def _decide(p, interval, lams):
+    sub = p.interval_realization(interval)
+    return certified_counts(sub, casimir(sub, (1, sub.legs)), lams)
 
 
 @pytest.mark.parametrize("params", CHAIN_PARAMS)
-@pytest.mark.parametrize("variant", ["predicted", "shifted", "dropped"])
-def test_chain_counts_equal_whole_block_counts(params, variant):
-    # every block reports its whole-block count; with the predicted
-    # eigenvalues every block from weight 1 on is certified from its seeds
+@pytest.mark.parametrize("variant", ["predicted", "shifted", "dropped", "capped"])
+def test_chain_counts_equal_whole_block_counts(params, variant, monkeypatch):
+    # every interval's reports carry the whole-block counts; with the
+    # predicted eigenvalues every block is decided on p_A at once, from
+    # weight 1 on by its seeds there, and the other lists are refused and
+    # counted whole (the capped ones are prefixes of each other, but the
+    # top list is too short for the top block)
     p = CHAIN_PARAMS[params]
     for interval in consecutive_subsets(p.legs):
         op = casimir(p, interval)
@@ -178,35 +200,45 @@ def test_chain_counts_equal_whole_block_counts(params, variant):
             w: _variants(predicted_eigenvalues(p, interval, w))[variant]
             for w in range(p.n_max + 1)
         }
-        blocks = _chain(p, interval, lams)
-        for w, got in blocks.items():
-            block = p.basis.weight_block(w)
-            assert got.nonzero == annihilating_residual(op, lams[w], block), (interval, w)
-            if variant == "predicted":
-                assert got.nonzero == 0
-                assert got.certified == (w >= 1)
-                lifted = len(_seeds(p.basis, interval[0], w)) if w else len(block)
-                assert got.columns == lifted
-            else:
-                assert got.columns == len(block) and not got.certified
+        got = _reports(monkeypatch, p, interval, lams)
+        whole = _whole(p, op, lams)
+        assert {w: s["nonzero_entries"] for w, s in got.items()} == {
+            w: s["nonzero_entries"] for w, s in whole.items()
+        }, interval
+        if variant == "predicted":
+            sub = p.interval_realization(interval)
+            assert _decide(p, interval, lams) == dict.fromkeys(lams, 0)
+            for w, summary in got.items():
+                assert summary["nonzero_entries"] == 0
+                assert summary["certificate_held"] == (w >= 1)
+                lifted = len(seed_states(sub.basis, w)) if w else 1
+                assert summary["columns_computed"] == lifted, (interval, w)
+        else:
+            assert _decide(p, interval, lams) is None
+            assert got == whole, interval
 
 
-def test_diagonal_operator_right_only_on_seeds_reports_its_whole_count():
+def test_diagonal_operator_right_only_on_seeds_reports_its_whole_count(monkeypatch):
     # lambda_0 on the seed states and lambda_0 + 1/den elsewhere: the
-    # seeds are annihilated but the operator does not commute with E,
-    # so the certificate refuses and every column is counted
+    # seeds are annihilated but the operator does not commute with E, so
+    # the certificate refuses it as p_A's Casimir, and as the registry's
+    # Q123 it is not uqrep's: every column is counted
     p = CHAIN_PARAMS["default"]
     interval = (1, 3)
     lams = {w: predicted_eigenvalues(p, interval, w) for w in range(p.n_max + 1)}
     lam0 = lams[0][0]
     wrong = lam0 + rational(1, lam0.denominator)
-    diag = SparseOperator.diagonal(p.basis, lambda j: wrong if p.basis.states[j][0] else lam0)
-    blocks = _chain(p, interval, lams, op=diag)
-    for w, got in blocks.items():
-        block = p.basis.weight_block(w)
-        whole = annihilating_residual(diag, lams[w], block)
-        assert whole == len(block) - len(_seeds(p.basis, 1, w))
-        assert got == (whole, len(block), False)
+
+    def diagonal(basis):
+        return SparseOperator.diagonal(basis, lambda j: wrong if basis.states[j][0] else lam0)
+
+    sub = p.interval_realization(interval)
+    assert certified_counts(sub, diagonal(sub.basis), lams) is None
+    diag = diagonal(p.basis)
+    got = _reports(monkeypatch, p, interval, lams, op=diag)
+    assert got == _whole(p, diag, lams)
+    for w, summary in got.items():
+        assert summary["nonzero_entries"] == len(p.basis.weight_block(w)) - len(seed_states(p.basis, w))
 
 
 def _without_entry(e, row, col):
@@ -215,147 +247,80 @@ def _without_entry(e, row, col):
     return SparseOperator._raw(e.basis, cols, e.degree, e.den)
 
 
-def test_zeroed_lo_leg_entry_of_e_refuses_the_certificate():
+def test_zeroed_lo_leg_entry_of_e_refuses_the_certificate(monkeypatch):
+    # an entry of p_A's E on its first leg (the interval's leg lo) that
+    # (span) needs: the certificate refuses, even for the scalar Q2
     p = CHAIN_PARAMS["default"]
-    basis = p.basis
-    lams = {w: predicted_eigenvalues(p, (1, 3), w) for w in range(p.n_max + 1)}
-    row = basis.index_of((1, 1, 1, 0))  # block 3
-    col = basis.index_of((0, 1, 1, 0))
-    e = interval_ops(p, (1, 3))["E"]
-    assert e.cols[col][row]
-    bad = _without_entry(e, row, col)
-    assert spanned_by_lifting(e, 1, 3) and not spanned_by_lifting(bad, 1, 3)
-    blocks = _chain(p, (1, 3), lams, e=bad)
-    assert not any(b.certified for b in blocks.values())
-    # Q1 is a scalar and commutes with any E, so only (b) refuses block
-    # 3, and every block from there up is counted whole
-    lams1 = {w: predicted_eigenvalues(p, (1, 1), w) for w in range(p.n_max + 1)}
-    e1 = interval_ops(p, (1, 1))["E"]
-    bad1 = _without_entry(e1, row, col)
-    blocks = _chain(p, (1, 1), lams1, e=bad1)
-    assert [b.certified for b in blocks.values()] == [w in (1, 2) for w in lams1]
-    for w in range(3, p.n_max + 1):
-        assert blocks[w] == (0, len(basis.weight_block(w)), False)
+    for interval, row, col in (((1, 3), (1, 1, 1), (0, 1, 1)), ((2, 2), (3,), (2,))):
+        sub = p.interval_realization(interval)
+        basis = sub.basis
+        lams = {w: predicted_eigenvalues(p, interval, w) for w in range(p.n_max + 1)}
+        ops = interval_ops(sub, (1, sub.legs))
+        i, j = basis.index_of(row), basis.index_of(col)
+        w = basis.weights[i]
+        assert ops["E"].cols[j][i]
+        bad = _without_entry(ops["E"], i, j)
+        assert spanned_by_lifting(ops["E"], w) and not spanned_by_lifting(bad, w)
+        assert _decide(p, interval, lams) == dict.fromkeys(lams, 0)
+        monkeypatch.setattr(spectra, "interval_ops", lambda p, interval: {**ops, "E": bad})
+        assert _decide(p, interval, lams) is None
+        # every block is counted whole, and still vanishes
+        got = _reports(monkeypatch, p, interval, lams)
+        assert got == _whole(p, casimir(p, interval), lams)
+        assert not any(s["nonzero_entries"] for s in got.values())
+        monkeypatch.undo()
 
 
-def test_list_that_does_not_extend_the_previous_one_is_counted_whole():
+def test_list_that_does_not_extend_the_previous_one_is_counted_whole(monkeypatch):
     # block 2 carries one surplus factor: it still annihilates block 2,
-    # but block 2's list is no longer block 1's plus one value, nor is
-    # block 3's block 2's plus one value; the chain stays broken above
+    # but its list is not the top list's first three values, so no block
+    # is decided on p_A
     p = CHAIN_PARAMS["default"]
     lams = {w: predicted_eigenvalues(p, (1, 4), w) for w in range(p.n_max + 1)}
     lams[2] = lams[2] + [rational(7)]
-    blocks = _chain(p, (1, 4), lams)
-    basis = p.basis
-    assert blocks[1] == (0, len(_seeds(basis, 1, 1)), True)
-    for w in range(2, p.n_max + 1):
-        assert blocks[w] == (0, len(basis.weight_block(w)), False)
-
-
-def test_block_after_a_failed_block_is_counted_whole(monkeypatch):
-    # one seed of block 2 refused: block 3's seeds all pass, but block 2
-    # was not certified (d)
-    p = CHAIN_PARAMS["default"]
-    basis = p.basis
-    first = basis.weight_block(2).start
-    real = spectra.seed_in_lift
-
-    def refusing(op, e, lo, s, lam):
-        return s != first and real(op, e, lo, s, lam)
-
-    monkeypatch.setattr(spectra, "seed_in_lift", refusing)
-    lams = {w: predicted_eigenvalues(p, (1, 4), w) for w in range(p.n_max + 1)}
-    blocks = _chain(p, (1, 4), lams)
-    assert blocks[1] == (0, len(_seeds(basis, 1, 1)), True)
-    for w in range(2, p.n_max + 1):
-        assert blocks[w] == (0, len(basis.weight_block(w)), False)
+    assert _decide(p, (1, 4), lams) is None
+    got = _reports(monkeypatch, p, (1, 4), lams)
+    assert got == _whole(p, casimir(p, (1, 4)), lams)
+    assert not any(s["nonzero_entries"] for s in got.values())
 
 
 @pytest.mark.parametrize("interval", [(1, 3), (2, 3), (2, 4)])
-def test_wrong_value_at_one_interval_weight_falls_back_from_its_block(interval):
-    # block 3's value for A-weight 3 moved by 1/den: the list still
-    # extends block 2's (c), but the A-weight-3 seeds fail their
-    # membership test (e), and every block from 3 up reports the
-    # whole-block count
+def test_wrong_value_at_one_interval_weight_falls_back_from_its_block(interval, monkeypatch):
+    # the value for A-weight 3 moved by 1/den in every list from block 3
+    # on: each list is still the top list's prefix, but p_A's Casimir is
+    # not that value on M_3, (iv) refuses, and every block is counted
+    # whole, nonzero from block 3 on
     p = CHAIN_PARAMS["default"]
-    basis = p.basis
-    op = casimir(p, interval)
     lams = {w: predicted_eigenvalues(p, interval, w) for w in range(p.n_max + 1)}
-    lams[3][3] += rational(1, lams[3][3].denominator)
-    assert lams[3][:-1] == lams[2]
-    blocks = _chain(p, interval, lams)
-    for w, got in blocks.items():
-        block = basis.weight_block(w)
-        assert got.nonzero == annihilating_residual(op, lams[w], block)
-        assert got.certified == (w in (1, 2))
-        assert got.columns == (len(_seeds(basis, interval[0], w)) if got.certified else len(block))
-    assert blocks[3].nonzero > 0
-
-
-def test_seeds_that_pass_under_lists_that_do_not_extend_are_refused():
-    # Q12 plus the quanta on legs 3 and 4 commutes with E and keeps the
-    # A-weight; on the seeds of A-weight a in block w it is lambda_a +
-    # (w - a) modulo E, so every seed passes under lists that do not
-    # extend each other, yet P_w is not zero: (c) must refuse
-    p = CHAIN_PARAMS["default"]
-    basis = p.basis
-    interval = (1, 2)
-    outside = SparseOperator.diagonal(basis, lambda j: rational(sum(basis.states[j][2:])))
-    op = casimir(p, interval) + outside
-    e = interval_ops(p, interval)["E"]
-    lams = {
-        w: [lam + (w - a) for a, lam in enumerate(predicted_eigenvalues(p, interval, w))]
-        for w in range(p.n_max + 1)
-    }
-    for w in range(1, p.n_max + 1):
-        assert all(spectra.seed_in_lift(op, e, 1, s, lams[w][basis.states[s][1]]) for s in _seeds(basis, 1, w))
-    blocks = _chain(p, interval, lams, op=op)
-    for w, got in blocks.items():
-        block = basis.weight_block(w)
-        assert got == (annihilating_residual(op, lams[w], block), len(block), False)
-        assert (got.nonzero > 0) == (w >= 1)
-
-
-def test_entry_breaking_the_interval_weight_refuses_the_certificate(monkeypatch):
-    # Q12 with one entry off the seeds that moves A-weight 1 to A-weight
-    # 0 inside block 2; with (a) taken as given, (a') alone must refuse
-    p = CHAIN_PARAMS["default"]
-    basis = p.basis
-    interval = (1, 2)
-    op = casimir(p, interval)
-    e = interval_ops(p, interval)["E"]
-    a_weight = [m[0] + m[1] for m in basis.states]
-    row, col = basis.index_of((0, 0, 2, 0)), basis.index_of((1, 0, 1, 0))
-    cols = {j: dict(c) for j, c in op.cols.items()}
-    cols[col][row] = op.den
-    bad = SparseOperator._raw(basis, cols, op.degree, op.den)
-    assert keeps_interval_weight(op, e, a_weight) and not keeps_interval_weight(bad, e, a_weight)
-    monkeypatch.setattr(spectra, "commutes_below_top", lambda op, e: True)
-    lams = {w: predicted_eigenvalues(p, interval, w) for w in range(p.n_max + 1)}
-    blocks = _chain(p, interval, lams, op=bad)
-    for w, got in blocks.items():
-        block = basis.weight_block(w)
-        assert got == (annihilating_residual(bad, lams[w], block), len(block), False)
-    assert blocks[2].nonzero > 0
-    # the seeds alone would have passed
-    assert all(spectra.seed_in_lift(bad, e, 1, s, lams[2][a_weight[s]]) for s in _seeds(basis, 1, 2))
+    moved = lams[3][3] + rational(1, lams[3][3].denominator)
+    for w in range(3, p.n_max + 1):
+        lams[w][3] = moved
+    assert _decide(p, interval, lams) is None
+    got = _reports(monkeypatch, p, interval, lams)
+    assert got == _whole(p, casimir(p, interval), lams)
+    assert [s["nonzero_entries"] > 0 for s in got.values()] == [w >= 3 for w in lams]
 
 
 def test_single_block_has_no_chain():
+    # a block asked for alone is decided on p_A, from the lists up to it
     p = CHAIN_PARAMS["default"]
     reg = build_registry(p)
-    rep = spectrum_reports(reg, (1, 4), [3])[0]
-    assert rep.residual_summary == {
-        "nonzero_entries": 0,
-        "sample": None,
-        "columns_computed": len(p.basis.weight_block(3)),
-        "certificate_held": False,
-    }
+    for interval, seeds in (((1, 4), 10), ((2, 3), 1), ((3, 3), 0)):
+        rep = spectrum_reports(reg, interval, [3])[0]
+        sub = p.interval_realization(interval)
+        assert len(seed_states(sub.basis, 3)) == seeds
+        assert rep.residual_summary == {
+            "nonzero_entries": 0,
+            "sample": None,
+            "columns_computed": seeds,
+            "certificate_held": True,
+        }, interval
 
 
 def test_reports_compute_the_seed_columns_of_leg_lo(monkeypatch):
-    # the polynomial runs on block 0 alone; every later block tests its
-    # seeds (no quanta on leg lo), one membership test each
+    # the polynomial runs on block 0 alone; every later block is
+    # decided by p_A's seeds (no quanta on its first leg, the interval's
+    # leg lo)
     p = RepParams(q=parse("5/3"), k=(1, 2, 1, 3), legs=4, n_max=3)
     reg = build_registry(p)
     computed = []
@@ -368,8 +333,9 @@ def test_reports_compute_the_seed_columns_of_leg_lo(monkeypatch):
     for interval in consecutive_subsets(p.legs):
         computed.clear()
         reports = spectrum_reports(reg, interval, range(p.n_max + 1))
+        sub = p.interval_realization(interval)
         assert computed == list(p.basis.weight_block(0))
-        assert [r.residual_summary["columns_computed"] for r in reports] == [
-            len(_seeds(p.basis, interval[0], w)) for w in range(p.n_max + 1)
+        assert [r.residual_summary["columns_computed"] for r in reports] == [1] + [
+            len(seed_states(sub.basis, w)) for w in range(1, p.n_max + 1)
         ], interval
         assert [r.residual_summary["certificate_held"] for r in reports] == [False, True, True, True]
