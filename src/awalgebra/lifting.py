@@ -98,7 +98,7 @@ hi - lo + 1 legs, the labels k_lo..k_hi, the same q and n_max).  Split
 a state into its inner part m[lo-1:hi], whose weight is its A-weight,
 and its outside part o, the quanta on the other legs.  The slice of o
 is the span of the states with outside part o; the slice of o = 0 is
-the zero-outside slice (zero_outside).
+the zero-outside slice.
 
     Slice lemma.  On the slice of o, with |o| = m outside quanta, A's
     E, F, K and Kinv (interval_ops(p, A), either fold) are those of
@@ -119,38 +119,18 @@ cut at A-weight n_max - m.  The Casimir is a lincomb of K K, Kinv Kinv
 and E F, and in E F the E acts below the column's A-weight, where
 nothing is cut.
 
-Corollary (slice first).  A monomial in A's generators, applied to a
-column of A-weight a, climbs to A-weight a + c at most, its climb c
-fixed by its factors' degrees.  On the slice of o it is p_A's monomial
-when a + c <= n_max - m and zero otherwise: an E that would climb past
-n_max - m acts on A-weight n_max - m, where it is cut.  Let R be a
-lincomb of such monomials, checked on the columns of weight <= top,
-whose monomials all have one climb or all climb at most n_max - top.
-A checked column of the slice of o has A-weight a <= top - m.  If one
-monomial is cut there, all have that climb and all are cut, so R is
-zero there; otherwise every monomial is p_A's on that column and on
-the zero-outside column of the same inner part, which is checked too,
-and R takes the same values on both.  So R is zero on every checked
-column iff it is zero on the checked columns of the zero-outside slice
-(slice_first).  This covers the defining relations (K Kinv - 1 and
-q K F - F K: climb 0; K E - q E K: climb 1; the E, F commutator, climbs
-0 and 1, checked with top = n_max - 1) and coassociativity (both folds
-of one generator, one climb).  The lemma is a property of how uqrep
-builds A's operators, so slices serve only operators uqrep builds; a
-residual in a registry's generators, which may hold any table, is
-decided on the quotient (GeneratorRegistry.lifted).  Casimir spectra
-use the lemma directly: block w of p is the sum over o of A-weight
-w - |o| on the slice of o, on which A's Casimir is p_A's block w - |o|
-(spectra.certified_counts).
+Casimir spectra (spectra.certified_counts) are the lemma's only user:
+block w of p is the sum over the outside parts o of the states of
+A-weight w - |o| on the slice of o, where A's Casimir is p_A's on its
+block w - |o|.  The lemma is a property of how uqrep builds A's
+operators, so it serves only operators that uqrep builds.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd, lcm
 
 from .sparse import SparseOperator
-from .uqrep import CACHE_SIZE
 
 
 def seed_states(basis, w: int) -> list:
@@ -158,45 +138,6 @@ def seed_states(basis, w: int) -> list:
     order."""
     states = basis.states
     return [j for j in basis.weight_block(w) if not states[j][0]]
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def zero_outside(basis, interval) -> tuple:
-    """The zero-outside slice of the interval lo..hi: the indices of
-    the states of basis with no quanta on the other legs, in index
-    order.  Cached per basis shape (bases of one shape are
-    interchangeable)."""
-    lo, hi = interval
-    return tuple(
-        j for j, m in enumerate(basis.states) if not any(m[: lo - 1]) and not any(m[hi:])
-    )
-
-
-def slice_first(basis, interval, terms, top=None):
-    """The lincomb of terms on the columns of weight <= top (default
-    n_max), the ones its check reads, for a residual of the generators
-    of the interval lo..hi that the corollary (slice first) covers.
-
-    It is first evaluated on the zero-outside slice's columns of weight
-    <= top.  A zero there is zero on every column of weight <= top, so
-    that result is the whole checked residual; otherwise, or when the
-    slice holds every column of weight <= top, it is evaluated on every
-    column of weight <= top.
-    """
-    top = basis.n_max if top is None else top
-    stop = basis.weight_block(top).stop
-    checked = [j for j in zero_outside(basis, interval) if j < stop]
-    if len(checked) < stop:
-        out = _on_columns(basis, terms, checked)
-        if out.is_zero():
-            return out
-    return _on_columns(basis, terms, range(stop))
-
-
-def _on_columns(basis, terms, cols):
-    # column j of A B is A applied to column j of B
-    part = [(c, *ops[:-1], ops[-1].restricted(cols)) for c, *ops in terms]
-    return SparseOperator.lincomb(basis, part)
 
 
 def commutes_below_top(op, e, top: int) -> bool:

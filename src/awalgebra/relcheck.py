@@ -38,12 +38,9 @@ scalar, is zero by the corollary of lifting.py and is not evaluated
 (GeneratorRegistry.commutator_of).  The independence rank is taken on
 the quotient first (check_independence).
 
-The defining relations and coassociativity of an interval are
-evaluated slice first: on the interval's zero-outside slice, the states
-with no quanta on the other legs, where the interval's operators are
-those of its own realization.  A zero there is zero on
-every column by the corollary (slice first) of lifting.py; a nonzero is
-recomputed on every column, so every report is the full evaluation's.
+The defining relations and coassociativity are polynomials in uqrep's
+interval generators, not the registry's, and are evaluated on every
+column their report reads, with no certificate.
 """
 
 from __future__ import annotations
@@ -55,7 +52,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .exactnum import inverse
-from .lifting import slice_first
 from .opalgebra import (
     GeneratorRegistry,
     consecutive_subsets,
@@ -81,27 +77,25 @@ def check_defining_relations(p: RepParams) -> list[RelationReport]:
 
     The commutator relation applies E after F on only one side, so it
     is checked on columns of weight <= n_max - 1, where the truncation
-    is invisible; the other relations are exact everywhere.  Each is
-    evaluated on the interval's zero-outside slice first
-    (lifting.slice_first).
+    is invisible; the other relations are exact everywhere.
     """
     q = p.q
     s_inv = inverse(q - inverse(q))
     iden = SparseOperator.identity(p.basis)
+    # column j of A B is A applied to column j of B, so the EF residual
+    # reads only the columns of weight <= n_max - 1 of each last factor
+    below = range(p.basis.weight_block(p.n_max - 1).stop)
     out = []
     for lo, hi in consecutive_subsets(p.legs):
         label = label_of_subset(range(lo, hi + 1))
         ops = interval_ops(p, (lo, hi))
         e, f, k, ki = ops["E"], ops["F"], ops["K"], ops["Kinv"]
+        eb, fb, kb, kib = (op.restricted(below) for op in (e, f, k, ki))
         pairs = [
             ("KKinv", ((1, k, ki), (-1, iden)), None),
             ("KE", ((1, k, e), (-q, e, k)), None),
             ("KF", ((q, k, f), (-1, f, k)), None),
-            (
-                "EF",
-                ((1, e, f), (-1, f, e), (-s_inv, k, k), (s_inv, ki, ki)),
-                p.n_max - 1,
-            ),
+            ("EF", ((1, e, fb), (-1, f, eb), (-s_inv, k, kb), (s_inv, ki, kib)), p.n_max - 1),
         ]
         for name, terms, max_w in pairs:
             out.append(
@@ -109,7 +103,7 @@ def check_defining_relations(p: RepParams) -> list[RelationReport]:
                     id=f"defining/{label}/{name}",
                     kind="defining-relation",
                     inputs={"interval": [lo, hi], "relation": name},
-                    residual=slice_first(p.basis, (lo, hi), terms, max_w),
+                    residual=SparseOperator.lincomb(p.basis, terms),
                     max_weight=max_w,
                 )
             )
@@ -118,8 +112,7 @@ def check_defining_relations(p: RepParams) -> list[RelationReport]:
 
 def check_coassociativity(p: RepParams) -> list[RelationReport]:
     """Left-bracketed vs right-bracketed coproduct assembly agree on
-    every interval of three or more legs, each generator evaluated on
-    the interval's zero-outside slice first (lifting.slice_first)."""
+    every interval of three or more legs."""
     out = []
     for lo, hi in consecutive_subsets(p.legs):
         if hi - lo < 2:
@@ -135,9 +128,7 @@ def check_coassociativity(p: RepParams) -> list[RelationReport]:
                     id=f"defining/coassoc/{label}/{name}",
                     kind="coassociativity",
                     inputs={"interval": [lo, hi], "generator": name},
-                    residual=slice_first(
-                        p.basis, (lo, hi), ((1, left[name]), (-1, right[name]))
-                    ),
+                    residual=SparseOperator.lincomb(p.basis, ((1, left[name]), (-1, right[name]))),
                 )
             )
     return out
@@ -161,7 +152,7 @@ def check_prop1(reg: GeneratorRegistry) -> list[RelationReport]:
     Disjoint or nested intervals must commute; crossing intervals must
     not (they are the genuinely q-deformed pairs).  A final structural
     report checks the crossing pairs against the computed non-commuting
-    set and, at four legs, that they close into a single 5-cycle.
+    set.
     """
     subsets = _interval_subsets(reg.params.legs)
     out = []
@@ -188,12 +179,11 @@ def check_prop1(reg: GeneratorRegistry) -> list[RelationReport]:
         if not _qualifying(a, b)
     ]
     structure_ok = noncommuting == crossing
+    # at four legs the crossing pairs are always Q12-Q23, Q23-Q34,
+    # Q34-Q123, Q123-Q234 and Q234-Q12: one 5-cycle
     cycle_note = None
     if reg.params.legs == 4 and structure_ok:
-        structure_ok = _is_single_cycle(noncommuting)
-        cycle_note = "crossing pairs close into one 5-cycle" if structure_ok else (
-            "crossing pairs do not form a single cycle"
-        )
+        cycle_note = "crossing pairs close into one 5-cycle"
     out.append(
         RelationReport(
             id="prop1/structure",
@@ -208,27 +198,6 @@ def check_prop1(reg: GeneratorRegistry) -> list[RelationReport]:
         )
     )
     return out
-
-
-def _is_single_cycle(edges) -> bool:
-    adj: dict = {}
-    for a, b in edges:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    if not adj or any(len(n) != 2 for n in adj.values()):
-        return False
-    start = next(iter(adj))
-    seen = {start}
-    prev, cur = None, start
-    while True:
-        nxt = [x for x in adj[cur] if x != prev]
-        prev, cur = cur, nxt[0]
-        if cur == start:
-            break
-        if cur in seen:
-            return False
-        seen.add(cur)
-    return len(seen) == len(adj) == len(edges)
 
 
 def check_prop2(reg: GeneratorRegistry) -> list[RelationReport]:

@@ -66,28 +66,11 @@ DEGREE = {"E": 1, "F": -1, "K": 0, "Kinv": 0}
 # leg), the four operator caches and the eigenvalues (q, kappa).  They
 # are keyed on values, so equal parameters share one entry across runs
 # in a process; the bound drops the least recently used entries and
-# keeps a long-lived process from holding all of them.  One serial
-# default verify fills at most 31 entries of any of them: interval_ops
-# 10 left folds, single legs included, and 3 right folds at four legs,
-# 15 left folds of the interval realizations p_A on which spectra
-# decides (one to three legs each; Q1 and Q3 share one at k = 1,2,1,3)
-# and 3 more for aw3-quadratic's three-leg registry, whose realization
-# is Q123's; casimir 23, _leg_ops 19, the basis cache 4, the index maps
-# 10 (legs 1-4, 1-3, 1-2 and 1), leg_table 12 (the labels 1, 2, 3, four
-# generators each), casimir_eigenvalue 13; casimir_unshifted only to
-# diagnose a nonzero quadratic aw3 line.  Four distinct labels (k =
-# 1,2,3,4) fill 32 entries of interval_ops, the bound, and evict none.
-# Forked (cli.suite_results), the verify process builds no right fold
-# and no sub-realization: interval_ops 10, casimir 10, _leg_ops 4, index
-# maps 4, leg_table 12, eigenvalues 7; the first worker fills
-# interval_ops 19, casimir 6, _leg_ops 7, index maps 7, leg_table 12,
-# eigenvalues 7; the second, with the spectra suite, interval_ops 25,
-# casimir 18, _leg_ops 19, index maps 10, eigenvalues 13.  One process
-# running spectrum --nmax 7 for all ten labels fills 19 entries of
-# interval_ops and 19 of _leg_ops, 9 of casimir, 4 of the basis cache,
-# 10 index maps, 12 leg tables and 14 eigenvalues.  Every shorter fold a
-# fold extends is one of these entries.  lifting.zero_outside has the
-# same bound: a four-leg verify fills 10 entries, one per interval.
+# keeps a long-lived process from holding all of them.  32 entries
+# hold all that one serial verify with four distinct labels, or the
+# spectrum of all ten labels in one process, makes, so neither evicts
+# an entry it reads again (tests/test_uqrep.py,
+# test_one_command_evicts_nothing).
 CACHE_SIZE = 32
 
 

@@ -1,11 +1,12 @@
 import random
+from itertools import combinations
 from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from awalgebra.exactnum import parse, rational
-from awalgebra.opalgebra import GeneratorRegistry, build_registry
+from awalgebra.opalgebra import DERIVED_DEFS, GeneratorRegistry, build_registry, label_of_subset
 from awalgebra.sparse import RANK_PRIME, fraction_free_rank, rank_mod_prime
 from awalgebra.uqrep import RepParams
 from awalgebra import opalgebra, relcheck
@@ -95,12 +96,20 @@ def test_prop1_lower_rank():
     assert all(r.ok for r in reports)
 
 
-def test_cycle_detector():
-    cyc = [("a", "b"), ("b", "c"), ("c", "a")]
-    assert relcheck._is_single_cycle(cyc)
-    assert not relcheck._is_single_cycle(cyc[:2])
-    two = cyc + [("x", "y"), ("y", "z"), ("z", "x")]
-    assert not relcheck._is_single_cycle(two)
+def test_four_leg_crossing_pairs_are_the_derived_operand_pairs():
+    # the pairs prop1/structure expects not to commute at four legs; in
+    # DERIVED_DEFS order each pair's second label is the next one's
+    # first, so they close into the 5-cycle the structure note states
+    subsets = relcheck._interval_subsets(4)
+    crossing = {
+        frozenset((label_of_subset(a), label_of_subset(b)))
+        for a, b in combinations(subsets, 2)
+        if not relcheck._qualifying(a, b)
+    }
+    pairs = [operands for operands, _ in DERIVED_DEFS.values()]
+    assert crossing == {frozenset(pair) for pair in pairs}
+    assert [b for _, b in pairs] == [a for a, _ in pairs[1:] + pairs[:1]]
+    assert len({a for a, _ in pairs}) == 5
 
 
 # -- prop2 -------------------------------------------------------------

@@ -1,20 +1,18 @@
 """The slice lemma of lifting.py: on the states with fixed quanta outside
 an interval A, A's generators and Casimir are those of A's own
-realization p_A, cut at A-weight n_max - (outside quanta); and the
-checks that evaluate a residual on A's zero-outside slice first report
-what the evaluation on every column reports.  The embedded linearized
-aw3 pair, a residual in legs 1..3 that is decided on the quotient, flips
-under the same mutants as its evaluation on the full table, and the
-spectra suite, decided on each p_A, flips the intervals a leg-table
-mutant reaches."""
+realization p_A, cut at A-weight n_max - (outside quanta).  Under
+mutants of a leg table, a cached table and the coupling, the defining
+suite flips exactly the checks they break, the embedded linearized aw3
+pair, a residual in legs 1..3 that is decided on the quotient, flips as
+its evaluation on the full table does, and the spectra suite, decided
+on each p_A, flips the intervals a leg-table mutant reaches."""
 
 import pytest
 
-from awalgebra import lifting, relcheck, uqrep
+from awalgebra import relcheck, uqrep
 from awalgebra.cli import main
 from awalgebra.exactnum import Rational, parse
 from awalgebra.fockspace import TruncatedBasis
-from awalgebra.lifting import zero_outside
 from awalgebra.opalgebra import GeneratorRegistry, consecutive_subsets, subset_of_label
 from awalgebra.sparse import SparseOperator
 from awalgebra.spectra import annihilating_residual, spectrum_reports
@@ -82,8 +80,7 @@ def test_zero_outside_slice_is_the_interval_realization(q, legs, n_max):
     for lo, hi in consecutive_subsets(legs):
         sub = p.interval_realization((lo, hi))
         assert (sub.legs, sub.k, sub.q, sub.n_max) == (hi - lo + 1, p.k[lo - 1 : hi], p.q, n_max)
-        cols = zero_outside(p.basis, (lo, hi))
-        assert list(cols) == slices(p.basis, lo, hi)[(0,) * (legs - hi + lo - 1)]
+        cols = slices(p.basis, lo, hi)[(0,) * (legs - hi + lo - 1)]
         mine = interval_operators(p, (lo, hi))
         theirs = interval_operators(sub, (1, sub.legs))
         for name, op in mine.items():
@@ -120,7 +117,7 @@ def test_command_line_keeps_two_to_four_legs(capsys, command):
     assert "--legs" in capsys.readouterr().err
 
 
-# -- slice-first checks against the evaluation on every column ----------
+# -- mutants and the checks they flip -----------------------------------
 
 
 @pytest.fixture
@@ -188,26 +185,21 @@ def defining_reports(p):
 
 
 @pytest.mark.parametrize("mutant", [scaled_leg_2_e_entry, doubled_coupling_term, perturbed_cached_e_table])
-def test_slice_first_flips_what_every_column_flips(cold_caches, monkeypatch, mutant):
+def test_defining_suite_flips_under_table_and_coupling_mutants(cold_caches, monkeypatch, mutant):
     p = RepParams(q=parse("5/3"), k=(1, 2, 1, 3), legs=4, n_max=4)
     assert all(r.ok for r in defining_reports(p))
     cold_caches()
     mutant(monkeypatch)
     first = [r.to_json() for r in defining_reports(p)]
-    cold_caches()
-    # the oracle: every zero-outside slice holds every column
-    monkeypatch.setattr(lifting, "zero_outside", lambda basis, interval: tuple(range(len(basis))))
-    every = [r.to_json() for r in defining_reports(p)]
-    assert first == every
     flipped = [r["id"] for r in first if not r["ok"]]
     ef_with_leg_2 = [f"defining/{x}/EF" for x in ("Q2", "Q12", "Q23", "Q123", "Q234", "Q1234")]
     coassoc = [x for x in flipped if x.startswith("defining/coassoc/")]
     if mutant is not doubled_coupling_term:
         # both folds read the one table, so coassociativity still holds
         assert flipped == ef_with_leg_2
-        # nonzero on the slice, so counted on every column
+        # counted on every column, not on the zero-outside slice alone
         count = next(r["residual_summary"]["nonzero_entries"] for r in first if r["id"] == "defining/Q2/EF")
-        assert count > len(zero_outside(p.basis, (2, 2)))
+        assert count > len(slices(p.basis, 2, 2)[(0, 0, 0)])
     else:
         assert coassoc == [f"defining/coassoc/{x}/E" for x in ("Q123", "Q234", "Q1234")]
 

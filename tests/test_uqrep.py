@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from awalgebra import uqrep
+from awalgebra import cli, uqrep
 from awalgebra.exactnum import ONE, Rational, inverse, parse, rational
 from awalgebra.sparse import SparseOperator
-from awalgebra.opalgebra import build_registry
+from awalgebra.opalgebra import build_registry, consecutive_subsets, label_of_subset
 from awalgebra.relcheck import check_coassociativity, check_defining_relations
 from awalgebra.uqrep import (
     CACHE_SIZE,
@@ -391,6 +391,30 @@ def test_caches_stay_bounded():
         info = cached.cache_info()
         assert info.maxsize == CACHE_SIZE
         assert info.currsize <= CACHE_SIZE, cached
+
+
+LABELS = [label_of_subset(range(lo, hi + 1)) for lo, hi in consecutive_subsets(4)]
+
+
+@pytest.mark.parametrize(
+    "runs",
+    [[["verify", "--k", "1,2,3,4"]], [["spectrum", "--op", label, "--nmax", "7"] for label in LABELS]],
+    ids=["verify-four-labels", "spectrum-all-labels"],
+)
+def test_one_command_evicts_nothing(monkeypatch, capsys, runs):
+    # from cold caches, serially in this process: every key is built
+    # once and kept, so no uqrep cache runs past CACHE_SIZE
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 1)
+    caches = [f for f in vars(uqrep).values() if hasattr(f, "cache_info") and f.__module__ == uqrep.__name__]
+    assert len(caches) == 8
+    for cached in (*caches, build_registry):
+        cached.cache_clear()
+    for argv in runs:
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    for cached in caches:
+        info = cached.cache_info()
+        assert info.misses == info.currsize <= CACHE_SIZE, (cached.__name__, info)
 
 
 def test_left_folds_share_one_cache_key():
