@@ -82,7 +82,7 @@ Ybar Xbar, and R = [X, Y] has Rbar = [Xbar, Ybar] = 0.  By the theorem,
 [X, Y] is zero on every column of weight <= top, with no product
 formed.
 
-Relation residuals (opalgebra.GeneratorRegistry.lifted) use this with
+Relation residuals (opalgebra.GeneratorRegistry.residual) use this with
 E the total Delta(E), C the total Casimir and lambda_w =
 lambda(k_1 + ... + k_legs + w); GeneratorRegistry.commutator_of answers
 a commutator with an operand of block scalar reduction (Q0, the

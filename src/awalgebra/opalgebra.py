@@ -1,4 +1,4 @@
-"""Labeled generator registry and operator-level algebra helpers.
+"""Labeled generator registry and the one evaluator of its relations.
 
 Generators are named by the set of tensor legs they couple: "Q12" is
 the intermediate Casimir of legs {1,2}, "Q0" the constant -identity,
@@ -13,15 +13,20 @@ labels it only toggles the I prefix of the derived generators, and it
 reverses nothing: applying it to a product means applying it factor by
 factor in unchanged order.
 
-A registry holds Q0 and the interval Casimirs, and builds a derived
-generator from them by its DERIVED_DEFS formula when it is first used.
-It keeps two such tables: the full one, and the quotient one
+Relations are data: a rational combination of terms (c, X) and
+(c, X, Y), each factor a label or a nested tuple of terms, which a
+label table evaluates with Generators.combine; bracket gives the two
+terms of a q-commutator, and derived_terms those of a derived
+generator.  A registry holds Q0 and the interval Casimirs, and builds a
+derived generator from them by its terms when it is first used.  It
+keeps two such tables: the full one, and the quotient one
 (GeneratorRegistry.quotient), whose held entries are reduced onto
 M_w = block_w / Delta(E)(block_(w-1)), with the seeds as basis.  The
 reduction is an algebra homomorphism on the operators that commute with
 Delta(E), so the quotient's derived generators are the reductions of
 the full ones; lifting.py states the quotient and the separation proof
-by which a residual zero on the quotient is zero.
+by which a residual zero on the quotient is zero
+(GeneratorRegistry.residual).
 """
 
 from __future__ import annotations
@@ -111,19 +116,14 @@ def involute_monomial(labels) -> tuple[str, ...]:
     return tuple(involution(x) for x in labels)
 
 
-def q_commutator(q, a: SparseOperator, b: SparseOperator) -> SparseOperator:
-    """[a, b]_q = q a b - q^-1 b a."""
-    return SparseOperator.lincomb(a.basis, ((q, a, b), (-inverse(q), b, a)))
+def bracket(q, a, b, c=1) -> tuple:
+    """The two terms of c [a, b]_q = c (q a b - q^-1 b a) for factors a
+    and b (Generators.combine); q = 1 gives the commutator c [a, b]."""
+    return ((c * q, a, b), (-c * inverse(q), b, a))
 
 
-def commutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:
-    """[a, b] = a b - b a."""
-    return SparseOperator.lincomb(a.basis, ((1, a, b), (-1, b, a)))
-
-
-def derive(gens, label: str, q) -> SparseOperator:
-    """The derived generator label from the generators gens (label ->
-    operator) it is built of:
+def derived_terms(label: str, q) -> tuple:
+    """The terms of the derived generator label:
 
         Q^(B) = (1/(q-q^-1)) [Q^(L), Q^(R)]_q  -  products of Casimirs
 
@@ -131,27 +131,54 @@ def derive(gens, label: str, q) -> SparseOperator:
     (left, right), subs = DERIVED_DEFS[label.removeprefix("I")]
     if is_flipped(label):
         left, right = right, left
-    s = q - inverse(q)
-    x, y = gens[left], gens[right]
-    return SparseOperator.lincomb(
-        x.basis,
-        [(q / s, x, y), (-inverse(q) / s, y, x), *((-1, gens[a], gens[b]) for a, b in subs)],
-    )
+    return (*bracket(q, left, right, inverse(q - inverse(q))), *((-1, a, b) for a, b in subs))
 
 
 class Generators(dict):
-    """label -> operator: the entries held, and each derived label not
-    held built by derive on its first lookup and kept."""
+    """label -> operator on params.basis: the entries held, and each
+    derived label not held built from its derived_terms on its first
+    lookup and kept."""
 
-    def __init__(self, held: dict, q):
+    def __init__(self, params: RepParams, held: dict):
         super().__init__(held)
-        self.q = q
+        self.q = params.q
+        self.basis = params.basis
 
     def __missing__(self, label: str) -> SparseOperator:
         if label.removeprefix("I") not in DERIVED_DEFS:
             raise KeyError(label)
-        op = self[label] = derive(self, label, self.q)
+        op = self[label] = self.combine(derived_terms(label, self.q))
         return op
+
+    def combine(self, terms) -> SparseOperator:
+        """sum c X + sum c X Y over terms (c, X) and (c, X, Y), in one
+        SparseOperator.lincomb.  A factor is a label of this table, or a
+        nested tuple of terms: one lincomb of its own, evaluated once per
+        call however many terms hold that tuple.  It may also be an
+        operator, taken as it is, for the three-leg linearized aw3 pair,
+        which forms its products through GeneratorRegistry.product.  No
+        terms give the zero operator with no lincomb."""
+        if not terms:
+            return SparseOperator.zero(self.basis)
+        return self._evaluate(terms, {})
+
+    def _evaluate(self, terms, done: dict) -> SparseOperator:
+        """combine, with done the nested tuples evaluated so far, by id.
+        A method, since a recursive closure would form a reference cycle
+        that keeps the intermediates alive after the call."""
+        resolved = []
+        for c, *factors in terms:
+            ops = []
+            for x in factors:
+                if isinstance(x, str):
+                    x = self[x]
+                elif isinstance(x, tuple):
+                    if id(x) not in done:
+                        done[id(x)] = self._evaluate(x, done)
+                    x = done[id(x)]
+                ops.append(x)
+            resolved.append((c, *ops))
+        return SparseOperator.lincomb(self.basis, resolved)
 
 
 def _available(label: str, held) -> bool:
@@ -167,7 +194,7 @@ def _available(label: str, held) -> bool:
 
 class Lifted(NamedTuple):
     """A residual with the number of its columns that were computed and
-    whether the quotient certificate held (GeneratorRegistry.lifted)."""
+    whether the quotient certificate held (GeneratorRegistry.residual)."""
 
     residual: SparseOperator
     columns: int
@@ -183,7 +210,7 @@ class GeneratorRegistry:
         self.params = params
         self.basis = params.basis
         self.held = dict(table)
-        self._full = Generators(table, params.q)
+        self._full = Generators(params, table)
         self._labels = tuple(x for x in CANONICAL_ORDER if _available(x, self.held))
         # every column of weight > top is empty (restricted)
         self.top = params.n_max if top is None else top
@@ -213,10 +240,10 @@ class GeneratorRegistry:
         return self[la] * self[lb]
 
     def commutator_of(self, la: str, lb: str) -> Lifted:
-        """[self[la], self[lb]] as the record lifted gives it.
+        """[self[la], self[lb]] as the record residual gives it.
 
         A pair with a label in central commutes by the corollary of
-        lifting.py and gets the zero record unevaluated.  A pair found to
+        lifting.py and gets the zero record of no terms, unevaluated.  A pair found to
         commute is remembered with its record, in either order, since
         [b, a] = -[a, b], and gets that record from then on; nonzero
         commutators are recomputed, which keeps the memo to zero
@@ -228,10 +255,7 @@ class GeneratorRegistry:
         pair = frozenset((la, lb))
         if pair in self._commuting:
             return self._commuting[pair]
-        if self.central.isdisjoint(pair):
-            lift = self.lifted(lambda gens: commutator(gens[la], gens[lb]))
-        else:
-            lift = self.lifted(lambda gens: SparseOperator.zero(self.basis))
+        lift = self.residual(bracket(1, la, lb) if self.central.isdisjoint(pair) else ())
         if lift.residual.is_zero():
             self._commuting[pair] = lift
         return lift
@@ -252,7 +276,7 @@ class GeneratorRegistry:
             interval_ops(p, total)["E"],
             predicted_eigenvalues(p, total, self.top),
         )
-        return None if held is None else Generators(held, p.q)
+        return None if held is None else Generators(p, held)
 
     @cached_property
     def central(self) -> frozenset:
@@ -267,22 +291,27 @@ class GeneratorRegistry:
     def _seed_count(self) -> int:
         return sum(len(seed_states(self.basis, w)) for w in range(self.top + 1))
 
-    def lifted(self, evaluate) -> Lifted:
-        """A residual that is a polynomial in this registry's generators,
-        given as evaluate(gens) for a label -> operator table gens.
+    def residual(self, terms) -> Lifted:
+        """The residual given by terms (Generators.combine), a polynomial
+        in this registry's generators.
 
-        When the certificate holds, evaluate runs on the quotient table
-        first, and a zero there is zero on every column by the theorem
-        of lifting.py.  Otherwise, or when the quotient leaves a nonzero
-        residual, it runs on the full table, so the residual returned is
-        always the whole one.
+        When the certificate holds, the terms are evaluated on the
+        quotient table first, and a zero there is zero on every column
+        by the theorem of lifting.py.  Otherwise, or when the quotient
+        leaves a nonzero residual, they are evaluated on the full table,
+        so the residual returned is always the whole one.
         """
         quotient = self.quotient
         if quotient is not None:
-            out = evaluate(quotient)
+            out = quotient.combine(terms)
             if out.is_zero():
                 return Lifted(out, self._seed_count, True)
-        return Lifted(evaluate(self._full), self._width, quotient is not None)
+        return Lifted(self._full.combine(terms), self._width, quotient is not None)
+
+    def combine(self, terms) -> SparseOperator:
+        """terms (Generators.combine) evaluated on the full table, with
+        no quotient and no record."""
+        return self._full.combine(terms)
 
     def restricted(self, max_weight: int) -> GeneratorRegistry:
         """The same realization with every held generator restricted to
@@ -323,7 +352,7 @@ class GeneratorRegistry:
         quotient = self.__dict__.get("quotient")
         if quotient is not None and max_weight <= self.top:
             held = {x: quotient[x].restricted(cols) for x in self.held}
-            sub.quotient = Generators(held, self.params.q)
+            sub.quotient = Generators(self.params, held)
         return sub
 
 
@@ -353,7 +382,7 @@ def build_registry(p: RepParams) -> GeneratorRegistry:
 
     It holds Q0 and the interval Casimir of every consecutive subset;
     with three or more legs the non-consecutive subsets get their
-    derived generators (derive), with their involuted partners, when
+    derived generators (derived_terms), with their involuted partners, when
     first used.  Cached per parameter set: the registry is shared, so
     treat it as read-only.
     """

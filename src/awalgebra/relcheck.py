@@ -24,12 +24,14 @@ independence   exact rank of the fifteen non-central generators
 
 The residuals of prop1, prop2, the symmetric aw3 relations, master, the
 quadratic pair and, at four legs, the linearized aw3 pair are
-polynomials in the registry's generators.  Each is evaluated first on
-the registry's quotient table, the generators
-read on block_w / Delta(E)(block_(w-1)) with the seed states (no
-quanta on leg 1) as basis, and a zero there is zero on every column
-while the quotient certificate holds (the theorem of lifting.py,
-GeneratorRegistry.lifted); a residual the quotient leaves nonzero is
+polynomials in the registry's generators, written as terms: rational
+combinations of labels and nested tuples of terms, with
+opalgebra.bracket for each q-commutator.  Each is evaluated by the one
+evaluator, Generators.combine, first on the registry's quotient table,
+the generators read on block_w / Delta(E)(block_(w-1)) with the seed
+states (no quanta on leg 1) as basis, and a zero there is zero on every
+column while the quotient certificate holds (the theorem of lifting.py,
+GeneratorRegistry.residual); a residual the quotient leaves nonzero is
 recomputed on the full table, so every report is the full
 evaluation's.  The summaries of all but the quadratic and the
 linearized pair add columns_computed and certificate_held.  A commutator with Q0, a
@@ -54,13 +56,13 @@ from typing import NamedTuple
 from .exactnum import inverse
 from .opalgebra import (
     GeneratorRegistry,
+    bracket,
     consecutive_subsets,
     involute_monomial,
     involution,
     is_consecutive,
     label_of_subset,
     nonempty_subsets,
-    q_commutator,
 )
 from .reporting import RelationReport, residual_report
 from .sparse import SparseOperator, fraction_free_rank
@@ -282,21 +284,12 @@ def _aw3_residual(reg: GeneratorRegistry, rel, assign, order):
         return assign.get(subset, label_of_subset(subset))
 
     q = reg.params.q
-    s = q - inverse(q)
     l1, l2 = (resolve(x) for x in rel["left"])
-    lone = resolve(rel["lone"])
-    monomials = []
+    terms = [*bracket(q, l1, l2, inverse(q - inverse(q))), (-1, resolve(rel["lone"]))]
     for mono in rel["monomials"]:
         labels = involute_monomial(tuple(resolve(x) for x in mono))
-        monomials.append(labels[::-1] if order == "reversed" else labels)
-
-    def evaluate(gens):
-        a, b = gens[l1], gens[l2]
-        terms = [(q / s, a, b), (-inverse(q) / s, b, a), (-1, gens[lone])]
-        terms += [(-1, *(gens[x] for x in labels)) for labels in monomials]
-        return SparseOperator.lincomb(reg.basis, terms)
-
-    return reg.lifted(evaluate)
+        terms.append((-1, *(labels[::-1] if order == "reversed" else labels)))
+    return reg.residual(terms)
 
 
 def check_aw3_symmetric(
@@ -375,15 +368,15 @@ def check_aw3_linear(reg: GeneratorRegistry) -> list[RelationReport]:
     with B = Q1 Q3 + Q2 Q123, all in shifted Casimirs; reported as
     aw3/linear/* at three legs, aw3/linear-embedded/* at four.  Each
     line is a polynomial in the registry's generators.  At four legs it
-    is one reg.lifted residual, decided on the quotient table first like
-    every other registry residual.  At three legs both lines are
-    evaluated on the full table with their products formed through
-    GeneratorRegistry.product: they are the only products of it that a
-    default verify and the benchmark's sweep form, and the benchmark's
-    trace (perfbench/layers.py) requires its span in both."""
+    is one reg.residual, decided on the quotient table first like every
+    other registry residual.  At three legs both lines are evaluated on
+    the full table (reg.combine) with B and the closing products formed
+    through GeneratorRegistry.product and handed in as operators: they
+    are the only products of it that a default verify and the
+    benchmark's sweep form, and the benchmark's trace
+    (perfbench/layers.py) requires its span in both."""
     q = reg.params.q
-    iq = inverse(q)
-    s2 = (q - iq) ** 2
+    s2 = (q - inverse(q)) ** 2
     # name, x, y and the two products closing the line
     # [[x,y]_q,x]_q = (q-q^-1)^2 (B x + y + ...)
     pair = (
@@ -391,28 +384,18 @@ def check_aw3_linear(reg: GeneratorRegistry) -> list[RelationReport]:
         ("line2", "Q23", "Q12", (("Q3", "Q123"), ("Q1", "Q2"))),
     )
 
-    def inhomogeneous(product):  # B
-        return product("Q1", "Q3") + product("Q2", "Q123")
-
-    def line(gens, product, b, x, y, closing):
-        gx, gy = gens[x], gens[y]
-        inner = q_commutator(q, gx, gy)
-        terms = [(q, inner, gx), (-iq, gx, inner), (-s2, b, gx), (-s2, gy)]
-        terms += [(-s2, product(*factors)) for factors in closing]
-        return SparseOperator.lincomb(reg.basis, terms)
-
-    def lifted_line(gens, *spec):
-        product = lambda a, b: gens[a] * gens[b]
-        return line(gens, product, inhomogeneous(product), *spec)
+    def line(b, x, y, closing):
+        return (*bracket(q, bracket(q, x, y), x), (-s2, b, x), (-s2, y), *((-s2, *f) for f in closing))
 
     if reg.params.legs == 3:
-        b = inhomogeneous(reg.product)
-        found = [(name, line(reg, reg.product, b, *spec)) for name, *spec in pair]
-    else:
+        b = reg.product("Q1", "Q3") + reg.product("Q2", "Q123")
         found = [
-            (name, reg.lifted(lambda gens: lifted_line(gens, *spec)).residual)
-            for name, *spec in pair
+            (name, reg.combine(line(b, x, y, [(reg.product(*f),) for f in closing])))
+            for name, x, y, closing in pair
         ]
+    else:
+        b = ((1, "Q1", "Q3"), (1, "Q2", "Q123"))
+        found = [(name, reg.residual(line(b, *spec)).residual) for name, *spec in pair]
     tag = "linear" if reg.params.legs == 3 else "linear-embedded"
     return [
         residual_report(
@@ -445,14 +428,14 @@ def check_aw3_quadratic(reg3: GeneratorRegistry) -> list[RelationReport]:
     generators, U_A = -(t/s^2) Q_A + (2/s^2) Q0 with s = q - q^-1, t =
     q + q^-1 and Q0 minus the identity (uqrep.casimir_unshifted).  So
     each line is a polynomial in the registry's generators and one
-    reg3.lifted residual: the U, the inner q-commutator, U1 U3 + U2 U123
-    and B are one lincomb each on the table lifted hands it, and the
-    constant enters as a multiple of Q0.  (An identity on the whole
+    reg3.residual: the U, the inner q-commutator, U1 U3 + U2 U123 and B
+    are nested terms, one lincomb each per evaluation, and the constant
+    enters as a multiple of Q0.  (An identity on the whole
     basis would leave a diagonal off the seeds, so the quotient residual
     would never vanish.)
 
     These lines are verified and reported but never gate a run: when
-    the residual is nonzero (recomputed on the full table by lifted)
+    the residual is nonzero (recomputed on the full table by residual)
     the report carries a structural diagnosis (scalar multiple of the
     identity, or scalar plus a multiple of the lone linear term),
     pinning down which printed coefficient is off.  The linearized
@@ -462,47 +445,33 @@ def check_aw3_quadratic(reg3: GeneratorRegistry) -> list[RelationReport]:
     if p.legs != 3:
         raise ValueError("quadratic relation pair is stated on three legs")
     q = p.q
-    iq = inverse(q)
-    s2 = (q - iq) ** 2
-    t = q + iq
+    s2 = (q - inverse(q)) ** 2
+    t = q + inverse(q)
     c1 = 2 * q / (q + 1) ** 2
     central = ("U1", "U2", "U3", "U123")
     intervals = {"U12": (1, 2), "U23": (2, 3)}
+    u = {f"U{a}": ((-t / s2, f"Q{a}"), (2 / s2, "Q0")) for a in ("1", "2", "3", "12", "23", "123")}
+    gg = ((1, u["U1"], u["U3"]), (1, u["U2"], u["U123"]))
+    b = ((s2, gg), *((2, u[a]) for a in central))
 
     def line(x, y, pairs):
         """Residual of [[x,y]_q,x]_q = -2 x^2 - 2{x,y} + B x + y + D,
         D's third term summing the products pairs."""
-
-        def evaluate(gens):
-            basis = reg3.basis
-            lin = lambda terms: SparseOperator.lincomb(basis, terms)
-            q0 = gens["Q0"]
-            u = {
-                f"U{a}": lin(((-t / s2, gens[f"Q{a}"]), (2 / s2, q0)))
-                for a in ("1", "2", "3", "12", "23", "123")
-            }
-            ux, uy = u[x], u[y]
-            inner = lin(((q, ux, uy), (-iq, uy, ux)))
-            gg = lin(((1, u["U1"], u["U3"]), (1, u["U2"], u["U123"])))
-            b = lin(((s2, gg), *((2, u[a]) for a in central)))
-            return lin(
-                (
-                    (q, inner, ux),
-                    (-iq, ux, inner),
-                    (2, ux, ux),
-                    (2, ux, uy),
-                    (2, uy, ux),
-                    (-1, b, ux),
-                    (-1, uy),
-                    (-2, gg),
-                    *((c1, u[a]) for a in central),
-                    *((t, u[v], u[w]) for v, w in pairs),
-                    # minus the constant times the identity, which is -Q0
-                    (quadratic_constant(q), q0),
-                )
-            )
-
-        return reg3.lifted(evaluate).residual
+        ux, uy = u[x], u[y]
+        terms = (
+            *bracket(q, bracket(q, ux, uy), ux),
+            (2, ux, ux),
+            (2, ux, uy),
+            (2, uy, ux),
+            (-1, b, ux),
+            (-1, uy),
+            (-2, gg),
+            *((c1, u[a]) for a in central),
+            *((t, u[v], u[w]) for v, w in pairs),
+            # minus the constant times the identity, which is -Q0
+            (quadratic_constant(q), "Q0"),
+        )
+        return reg3.residual(terms).residual
 
     lines = [
         ("line1", "U23", line("U12", "U23", (("U1", "U123"), ("U2", "U3")))),
@@ -590,24 +559,12 @@ def check_master(reg: GeneratorRegistry, row: MasterRow) -> RelationReport:
     # outer labels {c, ga, z}: sum the signed inner q-commutators
     # D_w = sum +-[u, v]_q of each outer label w first, then take
     # sum_w [D_w, w]_q = sum_w q D_w w - q^-1 w D_w.
-    q, iq = reg.params.q, inverse(reg.params.q)
+    q = reg.params.q
     inner = {}
     for sign, triples in ((1, lhs_triples), (-1, rhs_triples)):
         for u, v, w in triples:
-            inner.setdefault(w, []).append((sign, u, v))
-
-    def evaluate(gens):
-        terms = []
-        for w, pairs in inner.items():
-            inner_terms = []
-            for sign, u, v in pairs:
-                a, b = gens[u], gens[v]
-                inner_terms += [(sign * q, a, b), (-sign * iq, b, a)]
-            d_w = SparseOperator.lincomb(reg.basis, inner_terms)
-            terms += [(q, d_w, gens[w]), (-iq, gens[w], d_w)]
-        return SparseOperator.lincomb(reg.basis, terms)
-
-    lift = reg.lifted(evaluate)
+            inner.setdefault(w, []).extend(bracket(q, u, v, sign))
+    lift = reg.residual([t for w, d_w in inner.items() for t in bracket(q, tuple(d_w), w)])
     return residual_report(
         id=f"master/{row.table}/row{row.index}",
         kind="exchange-identity",
@@ -659,11 +616,13 @@ def check_independence(reg: GeneratorRegistry) -> RelationReport:
     remainder of column s of X, and the remainder is linear, so a
     vanishing combination of the generators on the columns of weight
     <= cap vanishes on their reductions: independent reductions prove
-    independent generators.  Only when that rank falls short are the
-    generators read from reg.restricted(cap), whose derived generators
-    are built from the restricted Casimirs (sound by restricted's
-    docstring), for the exact rank at that cap.  So the loop stops at
-    the same cap, with the same rank, as on the restricted rows alone.
+    independent generators.  Only when that rank falls short, or the
+    certificate is refused, are the rows the generators reg[label]
+    restricted to those columns, for the exact rank at that cap.  They
+    equal the rows of reg.restricted(cap), whose derived generators are
+    built from the restricted Casimirs, since every generator has weight
+    degree 0 (GeneratorRegistry.restricted).  So the loop stops at the
+    same cap, with the same rank, as on the restricted rows alone.
     """
     if reg.params.legs != 4:
         raise ValueError("the fifteen-generator statement needs four legs")
@@ -687,7 +646,7 @@ def check_independence(reg: GeneratorRegistry) -> RelationReport:
         cols = range(0, basis.weight_block(cap).stop)
         rank = 0 if quotient is None else rank_of(quotient, cols)
         if rank < full:
-            rank = rank_of(reg.restricted(cap), cols)
+            rank = rank_of(reg, cols)
         if rank == full or cap == basis.n_max:
             break
         cap += 1

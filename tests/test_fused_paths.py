@@ -1,11 +1,15 @@
 """The fused kernel against the chained evaluation it replaced.
 
-Every builder and residual that is one SparseOperator.lincomb call is
-rebuilt here the old way, as the oracle: each product materialized,
-then scaled and summed pairwise, with a gcd reduction per step.  At
-legs=4, nmax=3 and both acceptance parameter sets the two must agree
-entry for entry; both are canonical, so numerators and den agree too.
+Every builder and residual that is one SparseOperator.lincomb call, or
+a term tuple evaluated by Generators.combine, is rebuilt here the old
+way, as the oracle: each product materialized, then scaled and summed
+pairwise, with a gcd reduction per step.  At legs=4, nmax=3 and both
+acceptance parameter sets the two must agree entry for entry; both are
+canonical, so numerators and den agree too.  A guard counts the lincomb
+calls of each suite of a serial verify.
 """
+
+import json
 
 import pytest
 
@@ -26,7 +30,7 @@ from awalgebra.uqrep import (
     casimir_unshifted,
     interval_ops,
 )
-from helpers import monomial
+from helpers import monomial, run_script
 
 PARAMS = (
     RepParams(q=rational(5, 3), k=(1, 2, 1, 3), legs=4, n_max=3),
@@ -48,7 +52,7 @@ def assert_identical(got, want):
 # -- the chained evaluation ----------------------------------------------
 
 
-def q_commutator(q, a, b):
+def chained_bracket(q, a, b):
     return (a * b).scale(q) - (b * a).scale(inverse(q))
 
 
@@ -74,7 +78,7 @@ def derived(reg, left, right, subs):
     correction = SparseOperator.zero(reg.basis)
     for fa, fb in subs:
         correction = correction + reg[fa] * reg[fb]
-    return q_commutator(q, reg[left], reg[right]).scale(inverse(q - inverse(q))) - correction
+    return chained_bracket(q, reg[left], reg[right]).scale(inverse(q - inverse(q))) - correction
 
 
 def aw3_residual(reg, rel, assign, order):
@@ -83,7 +87,7 @@ def aw3_residual(reg, rel, assign, order):
 
     q = reg.params.q
     l1, l2 = (resolve(x) for x in rel["left"])
-    lhs = q_commutator(q, reg[l1], reg[l2]).scale(inverse(q - inverse(q)))
+    lhs = chained_bracket(q, reg[l1], reg[l2]).scale(inverse(q - inverse(q)))
     rhs = reg[resolve(rel["lone"])]
     for mono in rel["monomials"]:
         labels = involute_monomial(tuple(resolve(x) for x in mono))
@@ -105,9 +109,20 @@ def master_residual(reg, row):
         (-1, (x, b, ga)),
         (-1, (al, y, c)),
     ):
-        term = q_commutator(q, q_commutator(q, reg[u], reg[v]), reg[w])
+        term = chained_bracket(q, chained_bracket(q, reg[u], reg[v]), reg[w])
         resid = resid + term if sign > 0 else resid - term
     return resid
+
+
+def linear_residual(reg, x, y, closing):
+    """[[x,y]_q,x]_q - (q-q^-1)^2 (B x + y + the closing products), B =
+    Q1 Q3 + Q2 Q123."""
+    q = reg.params.q
+    b = reg["Q1"] * reg["Q3"] + reg["Q2"] * reg["Q123"]
+    rhs = b * reg[x] + reg[y]
+    for fa, fb in closing:
+        rhs = rhs + reg[fa] * reg[fb]
+    return chained_bracket(q, chained_bracket(q, reg[x], reg[y]), reg[x]) - rhs.scale((q - inverse(q)) ** 2)
 
 
 def defining_residuals(p, ops):
@@ -190,6 +205,22 @@ def test_master_rows_match_chained(reg, residuals):
         assert_identical(got, master_residual(reg, row))
 
 
+@pytest.mark.parametrize("legs", [4, 3])
+def test_linear_pair_matches_chained(reg, residuals, legs):
+    # embedded (terms on the quotient, then the full table) and three-leg
+    # (products through GeneratorRegistry.product, on the full table)
+    if legs == 3:
+        reg = build_registry(reg.params.interval_realization((1, 3)))
+    relcheck.check_aw3_linear(reg)
+    want = [
+        linear_residual(reg, "Q12", "Q23", (("Q1", "Q123"), ("Q2", "Q3"))),
+        linear_residual(reg, "Q23", "Q12", (("Q3", "Q123"), ("Q1", "Q2"))),
+    ]
+    assert len(residuals) == 2 and all(r.is_zero() for r in want)
+    for got, expected in zip(residuals, want):
+        assert_identical(got, expected)
+
+
 def test_defining_residuals_match_chained(reg, residuals):
     p = reg.params
     relcheck.check_defining_relations(p)
@@ -202,3 +233,56 @@ def test_defining_residuals_match_chained(reg, residuals):
         if n % 4 == 3:
             expected = SparseOperator.lincomb(p.basis, [(1, expected.restricted(checked))])
         assert_identical(got, expected)
+
+
+# -- lincomb calls per suite ------------------------------------------------
+
+# SparseOperator.lincomb calls per suite of a serial `verify --nmax 3`
+# from cold caches, at the default q and k, before the registry
+# residuals became term tuples.  Since then aw3 reads 36: its embedded
+# linearized pair fuses the products it used to form one by one.
+# Independence makes none.
+LINCOMB_BUDGET = {
+    "defining": 88,
+    "prop1": 46,
+    "prop2": 30,
+    "aw3": 44,
+    "aw3-quadratic": 62,
+    "master": 80,
+    "spectra": 67,
+}
+
+LINCOMB_COUNTING_SCRIPT = """\
+import json
+from collections import Counter
+from awalgebra import cli
+from awalgebra.sparse import SparseOperator
+counts = Counter()
+suite = [None]
+real = SparseOperator.lincomb.__func__
+def counted(cls, basis, terms):
+    counts[suite[0]] += 1
+    return real(cls, basis, terms)
+SparseOperator.lincomb = classmethod(counted)
+run_suite = cli.run_suite
+def tagged(name, p):
+    suite[0] = name
+    try:
+        return run_suite(name, p)
+    finally:
+        suite[0] = None
+cli.run_suite = tagged
+cli.usable_cpus = lambda: 1
+code = cli.main(["verify", "--nmax", "3"])
+print(json.dumps({"exit": code, "counts": counts}))
+"""
+
+
+def test_no_suite_makes_more_lincomb_calls(tmp_path):
+    out = run_script(tmp_path / "count_lincomb.py", LINCOMB_COUNTING_SCRIPT)
+    got = json.loads(out.stdout.splitlines()[-1])
+    assert got["exit"] == 0
+    counts = got["counts"]
+    assert counts.keys() == LINCOMB_BUDGET.keys()
+    assert {s: n for s, n in counts.items() if n > LINCOMB_BUDGET[s]} == {}
+    assert counts["aw3"] == 36

@@ -1,5 +1,5 @@
 """Relation residuals evaluated on the quotient realization M_w =
-block_w / Delta(E)(block_(w-1)) (lifting.py, GeneratorRegistry.lifted),
+block_w / Delta(E)(block_(w-1)) (lifting.py, GeneratorRegistry.residual),
 against the full lincomb evaluation as the oracle: a registry whose
 quotient certificate never holds evaluates every residual on the full
 table."""
@@ -20,7 +20,7 @@ from awalgebra.lifting import (
     remainder,
     seed_states,
 )
-from awalgebra.opalgebra import GeneratorRegistry, build_registry, commutator
+from awalgebra.opalgebra import GeneratorRegistry, bracket, build_registry
 from awalgebra.sparse import SparseOperator
 from awalgebra.uqrep import RepParams, casimir, interval_ops, predicted_eigenvalues
 from helpers import FullEvaluation
@@ -153,14 +153,15 @@ def test_nonzero_residuals_equal_the_oracle(name):
 
 @pytest.mark.parametrize("name", ["default", "alt"])
 def test_embedded_linear_pair_is_decided_on_the_quotient(name, monkeypatch, default_registry, alt_registry):
-    # at four legs each line of the linearized aw3 pair is one lifted
-    # residual, zero on the seeds, with no GeneratorRegistry.product; at
-    # three legs the pair still forms its products through it
+    # at four legs each line of the linearized aw3 pair is one
+    # registry residual, zero on the seeds, with no
+    # GeneratorRegistry.product; at three legs the pair still forms its
+    # products through it
     reg = {"default": default_registry, "alt": alt_registry}[name]
     products, lifts = [], []
-    real_product, real_lifted = GeneratorRegistry.product, GeneratorRegistry.lifted
+    real_product, real_residual = GeneratorRegistry.product, GeneratorRegistry.residual
     monkeypatch.setattr(GeneratorRegistry, "product", lambda self, *ab: products.append(ab) or real_product(self, *ab))
-    monkeypatch.setattr(GeneratorRegistry, "lifted", lambda self, f: lifts.append(real_lifted(self, f)) or lifts[-1])
+    monkeypatch.setattr(GeneratorRegistry, "residual", lambda self, t: lifts.append(real_residual(self, t)) or lifts[-1])
     got = [r.to_json() for r in relcheck.check_aw3_linear(reg)]
     assert [r["status"] for r in got] == ["pass", "pass"]
     seeds = len(seeds_to(reg.basis, reg.basis.n_max))
@@ -184,7 +185,7 @@ def test_changed_entry_off_the_seeds_refuses_the_certificate():
     assert j not in seeds
     bad = bumped(reg, "Q12", j)
     assert quotient_operator(bad["Q12"], e, seeds) == reg.quotient["Q12"]
-    assert not commutator(bad["Q12"], bad["Q34"]).is_zero()
+    assert not bad.combine(bracket(1, "Q12", "Q34")).is_zero()
     assert bad.quotient is None
     got, want = suites(bad), suites(full(bad))
     assert [r.to_json() for r in got] == [r.to_json() for r in want]
@@ -247,11 +248,12 @@ def test_operand_outside_the_registry_is_checked_against_e():
     e = total_e(reg.params)
     y = reg["Q1"] * lowest_weight_projector(reg.params)
     assert y != reg["Q1"] and not commutes_below_top(y, e, basis.n_max)
-    assert commutator(y, reg["Q1234"]).is_zero()
+    assert reg.combine(bracket(1, y, "Q1234")).is_zero()
     assert quotient_operator(y, e, seeds_to(basis, 4)) == reg.quotient["Q1"]
     bad = GeneratorRegistry(reg.params, {**reg.held, "Q1": y})
     assert bad.quotient is None
-    lift = bad.lifted(lambda gens: gens["Q1"] - gens["Q1"] * gens["Q0"] * gens["Q0"])
+    # Q1 - Q1 Q0 Q0
+    lift = bad.residual(((1, "Q1"), (-1, ((1, "Q1", "Q0"),), "Q0")))
     assert lift.residual.is_zero() and (lift.columns, lift.certified) == (len(basis), False)
     triple = ((1,), (2,), (3,))
     plain = {s: relcheck.label_of_subset(s) for s in relcheck._fermionic_subsets(triple)}
@@ -308,14 +310,14 @@ def test_casimir_not_commuting_with_c_refuses_the_separation_step():
     x = string_map(p, basis.index_of((0, 2)), basis.index_of((0, 1)))
     assert commutes_below_top(x, e, p.n_max) and not x.is_zero()
     assert quotient_operator(x, e, seeds_to(basis, p.n_max)).is_zero()
-    assert not commutator(x, reg["Q12"]).is_zero()
+    assert not reg.combine(bracket(1, x, "Q12")).is_zero()
     bad = GeneratorRegistry(p, {**reg.held, "Q1": x})
     lams = predicted_eigenvalues(p, (1, 2), p.n_max)
     assert quotient_table(reg.held, "Q12", e, lams) is not None
     assert quotient_table(bad.held, "Q12", e, lams) is None
     assert bad.quotient is None
     # without the separation step this commutator would be certified zero
-    assert bad.commutator_of("Q1", "Q12").residual == commutator(x, reg["Q12"])
+    assert bad.commutator_of("Q1", "Q12").residual == x * reg["Q12"] - reg["Q12"] * x
 
 
 def test_repeated_eigenvalue_refuses_the_separation_step():
@@ -350,9 +352,9 @@ def test_probe_certifies_itself_up_to_its_top():
             for order in ("direct", "reversed"):
                 got = relcheck._aw3_residual(probe, rel, assign, order).residual
                 assert got == relcheck._aw3_residual(oracle, rel, assign, order).residual
-    lift = probe.lifted(lambda gens: SparseOperator.zero(basis))
+    lift = probe.residual(())
     assert (lift.columns, lift.certified) == (len(seeds), True)
-    assert probe.lifted(lambda gens: gens["Q12"]).columns == basis.weight_block(3).stop
+    assert probe.residual(((1, "Q12"),)).columns == basis.weight_block(3).stop
     # a change off the seeds inside the probe's blocks refuses it too
     j = basis.index_of((1, 0, 1, 0))
     assert bumped(reg, "Q12", j).restricted(3).quotient is None
@@ -420,7 +422,7 @@ def test_block_scalar_labels_are_the_central_ones(name, default_registry, alt_re
     small = build_registry(reg.params.replace(n_max=3))
     for x in small.central:
         for y in small.labels():
-            assert commutator(small[x], small[y]).is_zero(), (x, y)
+            assert small.combine(bracket(1, x, y)).is_zero(), (x, y)
 
 
 def test_no_label_is_central_when_the_certificate_refuses():
@@ -458,9 +460,11 @@ def test_block_scalar_needs_one_value_per_block_on_the_seeds():
 
 def test_central_pairs_are_not_evaluated(monkeypatch):
     reg = fresh(PARAMS["q=-2/5"])
+    # the quotient and the two derived generators, built before counting
+    reg.quotient["Q13"], reg.quotient["IQ24"]
     calls = []
-    real = opalgebra.commutator
-    monkeypatch.setattr(opalgebra, "commutator", lambda *args: calls.append(args) or real(*args))
+    real = SparseOperator.lincomb.__func__
+    monkeypatch.setattr(SparseOperator, "lincomb", classmethod(lambda *args: calls.append(args) or real(*args)))
     out = reg.commutator_of("Q1234", "IQ13")
     assert out == (SparseOperator.zero(reg.basis), len(seeds_to(reg.basis, 4)), True)
     assert not calls

@@ -1,16 +1,17 @@
 """A check that cannot fail proves nothing: a one-unit change in a single
 stored numerator of Q12 must flip the checks that use it to FAIL, and so
-must two exchanged labels in a master row and one flipped monomial sign
-in an aw3 relation."""
+must two exchanged labels in a master row, one flipped monomial sign in
+an aw3 relation and one wrong product in the definition of Q13."""
 
 import pytest
 
-from awalgebra import relcheck
+from awalgebra import opalgebra, relcheck
 from awalgebra.exactnum import rational
 from awalgebra.opalgebra import GeneratorRegistry, build_registry
 from awalgebra.sparse import SparseOperator
 from awalgebra.spectra import annihilating_residual
 from awalgebra.uqrep import RepParams, predicted_eigenvalues
+from helpers import FullEvaluation
 
 WEIGHT = 1  # the bumped entry sits on the diagonal of this weight block
 
@@ -88,24 +89,62 @@ def test_master_row_with_exchanged_labels_fails(reg):
         assert relcheck.check_master(reg, swapped).status == "fail", row
 
 
-class FirstMonomialSignFlipped(SparseOperator):
-    """lincomb with the sign of its fourth term flipped.  The only
-    lincomb call check_aw3_symmetric makes is the residual's: the two
-    products of the q-commutator, the lone term, then the monomials."""
+def first_monomial_sign_flipped(residual):
+    """GeneratorRegistry.residual with the sign of its fourth term
+    flipped.  check_aw3_symmetric hands residual only the aw3 terms: the
+    two products of the q-commutator, the lone term, then the
+    monomials."""
 
-    @classmethod
-    def lincomb(cls, basis, terms):
+    def flipped(self, terms):
         terms = list(terms)
-        c, *ops = terms[3]
-        terms[3] = (-c, *ops)
-        return SparseOperator.lincomb(basis, terms)
+        c, *factors = terms[3]
+        terms[3] = (-c, *factors)
+        return residual(self, terms)
+
+    return flipped
 
 
 def test_aw3_with_a_flipped_monomial_sign_fails(reg, monkeypatch):
     # no orientation assignment or monomial order may rescue it
     triples = relcheck.enumerate_allowable()
     good = [r for t in triples for r in relcheck.check_aw3_symmetric(reg, t)]
-    monkeypatch.setattr(relcheck, "SparseOperator", FirstMonomialSignFlipped)
+    monkeypatch.setattr(GeneratorRegistry, "residual", first_monomial_sign_flipped(GeneratorRegistry.residual))
     bad = [r for t in triples for r in relcheck.check_aw3_symmetric(reg, t)]
     assert len(good) == len(bad) == 30 and all(r.ok for r in good)
     assert all(r.status == "fail" for r in bad)
+
+
+def every_suite(reg):
+    """The reports of verify's suites at reg's parameters, every
+    registry suite on reg (with no aw3 probe, as at nmax 3) and
+    aw3-quadratic on reg's three-leg sub-realization, built alike."""
+    p = reg.params
+    reg3 = type(reg)(p.interval_realization((1, 3)), build_registry(p.interval_realization((1, 3))).held)
+    reports = relcheck.check_defining_relations(p) + relcheck.check_coassociativity(p)
+    reports += relcheck.check_prop1(reg) + relcheck.check_prop2(reg)
+    for triple in relcheck.enumerate_allowable():
+        reports += relcheck.check_aw3_symmetric(reg, triple)
+    reports += relcheck.check_aw3_linear(reg) + relcheck.check_aw3_quadratic(reg3)
+    reports += relcheck.check_master_all(reg) + relcheck.check_spectra(reg)
+    return reports + [relcheck.check_independence(reg)]
+
+
+def test_wrong_derived_definition_flips_what_it_touches(monkeypatch):
+    # Q13 defined with Q2 Q12 subtracted in place of Q2 Q123; the
+    # registries are built afresh, so their derived generators follow
+    p = RepParams(q=rational(5, 3), k=(1, 2, 1, 3), legs=4, n_max=3)
+    held = build_registry(p).held
+    good = every_suite(GeneratorRegistry(p, held))
+    monkeypatch.setitem(opalgebra.DERIVED_DEFS, "Q13", (("Q12", "Q23"), (("Q1", "Q3"), ("Q2", "Q12"))))
+    bad = every_suite(GeneratorRegistry(p, held))
+    oracle = every_suite(FullEvaluation(p, held))
+    assert len(bad) == 345
+    assert [r.status for r in bad] == [r.status for r in oracle]
+    triples = ("(1,2,3)", "(1,3,4)", "(2,{1,3},4)", "(1,{2,4},3)")
+    assert flipped(good, bad) == [
+        "prop2/Q13-IQ24",
+        "prop2/Q13-IQ134",
+        "prop2/Q24-IQ13",
+        "prop2/Q134-IQ13",
+        *(f"aw3/{t}/rel{i}" for t in triples for i in (1, 2, 3)),
+    ]

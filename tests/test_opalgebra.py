@@ -1,19 +1,18 @@
 import pytest
 
 from awalgebra.exactnum import ONE, inverse, parse, rational
-from awalgebra.fockspace import TruncatedBasis
 from awalgebra.opalgebra import (
     DERIVED_DEFS,
     GeneratorRegistry,
+    Generators,
+    bracket,
     build_registry,
-    commutator,
     consecutive_subsets,
     involute_monomial,
     involution,
     is_consecutive,
     label_of_subset,
     nonempty_subsets,
-    q_commutator,
     subset_of_label,
 )
 from awalgebra.sparse import SparseOperator
@@ -64,29 +63,75 @@ def test_involute_monomial_keeps_order():
 
 
 def test_q_commutator_of_scalars():
-    b = TruncatedBasis(legs=2, n_max=1)
-    a = SparseOperator.identity(b, rational(3))
-    c = SparseOperator.identity(b, rational(5))
-    out = q_commutator(rational(2), a, c)
-    assert out == SparseOperator.identity(b, rational(45, 2))
+    p = RepParams(q=rational(2), k=(1, 1), legs=2, n_max=1)
+    table = Generators(p, {"A": SparseOperator.identity(p.basis, rational(3))})
+    c = SparseOperator.identity(p.basis, rational(5))
+    out = table.combine(bracket(rational(2), "A", c))
+    assert out == SparseOperator.identity(p.basis, rational(45, 2))
+
+
+def test_bracket_terms():
+    q = rational(5, 3)
+    assert bracket(q, "a", "b") == ((q, "a", "b"), (-rational(3, 5), "b", "a"))
+    assert bracket(q, "a", "b", -2) == ((-2 * q, "a", "b"), (rational(6, 5), "b", "a"))
+    assert bracket(1, "a", "b") == ((1, "a", "b"), (-1, "b", "a"))
 
 
 def test_q_commutator_identities(reg):
     q = reg.params.q
     x = reg["Q12"]
-    y = reg["Q23"]
     s = q - inverse(q)
-    assert q_commutator(q, x, x) == (x * x).scale(s)
+    assert reg.combine(bracket(q, "Q12", "Q12")) == (x * x).scale(s)
     # [a,b]_q + [b,a]_(1/q) = 0
-    assert (q_commutator(q, x, y) + q_commutator(inverse(q), y, x)).is_zero()
+    assert reg.combine((*bracket(q, "Q12", "Q23"), *bracket(inverse(q), "Q23", "Q12"))).is_zero()
 
 
 def test_commutator_and_anticommutator(reg):
     x = reg["Q12"]
     iden = SparseOperator.identity(reg.basis)
-    assert commutator(x, x).is_zero()
+    assert reg.combine(bracket(1, "Q12", "Q12")).is_zero()
     assert iden * x + x * iden == x.scale(rational(2))
-    assert commutator(reg["Q1"], reg["Q23"]).is_zero()
+    assert reg.combine(bracket(1, "Q1", "Q23")).is_zero()
+    assert reg.combine(bracket(1, "Q12", "Q23")) == x * reg["Q23"] - reg["Q23"] * x
+
+
+def counting_lincomb(monkeypatch):
+    """The number of SparseOperator.lincomb calls from now on, as a list
+    of the term counts of the calls."""
+    calls = []
+    real = SparseOperator.lincomb.__func__
+    monkeypatch.setattr(
+        SparseOperator, "lincomb", classmethod(lambda cls, basis, terms: calls.append(len(terms)) or real(cls, basis, terms))
+    )
+    return calls
+
+
+def test_combine_evaluates_each_nested_tuple_once(reg, monkeypatch):
+    q = reg.params.q
+    x, y = reg["Q12"], reg["Q23"]
+    inner = bracket(q, "Q12", "Q23")
+    calls = counting_lincomb(monkeypatch)
+    # [[x, y]_q, x]_q holds inner twice: one lincomb for it, one for the whole
+    got = reg.combine(bracket(q, inner, "Q12"))
+    assert calls == [2, 2]
+    del calls[:]
+    chained = (x * y).scale(q) - (y * x).scale(inverse(q))
+    assert got == (chained * x).scale(q) - (x * chained).scale(inverse(q))
+    # an equal tuple that is another object is another lincomb
+    del calls[:]
+    reg.combine(((1, inner, bracket(q, "Q12", "Q23")),))
+    assert calls == [2, 2, 1]
+
+
+def test_combine_takes_operators_and_no_terms(reg, monkeypatch):
+    x = reg["Q12"]
+    calls = counting_lincomb(monkeypatch)
+    assert reg.combine(()) == SparseOperator.zero(reg.basis) and not calls
+    got = reg.combine(((2, x, "Q23"), (-1, "Q0")))
+    assert calls == [2]
+    assert got == (x * reg["Q23"]).scale(rational(2)) + reg["Q0"].scale(-ONE)
+    with pytest.raises(KeyError):
+        reg.combine(((1, "Q5"),))
 
 
 def test_registry_labels_at_each_rank():
@@ -171,7 +216,7 @@ def test_derived_definition_is_reproduced(reg):
     # spot check Q13 against its defining combination
     q = reg.params.q
     s = q - inverse(q)
-    lhs = q_commutator(q, reg["Q12"], reg["Q23"]).scale(inverse(s))
+    lhs = reg.combine(bracket(q, "Q12", "Q23", inverse(s)))
     rhs = reg["Q13"] + reg["Q1"] * reg["Q3"] + reg["Q2"] * reg["Q123"]
     assert lhs == rhs
 
@@ -179,17 +224,16 @@ def test_derived_definition_is_reproduced(reg):
 def test_total_casimir_commutes_with_derived(reg):
     # Q^(1234) is central, and that is not a scalar statement
     assert reg["Q1234"].nnz() > len(reg.basis)
-    assert commutator(reg["Q13"], reg["Q1234"]).is_zero()
-    assert commutator(reg["IQ24"], reg["Q1234"]).is_zero()
+    assert reg.combine(bracket(1, "Q13", "Q1234")).is_zero()
+    assert reg.combine(bracket(1, "IQ24", "Q1234")).is_zero()
 
 
 def test_double_q_commutator_with_q0(reg):
     # [[Q0, y]_q, z]_q = -(q-q^-1) [y, z]_q since Q0 = -1
     q = reg.params.q
     s = q - inverse(q)
-    y, z = reg["Q12"], reg["Q23"]
-    lhs = q_commutator(q, q_commutator(q, reg["Q0"], y), z)
-    assert lhs == q_commutator(q, y, z).scale(-s)
+    lhs = reg.combine(bracket(q, bracket(q, "Q0", "Q12"), "Q23"))
+    assert lhs == reg.combine(bracket(q, "Q12", "Q23", -s))
 
 
 def test_product_cache(reg):
@@ -209,7 +253,7 @@ def test_commutator_of_remembers_only_commuting_pairs(reg):
     assert zero.residual == SparseOperator.zero(reg.basis)
     crossing = fresh.commutator_of("Q12", "Q23")
     assert not crossing.residual.is_zero()
-    assert crossing.residual == commutator(reg["Q12"], reg["Q23"])
+    assert crossing.residual == reg["Q12"] * reg["Q23"] - reg["Q23"] * reg["Q12"]
     assert fresh._commuting == {frozenset(("Q12", "Q34")): zero}
     assert fresh.restricted(1)._commuting == {}
 

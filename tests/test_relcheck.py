@@ -9,7 +9,7 @@ from awalgebra.exactnum import parse, rational
 from awalgebra.opalgebra import DERIVED_DEFS, GeneratorRegistry, build_registry, label_of_subset
 from awalgebra.sparse import RANK_PRIME, fraction_free_rank, rank_mod_prime
 from awalgebra.uqrep import RepParams
-from awalgebra import opalgebra, relcheck
+from awalgebra import relcheck
 from helpers import FullEvaluation
 from awalgebra.relcheck import (
     MasterRow,
@@ -133,8 +133,9 @@ def test_prop2_after_prop1_equals_prop2_alone(monkeypatch):
     # 20 (each on the seed columns alone)
     base = registry("5/3", (1, 2, 1, 3), 3)
     calls = []
-    real = opalgebra.commutator
-    monkeypatch.setattr(opalgebra, "commutator", lambda *args: calls.append(1) or real(*args))
+    real = GeneratorRegistry.residual
+    # a central pair's residual has no terms
+    monkeypatch.setattr(GeneratorRegistry, "residual", lambda self, t: (calls.append(1) if t else None) or real(self, t))
     alone = check_prop2(GeneratorRegistry(base.params, base.table))
     alone_calls = len(calls)
     warm = GeneratorRegistry(base.params, base.table)
@@ -254,7 +255,6 @@ def chained_quadratic_reports(reg3, const):
     """The quadratic pair on the full space, each line a chain of +,
     * and scale on the unshifted Casimirs with constant term const times
     the identity: the oracle of check_aw3_quadratic."""
-    from awalgebra.opalgebra import q_commutator
     from awalgebra.relcheck import _diagnose_residual
     from awalgebra.reporting import residual_report
     from awalgebra.sparse import SparseOperator
@@ -264,6 +264,7 @@ def chained_quadratic_reports(reg3, const):
     q = p.q
     s2 = (q - 1 / q) ** 2
     t = q + 1 / q
+    q_commutator = lambda q, a, b: (a * b).scale(q) - (b * a).scale(1 / q)
     u = {f"U{x}": casimir_unshifted(p, (int(x[0]), int(x[-1]))) for x in ("1", "2", "3", "12", "23", "123")}
     central_sum = u["U1"] + u["U2"] + u["U3"] + u["U123"]
     gg = u["U1"] * u["U3"] + u["U2"] * u["U123"]
@@ -303,13 +304,13 @@ def test_aw3_quadratic_equals_the_full_space_path(qtxt, k, n_max):
     base = registry(qtxt, k, n_max)
     reg = GeneratorRegistry(base.params, base.held)
     lifts = []
-    lifted = reg.lifted
-    reg.lifted = lambda evaluate: lifts.append(lifted(evaluate)) or lifts[-1]
+    residual = reg.residual
+    reg.residual = lambda terms: lifts.append(residual(terms)) or lifts[-1]
     got = check_aw3_quadratic(reg)
     want = chained_quadratic_reports(reg, relcheck.quadratic_constant(reg.params.q))
     assert [r.to_json() for r in got[:2]] == [r.to_json() for r in want]
     assert [r.status for r in got] == ["pass"] * 4
-    # one lifted residual per line, both certified on the seed columns
+    # one registry residual per line, both certified on the seed columns
     assert [(x.columns, x.certified) for x in lifts] == [(reg._seed_count, True)] * 2
 
 
@@ -407,29 +408,44 @@ def test_independence_is_not_vacuous(reg4):
     assert fraction_free_rank(rows) == 14
 
 
+def reading_full_rows(monkeypatch):
+    """The rank calls of check_independence, each as the labels it read
+    from a registry's full table for its rows (none for quotient rows)."""
+    reads, ranks = [], []
+    real_item, real_rank = GeneratorRegistry.__getitem__, relcheck.fraction_free_rank
+    monkeypatch.setattr(GeneratorRegistry, "__getitem__", lambda self, x: reads.append(x) or real_item(self, x))
+
+    def rank(rows):
+        ranks.append(tuple(reads))
+        del reads[:]
+        return real_rank(rows)
+
+    monkeypatch.setattr(relcheck, "fraction_free_rank", rank)
+    return ranks
+
+
 @pytest.mark.parametrize("fixture", ["default_registry", "alt_registry", "reg4"])
 def test_independence_on_the_quotient_equals_the_restricted_rank(fixture, request, monkeypatch):
     reg = request.getfixturevalue(fixture)
     want = check_independence(FullEvaluation(reg.params, reg.held)).to_json()
-    caps = []
-    real = GeneratorRegistry.restricted
-    monkeypatch.setattr(GeneratorRegistry, "restricted", lambda self, w: caps.append(w) or real(self, w))
-    assert check_independence(reg).to_json() == want
-    assert want["status"] == "pass" and not caps  # the quotient rank is full
+    restricted = check_independence(FullEvaluation(reg.params, reg.restricted(2).held)).to_json()
+    ranks = reading_full_rows(monkeypatch)
+    assert check_independence(reg).to_json() == want == restricted
+    # the quotient rank is full at the first cap: no row of the full table read
+    assert want["status"] == "pass" and ranks == [()]
 
 
 def test_independence_falls_back_when_the_quotient_rank_falls_short(monkeypatch):
     # Q13 replaced by 2 Q12 + Q23: rank 14 on the quotient, so every cap
-    # takes the restricted rank, and the note is the restricted one
+    # takes the rank of the full generators' rows, and the note is theirs
     base = registry("-2/5", (2, 1, 1, 1), 3)
     table = {**base.table, "Q13": base["Q12"].scale(rational(2)) + base["Q23"]}
     reg = GeneratorRegistry(base.params, table)
     assert reg.quotient is not None
-    caps = []
-    real = GeneratorRegistry.restricted
-    monkeypatch.setattr(GeneratorRegistry, "restricted", lambda self, w: caps.append(w) or real(self, w))
+    ranks = reading_full_rows(monkeypatch)
     got = check_independence(reg).to_json()
-    assert caps == [2, 3]
+    # caps 2 and 3: the quotient rows, then the full ones
+    assert ranks == [(), NONCENTRAL_LABELS] * 2
     assert got == check_independence(FullEvaluation(reg.params, table)).to_json()
     assert got["status"] == "fail" and got["residual_summary"]["note"] == "rank 14 of 15"
     assert got["inputs"]["certified_at_weight"] == 3
