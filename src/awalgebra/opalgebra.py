@@ -204,17 +204,15 @@ class Lifted(NamedTuple):
 class GeneratorRegistry:
     """All labeled generators of the realization named by params, on
     params.basis: the entries of table, and the derived generators
-    table lacks, built from them on first use (Generators)."""
+    table lacks, built from them on first use (Generators).  Its
+    quotient and central rule cover the weights <= params.n_max."""
 
-    def __init__(self, params: RepParams, table: dict, top: int = None):
+    def __init__(self, params: RepParams, table: dict):
         self.params = params
         self.basis = params.basis
         self.held = dict(table)
         self._full = Generators(params, table)
         self._labels = tuple(x for x in CANONICAL_ORDER if _available(x, self.held))
-        # every column of weight > top is empty (restricted)
-        self.top = params.n_max if top is None else top
-        self._width = self.basis.weight_block(self.top).stop
         # unordered label pair -> its zero commutator's record; see commutator_of
         self._commuting = {}
 
@@ -263,7 +261,7 @@ class GeneratorRegistry:
     @cached_property
     def quotient(self):
         """The quotient table, checked once: label -> Xbar on the seeds
-        (no quanta on leg 1) of weight <= top, the held entries reduced
+        (no quanta on leg 1) of weight <= n_max, the held entries reduced
         (lifting.quotient_table) and the derived ones built from them on
         first use; None when the certificate (i)-(v) of lifting.py fails
         for the held entries, the total Delta(E), the total Casimir and
@@ -274,7 +272,7 @@ class GeneratorRegistry:
             self.held,
             label_of_subset(range(1, p.legs + 1)),
             interval_ops(p, total)["E"],
-            predicted_eigenvalues(p, total, self.top),
+            predicted_eigenvalues(p, total, p.n_max),
         )
         return None if held is None else Generators(p, held)
 
@@ -285,11 +283,11 @@ class GeneratorRegistry:
         quotient = self.quotient
         if quotient is None:
             return frozenset()
-        return frozenset(x for x in self.held if block_scalar(quotient[x], self.top))
+        return frozenset(x for x in self.held if block_scalar(quotient[x], self.params.n_max))
 
     @cached_property
     def _seed_count(self) -> int:
-        return sum(len(seed_states(self.basis, w)) for w in range(self.top + 1))
+        return sum(len(seed_states(self.basis, w)) for w in range(self.params.n_max + 1))
 
     def residual(self, terms) -> Lifted:
         """The residual given by terms (Generators.combine), a polynomial
@@ -306,7 +304,7 @@ class GeneratorRegistry:
             out = quotient.combine(terms)
             if out.is_zero():
                 return Lifted(out, self._seed_count, True)
-        return Lifted(self._full.combine(terms), self._width, quotient is not None)
+        return Lifted(self._full.combine(terms), len(self.basis), quotient is not None)
 
     def combine(self, terms) -> SparseOperator:
         """terms (Generators.combine) evaluated on the full table, with
@@ -329,17 +327,17 @@ class GeneratorRegistry:
         full residual.  Blocks do not depend on the truncation either,
         so this equals the realization at n_max = max_weight.
 
-        When this registry's quotient is already built and certified and
-        max_weight <= top, the restricted registry takes its held
-        quotient entries restricted to the seed columns of weight <=
-        max_weight instead of certifying a quotient of its own.  That is
-        the quotient it would certify: each of (i)-(v) of lifting.py is
-        checked block by block, on the columns, seeds and eigenvalues of
-        weight <= top, and the restricted entries equal these entries on
-        the columns of weight <= max_weight, so the conditions at top =
-        max_weight are a subset of those that held here.  A reduction's
+        Its quotient is this registry's, restricted to the seed columns
+        of weight <= max_weight, or None when this registry's
+        certificate is refused; it never certifies one of its own.  A
+        zero there is a zero of the restricted residual R: a reduction's
         column depends only on that column of X and on Delta(E)
-        (lifting.remainder), so the restricted Xbar is Xbar restricted.
+        (lifting.remainder), so the restricted entries are the
+        reductions of the restricted generators and their polynomial is
+        Rbar on M_w for w <= max_weight; and the theorem of lifting.py
+        is an induction block by block, so Rbar = 0 there gives R = 0 on
+        the columns of weight <= max_weight.  Its Lifted counts are
+        those of the full registry and are never reported.
         """
         odd = [x for x, op in self.held.items() if op.degree != 0]
         if odd:
@@ -347,12 +345,11 @@ class GeneratorRegistry:
                 f"cannot restrict by weight: {', '.join(odd)} not of degree 0"
             )
         cols = range(0, self.basis.weight_block(max_weight).stop)
-        table = {x: op.restricted(cols) for x, op in self.held.items()}
-        sub = GeneratorRegistry(self.params, table, max_weight)
-        quotient = self.__dict__.get("quotient")
-        if quotient is not None and max_weight <= self.top:
-            held = {x: quotient[x].restricted(cols) for x in self.held}
-            sub.quotient = Generators(self.params, held)
+        sub = GeneratorRegistry(self.params, {x: op.restricted(cols) for x, op in self.held.items()})
+        quotient = self.quotient
+        sub.quotient = None if quotient is None else Generators(
+            self.params, {x: quotient[x].restricted(cols) for x in self.held}
+        )
         return sub
 
 

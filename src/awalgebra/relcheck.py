@@ -11,9 +11,9 @@ prop1          commutators of consecutive-interval Casimirs: disjoint or
 prop2          [Q^(A), involution(Q^(B))] = 0 for nested or disjoint
                leg subsets A, B, over all ordered pairs
 aw3            symmetric three-generator relations for every allowable
-               triple, with the orientation search for derived
-               generators, plus, at four legs, the linearized relation
-               pair embedded there
+               triple, searching orientations of derived generators
+               (monomials as written), plus, at four legs, the
+               linearized relation pair embedded there
 aw3-quadratic  the quadratic (unshifted) relation pair, verify-and-report,
                and the linearized pair on three legs
 master         twenty six-term q-commutator exchange identities
@@ -276,9 +276,12 @@ def _fermionic_subsets(triple):
     return seen
 
 
-def _aw3_residual(reg: GeneratorRegistry, rel, assign, order):
+def _aw3_residual(reg: GeneratorRegistry, rel, assign):
     """Lifted record of the residual (q-q^-1)^-1 [Q^(uv), Q^(vw)]_q
-    - Q^(wu) - I(Q^(u) Q^(w)) - I(Q^(uvw) Q^(v))."""
+    - Q^(wu) - I(Q^(u) Q^(w)) - I(Q^(uvw) Q^(v)), each involuted
+    monomial in the order written.  That order is no choice: the two
+    factors of a monomial are a prop2 pair (disjoint or nested leg sets,
+    one side involuted), which commutes."""
 
     def resolve(subset):
         return assign.get(subset, label_of_subset(subset))
@@ -287,8 +290,7 @@ def _aw3_residual(reg: GeneratorRegistry, rel, assign, order):
     l1, l2 = (resolve(x) for x in rel["left"])
     terms = [*bracket(q, l1, l2, inverse(q - inverse(q))), (-1, resolve(rel["lone"]))]
     for mono in rel["monomials"]:
-        labels = involute_monomial(tuple(resolve(x) for x in mono))
-        terms.append((-1, *(labels[::-1] if order == "reversed" else labels)))
+        terms.append((-1, *involute_monomial(tuple(resolve(x) for x in mono))))
     return reg.residual(terms)
 
 
@@ -299,12 +301,12 @@ def check_aw3_symmetric(
 
     Every non-consecutive leg set appearing in the relations may enter
     as the defined generator or its involuted partner.  The all-plain
-    assignment with factor order as written is tried first; if any
-    relation has a nonzero residual, the other orientation assignments
-    (and then reversed monomial order) are searched, and the passing
-    combination is recorded.  probe_reg, when given, is a cheaper
-    realization (smaller truncation) used to pre-screen assignments;
-    the reported residuals always come from reg.
+    assignment is tried first; if any relation has a nonzero residual,
+    the other orientation assignments are searched, and the passing one
+    is recorded, or the all-plain one when none passes.  probe_reg, when
+    given, is a cheaper realization (GeneratorRegistry.restricted) used
+    to pre-screen assignments; the reported residuals always come from
+    reg.
     """
     if reg.params.legs < 3:
         raise ValueError("allowable triples need at least three legs")
@@ -319,27 +321,18 @@ def check_aw3_symmetric(
                 for s, f in zip(fermionic, flips)
             }
 
-    def evaluate(registry, assign, order):
-        return [_aw3_residual(registry, rel, assign, order) for rel in rels]
+    def evaluate(registry, assign):
+        return [_aw3_residual(registry, rel, assign) for rel in rels]
 
-    found = None
-    for order in ("direct", "reversed"):
-        for assign in assignments():
-            if probe_reg is not None:
-                if not all(x.residual.is_zero() for x in evaluate(probe_reg, assign, order)):
-                    continue
-            lifts = evaluate(reg, assign, order)
-            if all(x.residual.is_zero() for x in lifts):
-                found = (assign, order, lifts)
-                break
-        if found:
+    for assign in assignments():
+        if probe_reg is not None and not all(x.residual.is_zero() for x in evaluate(probe_reg, assign)):
+            continue
+        lifts = evaluate(reg, assign)
+        if all(x.residual.is_zero() for x in lifts):
             break
-    if found is None:
-        assign = next(assignments())
-        order = "direct"
-        lifts = evaluate(reg, assign, order)
     else:
-        assign, order, lifts = found
+        assign = next(assignments())
+        lifts = evaluate(reg, assign)
     reports = []
     for i, lift in enumerate(lifts, start=1):
         reports.append(
@@ -350,7 +343,6 @@ def check_aw3_symmetric(
                     "triple": text,
                     "relation": i,
                     "assignment": {label_of_subset(s): a for s, a in assign.items()},
-                    "monomial_order": order,
                 },
                 residual=lift.residual,
                 lift=lift,

@@ -26,7 +26,8 @@ def alt_registry():
 
 @pytest.fixture(scope="session")
 def default_probe(default_registry):
-    """Weight blocks <= 3 of default_registry."""
+    """Weight blocks <= 3 of default_registry, with its quotient
+    restricted alike (GeneratorRegistry.restricted)."""
     return default_registry.restricted(3)
 
 

@@ -33,7 +33,7 @@ PARAMS = {
 
 
 def full(reg):
-    return FullEvaluation(reg.params, reg.held, reg.top)
+    return FullEvaluation(reg.params, reg.held)
 
 
 def fresh(p):
@@ -123,8 +123,8 @@ def test_seed_reports_equal_full_reports(name):
 
 @pytest.mark.parametrize("name", PARAMS)
 def test_nonzero_residuals_equal_the_oracle(name):
-    # wrong orientations and monomial orders of aw3, and master rows
-    # with exchanged labels: nonzero on the quotient, so computed in full
+    # wrong orientations of aw3, and master rows with exchanged labels:
+    # nonzero on the quotient, so computed in full
     reg = build_registry(PARAMS[name])
     oracle = full(reg)
     nonzero = 0
@@ -133,10 +133,9 @@ def test_nonzero_residuals_equal_the_oracle(name):
         for flipped in (False, True):
             assign = {s: relcheck.label_of_subset(s, flipped) for s in fermionic}
             for rel in relcheck._aw3_rotations(triple):
-                for order in ("direct", "reversed"):
-                    got = relcheck._aw3_residual(reg, rel, assign, order).residual
-                    assert got == relcheck._aw3_residual(oracle, rel, assign, order).residual
-                    nonzero += not got.is_zero()
+                got = relcheck._aw3_residual(reg, rel, assign).residual
+                assert got == relcheck._aw3_residual(oracle, rel, assign).residual
+                nonzero += not got.is_zero()
     assert nonzero > 0
     for row in relcheck.load_master_rows():
         (a, b, c), *rest = row.triples
@@ -257,8 +256,8 @@ def test_operand_outside_the_registry_is_checked_against_e():
     assert lift.residual.is_zero() and (lift.columns, lift.certified) == (len(basis), False)
     triple = ((1,), (2,), (3,))
     plain = {s: relcheck.label_of_subset(s) for s in relcheck._fermionic_subsets(triple)}
-    got = [relcheck._aw3_residual(bad, rel, plain, "direct").residual for rel in relcheck._aw3_rotations(triple)]
-    assert got == [relcheck._aw3_residual(full(bad), rel, plain, "direct").residual for rel in relcheck._aw3_rotations(triple)]
+    got = [relcheck._aw3_residual(bad, rel, plain).residual for rel in relcheck._aw3_rotations(triple)]
+    assert got == [relcheck._aw3_residual(full(bad), rel, plain).residual for rel in relcheck._aw3_rotations(triple)]
     assert not all(r.is_zero() for r in got)
 
 
@@ -331,58 +330,52 @@ def test_repeated_eigenvalue_refuses_the_separation_step():
     assert quotient_table(ops, "Q0", total_e(p), [rational(-1)] * 4) is None
 
 
-def test_probe_certifies_itself_up_to_its_top():
-    p = RepParams(q=parse("5/3"), k=(1, 2, 1, 3), legs=4, n_max=5)
-    reg = build_registry(p)
-    basis = reg.basis
-    probe = reg.restricted(3)
-    # restricted generators commute with E only below their own top
-    assert certificate(probe.held, p) is None
-    assert not commutes_below_top(probe["Q12"], total_e(p), p.n_max)
-    seeds = seeds_to(basis, 3)
-    assert certificate(probe.held, p, top=3) is not None
-    assert probe.quotient is not None
-    assert all(set(op.cols) <= set(seeds) for op in probe.quotient.values())
-    oracle = full(probe)
-    triple = ((1,), (2, 4), (3,))
-    fermionic = relcheck._fermionic_subsets(triple)
-    for flipped in (False, True):
-        assign = {s: relcheck.label_of_subset(s, flipped) for s in fermionic}
-        for rel in relcheck._aw3_rotations(triple):
-            for order in ("direct", "reversed"):
-                got = relcheck._aw3_residual(probe, rel, assign, order).residual
-                assert got == relcheck._aw3_residual(oracle, rel, assign, order).residual
-    lift = probe.residual(())
-    assert (lift.columns, lift.certified) == (len(seeds), True)
-    assert probe.residual(((1, "Q12"),)).columns == basis.weight_block(3).stop
-    # a change off the seeds inside the probe's blocks refuses it too
-    j = basis.index_of((1, 0, 1, 0))
-    assert bumped(reg, "Q12", j).restricted(3).quotient is None
-
-
 @pytest.mark.parametrize("n_max", [4, 5, 6])
 @pytest.mark.parametrize("name", PARAMS)
 def test_probe_takes_the_certified_quotient_restricted(name, n_max, monkeypatch):
-    # before the registry's quotient is built the probe certifies its
-    # own; after, it takes the registry's, which is the same table
-    reg = fresh(PARAMS[name].replace(n_max=n_max))
-    own = reg.restricted(3)
-    assert own.quotient is not None and reg.quotient is not None
-    monkeypatch.setattr(opalgebra, "quotient_table", None)
-    probe = reg.restricted(3)
-    assert probe.labels() == own.labels() and len(own.labels()) == 21
-    for label in own.labels():
-        assert probe.quotient[label] == own.quotient[label], label
-    assert probe.central == own.central and own.central
+    # made before the registry's quotient is built or after, the probe
+    # takes the registry's quotient restricted to weight <= 3, which is
+    # the table the certificate gives its own entries at top 3
+    p = PARAMS[name].replace(n_max=n_max)
+    before = fresh(p).restricted(3)
+    reg = fresh(p)
+    assert reg.quotient is not None
+    with monkeypatch.context() as m:
+        m.setattr(opalgebra, "quotient_table", None)
+        after = reg.restricted(3)
+    direct = certificate(before.held, p, top=3)
+    assert direct is not None and set(direct) == set(before.held)
+    for probe in (before, after):
+        assert len(probe.labels()) == 21
+        assert set(probe.quotient) == set(direct)
+        for label, op in direct.items():
+            assert probe.quotient[label] == op, label
+    assert before.central == after.central == reg.central
 
 
-def test_probe_of_a_refused_certificate_certifies_its_own():
+def test_probe_of_a_refused_certificate_has_no_quotient():
     p = PARAMS["default"]
     j = p.basis.index_of((1, 0, 1, 0))
     reg = bumped(build_registry(p), "Q12", j)
-    assert reg.quotient is None
-    # the change is off the seeds of weight <= 1
-    assert reg.restricted(1).quotient is not None
+    probe = reg.restricted(1)
+    # the change is off the seeds, and above weight 1: the probe's own
+    # entries would pass a certificate, but it takes none
+    assert reg.quotient is None and probe.quotient is None
+    got = [r for t in relcheck.enumerate_allowable() for r in relcheck.check_aw3_symmetric(reg, t, probe)]
+    want = [r for t in relcheck.enumerate_allowable() for r in relcheck.check_aw3_symmetric(full(reg), t)]
+    assert [r.status for r in got] == [r.status for r in want]
+
+
+def test_serial_aw3_suite_certifies_one_quotient(monkeypatch):
+    # the probe screens on the registry's own certificate; a registry
+    # built afresh, so that no earlier test's quotient is reused
+    calls = []
+    real = opalgebra.quotient_table
+    monkeypatch.setattr(opalgebra, "quotient_table", lambda *args: calls.append(args) or real(*args))
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(cli, "build_registry", build_registry.__wrapped__)
+    assert cli.main(["verify", "--suite", "aw3"]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("interval", [(1, 4), (2, 3), (3, 4)])

@@ -8,6 +8,7 @@ from awalgebra.opalgebra import (
     bracket,
     build_registry,
     consecutive_subsets,
+    derived_terms,
     involute_monomial,
     involution,
     is_consecutive,
@@ -60,6 +61,28 @@ def test_involute_monomial_keeps_order():
     assert involute_monomial(("Q1", "Q13")) == ("Q1", "IQ13")
     assert involute_monomial(("IQ24", "Q12", "Q14")) == ("Q24", "Q12", "IQ14")
     assert involute_monomial(()) == ()
+
+
+def expansion(terms) -> dict:
+    """{label monomial: coefficient} of terms over labels alone."""
+    out = {}
+    for c, *labels in terms:
+        out[tuple(labels)] = out.get(tuple(labels), 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+@pytest.mark.parametrize("qtxt", ["5/3", "-2/5"])
+def test_involution_maps_each_definition_to_its_partner(qtxt):
+    # q -> q^-1 with E <-> F maps the derived generator X, written at
+    # 1/q, to involution(X) at q, each label mapped in place
+    q = parse(qtxt)
+    labels = [*DERIVED_DEFS, *("I" + x for x in DERIVED_DEFS)]
+    assert len(labels) == 10
+    for label in labels:
+        image = {
+            involute_monomial(m): c for m, c in expansion(derived_terms(label, inverse(q))).items()
+        }
+        assert image == expansion(derived_terms(involution(label), q)), label
 
 
 def test_q_commutator_of_scalars():

@@ -1,12 +1,19 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from awalgebra.exactnum import parse, rational
-from awalgebra.opalgebra import DERIVED_DEFS, GeneratorRegistry, build_registry, label_of_subset
+from awalgebra.opalgebra import (
+    DERIVED_DEFS,
+    GeneratorRegistry,
+    bracket,
+    build_registry,
+    involute_monomial,
+    label_of_subset,
+)
 from awalgebra.sparse import RANK_PRIME, fraction_free_rank, rank_mod_prime
 from awalgebra.uqrep import RepParams
 from awalgebra import relcheck
@@ -194,8 +201,29 @@ def test_aw3_all_triples_default_orientation(reg4):
         reports = check_aw3_symmetric(reg4, triple)
         assert [r.status for r in reports] == ["pass"] * 3, triple
         for r in reports:
-            assert r.inputs["monomial_order"] == "direct"
             assert all(k == v for k, v in r.inputs["assignment"].items())
+
+
+@pytest.mark.parametrize("qtxt,k", [("5/3", (1, 2, 1, 3)), ("-2/5", (2, 1, 1, 1))])
+def test_aw3_monomial_factors_commute(qtxt, k):
+    # why _aw3_residual keeps each monomial in its written order: under
+    # every assignment its two factors are a prop2 pair, which commutes
+    reg = registry(qtxt, k, 4)
+    prop2 = check_prop2(reg)
+    assert all(r.ok for r in prop2)
+    prop2_pairs = {frozenset(r.id.removeprefix("prop2/").split("-")) for r in prop2}
+    pairs = set()
+    for triple in enumerate_allowable():
+        fermionic = relcheck._fermionic_subsets(triple)
+        for flips in product((False, True), repeat=len(fermionic)):
+            assign = {s: label_of_subset(s, f) for s, f in zip(fermionic, flips)}
+            for rel in relcheck._aw3_rotations(triple):
+                for mono in rel["monomials"]:
+                    pairs.add(involute_monomial(tuple(assign.get(x, label_of_subset(x)) for x in mono)))
+    assert len(pairs) == 60
+    for a, b in pairs:
+        assert frozenset((a, b)) in prop2_pairs, (a, b)
+        assert reg.combine(bracket(1, a, b)).is_zero(), (a, b)
 
 
 def test_aw3_rel1_of_123_is_the_definition(reg4):
