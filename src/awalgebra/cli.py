@@ -5,8 +5,8 @@
     awalgebra compass  [--dot pentagon.dot]
     awalgebra tables
 
-Exit codes: 0 all gating checks ok, 1 a gating check is not ok,
-2 invalid configuration, 3 output could not be written.
+Exit codes: 0 every check ok, 1 some check is not ok, 2 invalid
+configuration, 3 output could not be written.
 """
 
 from __future__ import annotations
@@ -327,22 +327,16 @@ def cmd_verify(args, p: RepParams) -> int:
         timings[name] = ms
         all_reports.extend(reports)
         ok = sum(r.ok for r in reports)
-        info = sum(not r.gating for r in reports)
-        line = f"{name:<14} {len(reports):>3} checks, {ok:>3} ok"
-        if info:
-            line += f" ({info} informational)"
-        print(f"{line}   [{timings[name] / 1000:.1f}s]")
+        print(f"{name:<14} {len(reports):>3} checks, {ok:>3} ok   [{timings[name] / 1000:.1f}s]")
         for r in reports:
             if not r.ok:
                 sample = r.residual_summary.get("sample") or ""
                 note = r.residual_summary.get("note") or ""
-                detail = note or sample
-                tag = "FAIL" if r.gating else "info"
-                print(f"    {tag} {r.id}  {detail}")
+                print(f"    FAIL {r.id}  {note or sample}")
     for name, reason in skipped.items():
         print(f"{name:<14} skipped ({reason})")
 
-    problems = [r for r in all_reports if r.gating and not r.ok]
+    problems = [r for r in all_reports if not r.ok]
     verdict = "PASS" if not problems else "FAIL"
     print(
         f"VERDICT: {verdict} ({len(names)} suites, {len(all_reports)} checks, "

@@ -14,8 +14,8 @@ aw3            symmetric three-generator relations for every allowable
                triple, searching orientations of derived generators
                (monomials as written), plus, at four legs, the
                linearized relation pair embedded there
-aw3-quadratic  the quadratic (unshifted) relation pair, verify-and-report,
-               and the linearized pair on three legs
+aw3-quadratic  the quadratic (unshifted) relation pair and the linearized
+               pair on three legs
 master         twenty six-term q-commutator exchange identities
 spectra        annihilating polynomials of every interval Casimir on
                every weight block, certified by the quotient certificate
@@ -33,10 +33,10 @@ states (no quanta on leg 1) as basis, and a zero there is zero on every
 column while the quotient certificate holds (the theorem of lifting.py,
 GeneratorRegistry.residual); a residual the quotient leaves nonzero is
 recomputed on the full table, so every report is the full
-evaluation's.  The summaries of all but the quadratic and the
-linearized pair add columns_computed and certificate_held.  A commutator with Q0, a
-single-leg Casimir or the total Casimir, whose reductions are block
-scalar, is zero by the corollary of lifting.py and is not evaluated
+evaluation's, and its summary adds columns_computed and
+certificate_held.  A commutator with Q0, a single-leg Casimir or the
+total Casimir, whose reductions are block scalar, is zero by the
+corollary of lifting.py and is not evaluated
 (GeneratorRegistry.commutator_of).  The independence rank is taken on
 the quotient first (check_independence).
 
@@ -67,7 +67,9 @@ from .opalgebra import (
 from .reporting import RelationReport, residual_report
 from .sparse import SparseOperator, fraction_free_rank
 from .spectra import spectrum_reports
-from .uqrep import RepParams, casimir_unshifted, interval_ops
+from .uqrep import RepParams, interval_ops
+# read by no suite: the benchmark trace (perfbench/layers.py) patches it here
+from .uqrep import casimir_unshifted  # noqa: F401
 
 
 # -- defining relations ----------------------------------------------
@@ -360,13 +362,14 @@ def check_aw3_linear(reg: GeneratorRegistry) -> list[RelationReport]:
     with B = Q1 Q3 + Q2 Q123, all in shifted Casimirs; reported as
     aw3/linear/* at three legs, aw3/linear-embedded/* at four.  Each
     line is a polynomial in the registry's generators.  At four legs it
-    is one reg.residual, decided on the quotient table first like every
-    other registry residual.  At three legs both lines are evaluated on
-    the full table (reg.combine) with B and the closing products formed
-    through GeneratorRegistry.product and handed in as operators: they
-    are the only products of it that a default verify and the
-    benchmark's sweep form, and the benchmark's trace
-    (perfbench/layers.py) requires its span in both."""
+    is one reg.residual, decided on the quotient table first and
+    reported with its columns computed like every other registry
+    residual.  At three legs both lines are evaluated on the full table
+    (reg.combine) with B and the closing products formed through
+    GeneratorRegistry.product and handed in as operators, so their
+    reports carry no lift fields: they are the only products of it that
+    a default verify and the benchmark's sweep form, and the benchmark's
+    trace (perfbench/layers.py) requires its span in both."""
     q = reg.params.q
     s2 = (q - inverse(q)) ** 2
     # name, x, y and the two products closing the line
@@ -382,12 +385,13 @@ def check_aw3_linear(reg: GeneratorRegistry) -> list[RelationReport]:
     if reg.params.legs == 3:
         b = reg.product("Q1", "Q3") + reg.product("Q2", "Q123")
         found = [
-            (name, reg.combine(line(b, x, y, [(reg.product(*f),) for f in closing])))
+            (name, reg.combine(line(b, x, y, [(reg.product(*f),) for f in closing])), None)
             for name, x, y, closing in pair
         ]
     else:
         b = ((1, "Q1", "Q3"), (1, "Q2", "Q123"))
-        found = [(name, reg.residual(line(b, *spec)).residual) for name, *spec in pair]
+        lifts = [(name, reg.residual(line(b, *spec))) for name, *spec in pair]
+        found = [(name, lift.residual, lift) for name, lift in lifts]
     tag = "linear" if reg.params.legs == 3 else "linear-embedded"
     return [
         residual_report(
@@ -395,8 +399,9 @@ def check_aw3_linear(reg: GeneratorRegistry) -> list[RelationReport]:
             kind="linear-aw3",
             inputs={"relation": name, "legs": reg.params.legs},
             residual=resid,
+            lift=lift,
         )
-        for name, resid in found
+        for name, resid, lift in found
     ]
 
 
@@ -424,14 +429,8 @@ def check_aw3_quadratic(reg3: GeneratorRegistry) -> list[RelationReport]:
     are nested terms, one lincomb each per evaluation, and the constant
     enters as a multiple of Q0.  (An identity on the whole
     basis would leave a diagonal off the seeds, so the quotient residual
-    would never vanish.)
-
-    These lines are verified and reported but never gate a run: when
-    the residual is nonzero (recomputed on the full table by residual)
-    the report carries a structural diagnosis (scalar multiple of the
-    identity, or scalar plus a multiple of the lone linear term),
-    pinning down which printed coefficient is off.  The linearized
-    pair, which is exact, is checked alongside.
+    would never vanish.)  The linearized pair, which is exact, is
+    checked alongside.
     """
     p = reg3.params
     if p.legs != 3:
@@ -441,16 +440,15 @@ def check_aw3_quadratic(reg3: GeneratorRegistry) -> list[RelationReport]:
     t = q + inverse(q)
     c1 = 2 * q / (q + 1) ** 2
     central = ("U1", "U2", "U3", "U123")
-    intervals = {"U12": (1, 2), "U23": (2, 3)}
     u = {f"U{a}": ((-t / s2, f"Q{a}"), (2 / s2, "Q0")) for a in ("1", "2", "3", "12", "23", "123")}
     gg = ((1, u["U1"], u["U3"]), (1, u["U2"], u["U123"]))
     b = ((s2, gg), *((2, u[a]) for a in central))
 
     def line(x, y, pairs):
-        """Residual of [[x,y]_q,x]_q = -2 x^2 - 2{x,y} + B x + y + D,
-        D's third term summing the products pairs."""
+        """Terms of the residual of [[x,y]_q,x]_q = -2 x^2 - 2{x,y} +
+        B x + y + D, D's third term summing the products pairs."""
         ux, uy = u[x], u[y]
-        terms = (
+        return (
             *bracket(q, bracket(q, ux, uy), ux),
             (2, ux, ux),
             (2, ux, uy),
@@ -463,55 +461,24 @@ def check_aw3_quadratic(reg3: GeneratorRegistry) -> list[RelationReport]:
             # minus the constant times the identity, which is -Q0
             (quadratic_constant(q), "Q0"),
         )
-        return reg3.residual(terms).residual
 
-    lines = [
-        ("line1", "U23", line("U12", "U23", (("U1", "U123"), ("U2", "U3")))),
-        ("line2", "U12", line("U23", "U12", (("U3", "U123"), ("U1", "U2")))),
-    ]
     reports = []
-    for name, lone_name, resid in lines:
-        note = None
-        if not resid.is_zero():
-            lone = casimir_unshifted(p, intervals[lone_name])
-            note = _diagnose_residual(resid, lone, lone_name)
+    for name, x, y, pairs in (
+        ("line1", "U12", "U23", (("U1", "U123"), ("U2", "U3"))),
+        ("line2", "U23", "U12", (("U3", "U123"), ("U1", "U2"))),
+    ):
+        lift = reg3.residual(line(x, y, pairs))
         reports.append(
             residual_report(
                 id=f"aw3-quadratic/{name}",
                 kind="quadratic-aw3",
                 inputs={"relation": name, "normalization": "unshifted"},
-                residual=resid,
-                gating=False,
-                note=note,
+                residual=lift.residual,
+                lift=lift,
             )
         )
     reports.extend(check_aw3_linear(reg3))
     return reports
-
-
-def _diagnose_residual(resid, lone, lone_name) -> str:
-    """Fit a nonzero residual to c*identity, then to
-    c*identity + d*(lone term); say what fits."""
-    basis = resid.basis
-    c = resid.get(0, 0)
-    if resid == SparseOperator.identity(basis, c):
-        return f"residual = ({c}) * identity: constant term off by that amount"
-    d = None
-    for i, j, v in resid.entries():
-        if i != j:
-            ref = lone.get(i, j)
-            if ref:
-                d = v / ref
-            break
-    if d is not None:
-        flat = resid - lone.scale(d)
-        c = flat.get(0, 0)
-        if flat == SparseOperator.identity(basis, c):
-            return (
-                f"residual = ({c}) * identity + ({d}) * {lone_name}: "
-                f"constant and lone-term coefficients off by those amounts"
-            )
-    return "residual has no scalar/lone-term structure"
 
 
 # -- master identity ---------------------------------------------------

@@ -1,11 +1,11 @@
 """Uniform result records for every relation check.
 
 A report says what was checked (id, kind, inputs), what happened
-(status, residual_summary) and how to read it (expected, gating): a
-check whose residual is supposed to be nonzero, such as the
-deliberately non-commuting pairs, reports status "fail" with expected
-"nonzero" and still counts as ok.  Only gating checks with ok False
-make a run fail.
+(status, residual_summary) and how to read it (expected): a check
+whose residual is supposed to be nonzero, such as the deliberately
+non-commuting pairs, reports status "fail" with expected "nonzero" and
+still counts as ok.  Every report with ok False makes a run fail, so
+its JSON form says "gating": true, a constant key of format_version 1.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ class RelationReport(NamedTuple):
     status: str  # "pass" (zero residual) | "fail" (nonzero residual)
     residual_summary: dict
     expected: str = "zero"  # "zero" | "nonzero"
-    gating: bool = True
 
     @property
     def ok(self) -> bool:
@@ -34,7 +33,7 @@ class RelationReport(NamedTuple):
             "status": self.status,
             "expected": self.expected,
             "ok": self.ok,
-            "gating": self.gating,
+            "gating": True,
             "residual_summary": self.residual_summary,
         }
 
@@ -46,8 +45,6 @@ def residual_report(
     residual,
     max_weight=None,
     expected: str = "zero",
-    gating: bool = True,
-    note: str = None,
     lift=None,
 ) -> RelationReport:
     """Build a report from a residual operator.
@@ -65,8 +62,6 @@ def residual_report(
     summary = {"nonzero_entries": count, "sample": sample}
     if max_weight is not None:
         summary["column_weight_limit"] = max_weight
-    if note is not None:
-        summary["note"] = note
     if lift is not None:
         summary["columns_computed"] = lift.columns
         summary["certificate_held"] = lift.certified
@@ -77,5 +72,4 @@ def residual_report(
         status="pass" if count == 0 else "fail",
         residual_summary=summary,
         expected=expected,
-        gating=gating,
     )

@@ -7,6 +7,7 @@ import pytest
 
 from awalgebra import cli, relcheck
 from awalgebra.cli import main
+from awalgebra.exactnum import rational
 from awalgebra.opalgebra import build_registry
 from awalgebra.reporting import RelationReport
 from awalgebra.uqrep import _leg_ops, casimir, interval_ops
@@ -73,13 +74,13 @@ def test_verify_all_expansion_skips_lower_rank(capsys, tmp_path):
     assert "skipped (needs legs=4)" in out
 
 
-@pytest.mark.parametrize("legs, nmax", [(2, 3), (3, 3), (4, 2)])
+@pytest.mark.parametrize("legs, nmax", [(legs, nmax) for legs in (2, 3, 4) for nmax in (1, 2, 3)] + [(4, None)])
 def test_verify_reports_each_check_once(capsys, tmp_path, legs, nmax):
-    # at three legs the linearized aw3 pair is aw3-quadratic's alone
+    # at three legs the linearized aw3 pair is aw3-quadratic's alone;
+    # nmax None is the default verify
     path = tmp_path / "report.json"
-    code, out, _ = run(
-        capsys, "verify", "--legs", str(legs), "--nmax", str(nmax), "--report", str(path)
-    )
+    depth = [] if nmax is None else ["--nmax", str(nmax)]
+    code, out, _ = run(capsys, "verify", "--legs", str(legs), *depth, "--report", str(path))
     assert code == 0
     ids = [c["id"] for c in json.loads(path.read_text())["checks"]]
     assert len(ids) == len(set(ids))
@@ -190,13 +191,21 @@ def test_verify_gating_failure_exits_1(capsys, monkeypatch):
         status="fail",
         residual_summary={"nonzero_entries": 3, "sample": "[0,0] = 1"},
         expected="zero",
-        gating=True,
     )
     monkeypatch.setattr(relcheck, "check_prop1", lambda reg: [broken])
     code, out, _ = run(capsys, "verify", "--nmax", "1", "--suite", "prop1")
     assert code == 1
     assert "VERDICT: FAIL" in out
     assert "FAIL prop1/fake" in out
+
+
+def test_verify_wrong_quadratic_constant_exits_1(capsys, monkeypatch):
+    right = relcheck.quadratic_constant
+    monkeypatch.setattr(relcheck, "quadratic_constant", lambda q: right(q) + rational(1, 7))
+    code, out, _ = run(capsys, "verify", "--legs", "3", "--nmax", "3", "--suite", "aw3-quadratic")
+    assert code == 1
+    assert "VERDICT: FAIL" in out
+    assert "FAIL aw3-quadratic/line1" in out
 
 
 def test_verify_unwritable_report_exits_3(capsys):
