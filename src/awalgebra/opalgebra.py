@@ -311,12 +311,12 @@ class GeneratorRegistry:
         no quotient and no record."""
         return self._full.combine(terms)
 
-    def restricted(self, max_weight: int) -> GeneratorRegistry:
+    def restricted(self, max_weight: int) -> GeneratorRegistry | None:
         """The same realization with every held generator restricted to
         the columns of weight <= max_weight, and the derived ones built
-        from those.
+        from those; None when a held generator is not of weight degree 0.
 
-        Sound because every generator has weight degree 0, i.e. is block
+        Sound when every generator has weight degree 0, i.e. is block
         diagonal in the graded basis: a degree-0 operator maps the
         columns of weight <= max_weight into themselves, so for degree-0
         A, B the restriction of A B is (A restricted) (B restricted),
@@ -339,11 +339,8 @@ class GeneratorRegistry:
         the columns of weight <= max_weight.  Its Lifted counts are
         those of the full registry and are never reported.
         """
-        odd = [x for x, op in self.held.items() if op.degree != 0]
-        if odd:
-            raise ValueError(
-                f"cannot restrict by weight: {', '.join(odd)} not of degree 0"
-            )
+        if any(op.degree != 0 for op in self.held.values()):
+            return None
         cols = range(0, self.basis.weight_block(max_weight).stop)
         sub = GeneratorRegistry(self.params, {x: op.restricted(cols) for x, op in self.held.items()})
         quotient = self.quotient

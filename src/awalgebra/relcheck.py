@@ -38,7 +38,8 @@ certificate_held.  A commutator with Q0, a single-leg Casimir or the
 total Casimir, whose reductions are block scalar, is zero by the
 corollary of lifting.py and is not evaluated
 (GeneratorRegistry.commutator_of).  The independence rank is taken on
-the quotient first (check_independence).
+the quotient table while the certificate holds, and on the full one
+when it is refused (check_independence).
 
 The defining relations and coassociativity are polynomials in uqrep's
 interval generators, not the registry's, and are evaluated on every
@@ -570,18 +571,18 @@ def check_independence(reg: GeneratorRegistry) -> RelationReport:
     full rank outright; blocks are added until the rank reaches 15 or
     the truncation is exhausted.
 
-    At each cap the rows are first the quotient entries (reg.quotient)
-    on the seed columns of weight <= cap.  Column s of Xbar is the
-    remainder of column s of X, and the remainder is linear, so a
-    vanishing combination of the generators on the columns of weight
-    <= cap vanishes on their reductions: independent reductions prove
-    independent generators.  Only when that rank falls short, or the
-    certificate is refused, are the rows the generators reg[label]
-    restricted to those columns, for the exact rank at that cap.  They
-    equal the rows of reg.restricted(cap), whose derived generators are
-    built from the restricted Casimirs, since every generator has weight
-    degree 0 (GeneratorRegistry.restricted).  So the loop stops at the
-    same cap, with the same rank, as on the restricted rows alone.
+    The rows are the quotient entries (reg.quotient) on the seed columns
+    of weight <= cap while the certificate holds, and the generators
+    reg[label] restricted to the columns of weight <= cap when it is
+    refused.  Both give the same rank at every cap.  Column s of Xbar is
+    the remainder of column s of X, and the remainder is linear, so a
+    combination of the generators that vanishes on the columns of weight
+    <= cap vanishes on their reductions.  Conversely a combination R of
+    the fifteen is a polynomial in the certified operators, so Rbar = 0
+    on M_w for every w <= cap makes R zero on every column of weight
+    <= cap: the theorem of lifting.py is an induction block by block,
+    which stops at any cap <= n_max.  So the rank, and the cap at which
+    the loop stops, are those of the full rows.
     """
     if reg.params.legs != 4:
         raise ValueError("the fifteen-generator statement needs four legs")
@@ -599,13 +600,10 @@ def check_independence(reg: GeneratorRegistry) -> RelationReport:
             rows.append({i * n + j: v for j, col in op.cols.items() for i, v in col.items()})
         return fraction_free_rank(rows)
 
-    quotient = reg.quotient
+    gens = reg if reg.quotient is None else reg.quotient
     cap = min(2, basis.n_max)
     while True:
-        cols = range(0, basis.weight_block(cap).stop)
-        rank = 0 if quotient is None else rank_of(quotient, cols)
-        if rank < full:
-            rank = rank_of(reg, cols)
+        rank = rank_of(gens, range(0, basis.weight_block(cap).stop))
         if rank == full or cap == basis.n_max:
             break
         cap += 1

@@ -41,15 +41,15 @@ def annihilating_residual(op, eigenvalues, block) -> int:
     """Nonzero entries of prod_x (op - lambda_x) on the columns of one
     whole weight block, given as its index range block.
 
-    op must have degree 0, so that it maps the block into itself; each
-    factor applies op and subtracts lambda_x times its input (one fused
-    lincomb pass after the first factor), and the product starts from
-    the identity on the block.  The kernel reads op's columns only at
-    the rows of its input, which stay in the block, so op needs no
-    restriction to it.
+    Each factor applies op and subtracts lambda_x times its input (one
+    fused lincomb pass after the first factor), and the product starts
+    from the identity on the block.  The kernel reads op's columns only
+    at the rows of its input, so op needs no restriction to the block;
+    an op of weight degree 0 keeps those rows in the block.  For any
+    other op the count is that of the same product, whose columns leave
+    the block: the defining suite and the certificate (lifting.py, (i))
+    are what reject such an op.
     """
-    if op.degree != 0:
-        raise ValueError("the annihilating polynomial needs a degree-0 operator")
     basis = op.basis
     if not block or basis.weight_block(basis.weights[block.start]) != block:
         raise ValueError(f"columns {block} are not a whole weight block")

@@ -3,12 +3,16 @@
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 import awalgebra
-from awalgebra.opalgebra import GeneratorRegistry, is_consecutive, subset_of_label
+from awalgebra import uqrep
+from awalgebra.exactnum import rational
+from awalgebra.opalgebra import GeneratorRegistry, build_registry, is_consecutive, subset_of_label
+from awalgebra.sparse import SparseOperator
 
 
 class FullEvaluation(GeneratorRegistry):
@@ -16,6 +20,42 @@ class FullEvaluation(GeneratorRegistry):
     full table."""
 
     quotient = None
+
+
+def bumped(reg, label, j):
+    """reg's held entries with 1 added to the numerator of the diagonal
+    entry (j, j) of one of them."""
+    op = reg[label]
+    bump = SparseOperator(reg.basis, {j: {j: rational(1, op.den)}}, degree=0)
+    return GeneratorRegistry(reg.params, {**reg.held, label: op + bump})
+
+
+def clear_operator_caches():
+    """Empty uqrep's operator caches and build_registry's."""
+    for f in (uqrep._leg_ops, uqrep.interval_ops, uqrep.casimir, uqrep.casimir_unshifted, build_registry):
+        f.cache_clear()
+
+
+@contextmanager
+def degree_breaking_couple():
+    """A realization that is not block diagonal: every E fold of
+    uqrep._couple gains (1/7) K (x) K, so E, and every Casimir built
+    from it, has no weight degree.  The operator caches are emptied on
+    entry and on exit, so the mutant's operators neither meet cached
+    ones nor outlive the block."""
+    couple = uqrep._couple
+
+    def mutated(left, right):
+        out = couple(left, right)
+        return {**out, "E": out["E"] + out["K"].scale(rational(1, 7))}
+
+    clear_operator_caches()
+    uqrep._couple = mutated
+    try:
+        yield
+    finally:
+        uqrep._couple = couple
+        clear_operator_caches()
 
 
 def degree_is_consistent(op) -> bool:

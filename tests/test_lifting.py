@@ -23,7 +23,7 @@ from awalgebra.lifting import (
 from awalgebra.opalgebra import GeneratorRegistry, bracket, build_registry
 from awalgebra.sparse import SparseOperator
 from awalgebra.uqrep import RepParams, casimir, interval_ops, predicted_eigenvalues
-from helpers import FullEvaluation
+from helpers import FullEvaluation, bumped
 
 LIFT_FIELDS = ("columns_computed", "certificate_held")
 PARAMS = {
@@ -72,14 +72,6 @@ def without_lift_fields(report):
     out = report.to_json()
     out["residual_summary"] = {k: v for k, v in out["residual_summary"].items() if k not in LIFT_FIELDS}
     return out
-
-
-def bumped(reg, label, j):
-    """reg's held entries with 1 added to the numerator of the diagonal
-    entry (j, j) of one of them."""
-    op = reg[label]
-    bump = SparseOperator(reg.basis, {j: {j: rational(1, op.den)}}, degree=0)
-    return GeneratorRegistry(reg.params, {**reg.held, label: op + bump})
 
 
 @pytest.mark.parametrize("name", PARAMS)

@@ -1,17 +1,21 @@
 """A check that cannot fail proves nothing: a one-unit change in a single
 stored numerator of Q12 must flip the checks that use it to FAIL, and so
 must two exchanged labels in a master row, one flipped monomial sign in
-an aw3 relation and one wrong product in the definition of Q13."""
+an aw3 relation and one wrong product in the definition of Q13.  A
+realization that is not block diagonal must end verify and spectrum in
+a failing report, not an exception."""
+
+import json
 
 import pytest
 
-from awalgebra import opalgebra, relcheck
+from awalgebra import cli, opalgebra, relcheck
 from awalgebra.exactnum import rational
 from awalgebra.opalgebra import GeneratorRegistry, build_registry
 from awalgebra.sparse import SparseOperator
 from awalgebra.spectra import annihilating_residual
 from awalgebra.uqrep import RepParams, predicted_eigenvalues
-from helpers import FullEvaluation
+from helpers import FullEvaluation, degree_breaking_couple
 
 WEIGHT = 1  # the bumped entry sits on the diagonal of this weight block
 
@@ -148,3 +152,42 @@ def test_wrong_derived_definition_flips_what_it_touches(monkeypatch):
         "prop2/Q134-IQ13",
         *(f"aw3/{t}/rel{i}" for t in triples for i in (1, 2, 3)),
     ]
+
+
+def verify_run(capsys, tmp_path, argv):
+    """Exit code, stdout and check ids of one verify run."""
+    path = tmp_path / "report.json"
+    code = cli.main([*argv, "--report", str(path)])
+    return code, capsys.readouterr().out, [c["id"] for c in json.loads(path.read_text())["checks"]]
+
+
+def test_a_realization_without_weight_degree_fails_with_reports(capsys, tmp_path, monkeypatch):
+    # the aw3 probe (nmax 4) and the annihilating polynomials (every
+    # run) meet operators of no weight degree; serially in this process
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 1)
+    runs = (["verify", "--nmax", "4"], ["verify", "--nmax", "3"], ["verify", "--legs", "3", "--nmax", "4"])
+    good = [verify_run(capsys, tmp_path, argv) for argv in runs]
+    with degree_breaking_couple():
+        bad = [verify_run(capsys, tmp_path, argv) for argv in runs]
+        assert cli.main(["spectrum", "--op", "Q12", "--nmax", "3"]) == 1
+    assert "NONZERO RESIDUAL" in capsys.readouterr().out
+    for (code, out, ids), (bad_code, bad_out, bad_ids) in zip(good, bad):
+        assert code == 0 and "VERDICT: PASS" in out
+        assert bad_code == 1 and "VERDICT: FAIL" in bad_out
+        assert bad_ids == ids
+    # no cache is left holding a mutated operator
+    assert cli.main(["verify", "--nmax", "3"]) == 0
+    assert "VERDICT: PASS" in capsys.readouterr().out
+
+
+def test_a_realization_without_weight_degree_is_decided_on_the_full_table():
+    # the certificate's block-diagonality scan refuses it, so every
+    # status is the full evaluation's
+    p = RepParams(q=rational(5, 3), k=(1, 2, 1, 3), legs=4, n_max=3)
+    with degree_breaking_couple():
+        reg = build_registry(p)
+        assert reg.quotient is None and reg.restricted(2) is None
+        bad = every_suite(reg)
+        oracle = every_suite(FullEvaluation(p, reg.held))
+    assert len(bad) == 345 and sum(not r.ok for r in bad) == 143
+    assert [r.status for r in bad] == [r.status for r in oracle]

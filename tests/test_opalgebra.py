@@ -309,8 +309,7 @@ def test_restricted_shares_parameters_and_basis(reg):
     assert monomial(probe, ("Q12", "Q23")) == (reg["Q12"] * reg["Q23"]).restricted(leading)
 
 
-def test_restricted_needs_degree_zero(reg):
+def test_restricted_is_none_without_degree_zero(reg):
     table = dict(reg.table)
     table["Q13"] = SparseOperator(reg.basis, {0: {1: ONE}}, degree=1)
-    with pytest.raises(ValueError):
-        GeneratorRegistry(reg.params, table).restricted(1)
+    assert GeneratorRegistry(reg.params, table).restricted(1) is None

@@ -17,7 +17,7 @@ from awalgebra.opalgebra import (
 from awalgebra.sparse import RANK_PRIME, fraction_free_rank, rank_mod_prime
 from awalgebra.uqrep import RepParams
 from awalgebra import relcheck
-from helpers import FullEvaluation
+from helpers import FullEvaluation, bumped
 from awalgebra.relcheck import (
     MasterRow,
     NONCENTRAL_LABELS,
@@ -443,20 +443,33 @@ def test_independence_on_the_quotient_equals_the_restricted_rank(fixture, reques
     assert want["status"] == "pass" and ranks == [()]
 
 
-def test_independence_falls_back_when_the_quotient_rank_falls_short(monkeypatch):
-    # Q13 replaced by 2 Q12 + Q23: rank 14 on the quotient, so every cap
-    # takes the rank of the full generators' rows, and the note is theirs
+def test_independence_reads_one_table_per_certificate_state(monkeypatch):
+    # Q13 replaced by 2 Q12 + Q23: rank 14.  While the certificate holds
+    # every cap reads the quotient rows alone, and the report equals the
+    # full evaluation's: the quotient rank is the full rank at each cap
     base = registry("-2/5", (2, 1, 1, 1), 3)
     table = {**base.table, "Q13": base["Q12"].scale(rational(2)) + base["Q23"]}
     reg = GeneratorRegistry(base.params, table)
     assert reg.quotient is not None
+    want = check_independence(FullEvaluation(reg.params, table)).to_json()
     ranks = reading_full_rows(monkeypatch)
     got = check_independence(reg).to_json()
-    # caps 2 and 3: the quotient rows, then the full ones
-    assert ranks == [(), NONCENTRAL_LABELS] * 2
-    assert got == check_independence(FullEvaluation(reg.params, table)).to_json()
+    assert ranks == [(), ()]  # caps 2 and 3
+    assert got == want
     assert got["status"] == "fail" and got["residual_summary"]["note"] == "rank 14 of 15"
     assert got["inputs"]["certified_at_weight"] == 3
+
+
+def test_independence_of_a_refused_certificate_reads_the_full_rows(monkeypatch):
+    # a diagonal entry of Q12 off the seeds bumped: the certificate is
+    # refused, so the rows are the full generators', at the first cap
+    reg = registry("5/3", (1, 2, 1, 3), 3)
+    bad = bumped(reg, "Q12", reg.basis.index_of((1, 0, 1, 0)))
+    assert bad.quotient is None
+    ranks = reading_full_rows(monkeypatch)
+    got = check_independence(bad).to_json()
+    assert ranks == [NONCENTRAL_LABELS]
+    assert got["status"] == "pass" and got["inputs"]["certified_at_weight"] == 2
 
 
 def gaussian_rank(rows, width):

@@ -17,7 +17,7 @@ from awalgebra.opalgebra import GeneratorRegistry, consecutive_subsets, subset_o
 from awalgebra.sparse import SparseOperator
 from awalgebra.spectra import annihilating_residual, spectrum_reports
 from awalgebra.uqrep import RepParams, casimir, casimir_eigenvalue, interval_ops, predicted_eigenvalues
-from helpers import FullEvaluation
+from helpers import FullEvaluation, clear_operator_caches
 
 SETS = {"5/3": (1, 2, 1, 3), "-2/5": (2, 1, 1, 1)}
 CASES = [(q, legs, n) for q in SETS for legs in (2, 3, 4) for n in (3, 4)]
@@ -124,14 +124,9 @@ def test_command_line_keeps_two_to_four_legs(capsys, command):
 def cold_caches():
     """Empty operator caches before and after, so that a mutant's
     operators neither meet cached ones nor outlive the test."""
-
-    def clear():
-        for f in (uqrep._leg_ops, uqrep.interval_ops, uqrep.casimir, uqrep.casimir_unshifted):
-            f.cache_clear()
-
-    clear()
-    yield clear
-    clear()
+    clear_operator_caches()
+    yield clear_operator_caches
+    clear_operator_caches()
 
 
 def scaled_leg_2_e_entry(monkeypatch):
