@@ -30,7 +30,7 @@ from .opalgebra import (
     subset_of_label,
 )
 from .spectra import annihilating_residual, certified_counts
-from .uqrep import RepParams, casimir, interval_ops, predicted_eigenvalues
+from .uqrep import RepParams, casimir, clear_fold_caches, interval_ops, predicted_eigenvalues
 
 SUITE_ORDER = (
     "defining",
@@ -47,12 +47,12 @@ FORMAT_VERSION = 1
 
 # Fewest basis states at which a four-leg verify is shared with forked
 # workers (suite_results): one for the registry-free suites, forked
-# before anything is built, and one forked from the built realization
-# and its quotient table, which rebuilds nothing.  Smaller runs stay in
-# one process: each fork, its pipe and the reaping cost a few ms
-# whatever the size, and the benchmark's traced nmax-4 verify must stay
-# in one process until its tracer sees the workers.  The serial against
-# forked timings behind this value are in README.md.
+# once the left folds are built, and one forked from the built
+# realization and its quotient table, which rebuilds nothing.  Smaller
+# runs stay in one process: each fork, its pipe and the reaping cost a
+# few ms whatever the size, and the benchmark's traced nmax-4 verify
+# must stay in one process until its tracer sees the workers.  The
+# serial against forked timings behind this value are in README.md.
 PARALLEL_MIN_STATES = 126
 
 DEFAULT_K = (1, 2, 1, 3)
@@ -230,22 +230,23 @@ class _Worker:
 def suite_results(names, p: RepParams, worker: bool):
     """Yield (name, reports, elapsed ms) for each suite, in order.
 
-    With a worker, the registry-free suites go to a first worker, forked
-    before any realization is built; it builds what they need on the
-    core that would otherwise wait.  Meanwhile this process builds
-    the left fold of every consecutive interval, then the registry and
-    its quotient table, and imports relcheck, as a serial run does
+    With a worker, this process first imports relcheck and builds the
+    left fold of every consecutive interval, then forks a first worker
+    for the registry-free suites, which inherits both.  Meanwhile it
+    builds the registry and its quotient table, as a serial run does
     before its registry suites.  Of the other suites, own, it forks a
     second worker for the back half own[(len(own) + 1) // 2:], which
-    inherits the built operators and rebuilds nothing, and runs the
-    front half itself.  With no registry-free suite there is no first
-    worker; with only registry-free suites nothing is built and they are
-    split as own is.  Each suite runs once, in one process (_Worker runs
-    a dead worker's unsent suites here).  Results are yielded in the
-    order of names, a worker's read when its next suite is due.  When
-    this process raises, or its caller closes the generator early, every
-    worker is sent SIGTERM; each is reaped and its pipe closed on every
-    path.
+    inherits the built operators and rebuilds nothing, empties uqrep's
+    fold and leg caches (clear_fold_caches; prop1, prop2 and aw3 read
+    only the registry and its quotient) and runs the front half itself.
+    With no registry-free suite there is no first worker; with only
+    registry-free suites nothing is built and they are split as own is.
+    Each suite runs once, in one process (_Worker runs a dead worker's
+    unsent suites here, rebuilding what they need).  Results are yielded
+    in the order of names, a worker's read when its next suite is due.
+    When this process raises, or its caller closes the generator early,
+    every worker is sent SIGTERM; each is reaped and its pipe closed on
+    every path.
     """
 
     def timed(name):
@@ -263,18 +264,21 @@ def suite_results(names, p: RepParams, worker: bool):
     workers = []
     try:
         if own:
-            if free:
-                workers.append(_Worker(free, timed))
+            # loaded and built before the first fork, so that both
+            # workers inherit them
+            from . import relcheck  # noqa: F401
+
             for interval in consecutive_subsets(p.legs):
                 interval_ops(p, interval)
+            if free:
+                workers.append(_Worker(free, timed))
             build_registry(p).quotient
-            # loaded here, so that the second worker inherits it
-            from . import relcheck  # noqa: F401
         else:
             own = free
         back = own[(len(own) + 1) // 2 :]
         if back:
             workers.append(_Worker(back, timed))
+            clear_fold_caches()
         source = {name: w for w in workers for name in w.names}
         for name in names:
             w = source.get(name)

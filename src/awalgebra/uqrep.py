@@ -70,7 +70,9 @@ DEGREE = {"E": 1, "F": -1, "K": 0, "Kinv": 0}
 # hold all that one serial verify with four distinct labels, or the
 # spectrum of all ten labels in one process, makes, so neither evicts
 # an entry it reads again (tests/test_uqrep.py,
-# test_one_command_evicts_nothing).
+# test_one_command_evicts_nothing).  A forked verify empties the fold
+# and leg caches in the verify process once its second worker holds its
+# copy (cli.suite_results, clear_fold_caches).
 CACHE_SIZE = 32
 
 
@@ -266,6 +268,19 @@ def interval_ops(p: RepParams, interval, assembly: str = "left") -> dict:
     rest = (lo + 1, hi)
     right = interval_ops(p, rest, "right") if hi - lo > 2 else interval_ops(p, rest)
     return _couple(_leg_ops(p, lo), right)
+
+
+# the caches themselves, captured here: the benchmark's layer tracer
+# and some tests replace the module's names with plain wrappers that
+# have no cache_clear
+_FOLD_CACHES = (_leg_ops, interval_ops)
+
+
+def clear_fold_caches() -> None:
+    """Empty the leg-operator and fold caches (_leg_ops, interval_ops).
+    The Casimirs stay cached, and a later call rebuilds a fold."""
+    for cache in _FOLD_CACHES:
+        cache.cache_clear()
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -32,7 +32,8 @@ def bumped(reg, label, j):
 
 def clear_operator_caches():
     """Empty uqrep's operator caches and build_registry's."""
-    for f in (uqrep._leg_ops, uqrep.interval_ops, uqrep.casimir, uqrep.casimir_unshifted, build_registry):
+    uqrep.clear_fold_caches()
+    for f in (uqrep.casimir, uqrep.casimir_unshifted, build_registry):
         f.cache_clear()
 
 

@@ -1,10 +1,11 @@
 """verify shared with two worker processes: the same reports as one
-process, the registry-free suites in a first worker forked before any
-realization is built, the back half of the others in a second worker
-forked after the registry, this process running a worker's unsent
-suites when it dies or all of them when it cannot start, no worker or
-pipe left behind when this process raises, and a serial run whenever a
-worker cannot pay for itself."""
+process, the registry-free suites in a first worker forked once the
+left folds are built, the back half of the others in a second worker
+forked after the registry, this process emptying its fold caches after
+the second fork, running a worker's unsent suites when it dies or all
+of them when it cannot start, no worker or pipe left behind when this
+process raises, and a serial run whenever a worker cannot pay for
+itself."""
 
 import errno
 import json
@@ -21,7 +22,7 @@ from awalgebra import cli, opalgebra, relcheck, spectra, uqrep
 from awalgebra.cli import SUITE_ORDER, main, run_suite, suite_results, use_worker
 from awalgebra.exactnum import rational
 from awalgebra.uqrep import RepParams
-from helpers import FORK_COUNTING_SCRIPT, assert_no_child_left, run_script
+from helpers import FORK_COUNTING_SCRIPT, assert_no_child_left, clear_operator_caches, run_script
 
 
 def _json(reports):
@@ -288,8 +289,9 @@ def test_one_worker_that_cannot_start_leaves_its_suites_here(monkeypatch, refuse
 
 
 def test_first_worker_runs_the_registry_free_suites(monkeypatch):
-    # the first worker is forked before anything is built, and builds
-    # only the three-leg sub-realization; this process never builds it
+    # the first worker is forked before any registry is built, and
+    # builds only the three-leg sub-realization's; this process never
+    # builds it
     p = RepParams(q=rational(5, 3), k=(1, 2, 1, 3), legs=4, n_max=3)
     built = []
     real_build = cli.build_registry
@@ -311,14 +313,17 @@ def test_first_worker_runs_the_registry_free_suites(monkeypatch):
 
 
 def test_worker_rebuilds_nothing(monkeypatch):
-    # the second worker is forked after the registry is built, so its
-    # suites miss no cache entry keyed on p itself (its registry, folds
-    # and Casimirs); spectra builds each interval's own realization
-    # there; the first worker builds its own; fork carries these patches
-    # into both
+    # the first worker is forked after the left folds are built, so its
+    # suites miss, of the cache entries keyed on p itself, only the
+    # three right folds coassociativity compares; the second is forked
+    # after the registry, so its suites miss none (its registry, leg
+    # operators, folds and Casimirs), and spectra builds each
+    # interval's own realization there; fork carries these patches into
+    # both.  This process ends with empty fold and leg caches
     p = RepParams(q=rational(7, 4), k=(2, 1, 3, 1), legs=4, n_max=5)
-    caches = (cli.build_registry, uqrep.interval_ops, uqrep.casimir)
-    on_p = [0]  # misses of the calls keyed on p, in this process
+    caches = (cli.build_registry, uqrep._leg_ops, uqrep.interval_ops, uqrep.casimir)
+    clear_operator_caches()
+    on_p = []  # (cache, args) of each call keyed on p that missed, in this process
 
     def keyed(cache):
         def call(key, *args):
@@ -326,8 +331,10 @@ def test_worker_rebuilds_nothing(monkeypatch):
             try:
                 return cache(key, *args)
             finally:
-                if key == p:
-                    on_p[0] += cache.cache_info().misses - before
+                # a hit makes no nested call, so a miss during the call
+                # is its own
+                if key == p and cache.cache_info().misses > before:
+                    on_p.append((cache.__name__, args))
 
         return call
 
@@ -338,17 +345,42 @@ def test_worker_rebuilds_nothing(monkeypatch):
     real = cli.run_suite
 
     def counted(name, p):
-        before = on_p[0], [cache.cache_info().misses for cache in caches]
+        before = len(on_p), sum(c.cache_info().misses for c in caches)
         real(name, p)
-        return [(os.getpid(), on_p[0] - before[0], sum(c.cache_info().misses for c in caches) - sum(before[1]))]
+        return [(os.getpid(), on_p[before[0] :], sum(c.cache_info().misses for c in caches) - before[1])]
 
     monkeypatch.setattr(cli, "run_suite", counted)
     rows = {name: reports[0] for name, reports, _ in suite_results(SUITE_ORDER, p, True)}
     second = {pid for name, (pid, _, _) in rows.items() if name in ("master", "spectra", "independence")}
     assert len(second) == 1 and os.getpid() not in second
-    assert all(misses == 0 for pid, misses, _ in rows.values() if pid in second)
+    assert all(missed == [] for pid, missed, _ in rows.values() if pid in second)
     assert rows["spectra"][2] > 0
-    assert rows["defining"][1] > 0 and rows["defining"][0] not in second | {os.getpid()}
+    first = rows["defining"][0]
+    assert first not in second | {os.getpid()} and rows["aw3-quadratic"][0] == first
+    right = [("interval_ops", (interval, "right")) for interval in ((1, 3), (1, 4), (2, 4))]
+    assert sorted(rows["defining"][1] + rows["aw3-quadratic"][1]) == right
+    assert [c.cache_info().currsize for c in caches[1:3]] == [0, 0]
+    assert_no_child_left()
+
+
+def test_forked_verify_with_wrapped_cache_names(monkeypatch):
+    # the benchmark's layer tracer replaces uqrep.interval_ops with a
+    # plain wrapper that has no cache_clear; the verify process still
+    # empties the caches themselves after the second fork
+    p = RepParams(q=rational(5, 3), k=(1, 2, 1, 3), legs=4, n_max=5)
+    serial = [(name, _json(reports)) for name, reports, _ in suite_results(SUITE_ORDER, p, False)]
+    caches = (uqrep._leg_ops, uqrep.interval_ops)
+    for cache in caches:
+
+        def forward(*args, cache=cache):
+            return cache(*args)
+
+        for module in (cli, relcheck, spectra, opalgebra, uqrep):
+            if getattr(module, cache.__name__, None) is cache:
+                monkeypatch.setattr(module, cache.__name__, forward)
+    forked = [(name, _json(reports)) for name, reports, _ in suite_results(SUITE_ORDER, p, True)]
+    assert forked == serial
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0]
     assert_no_child_left()
 
 
