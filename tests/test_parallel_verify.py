@@ -363,6 +363,34 @@ def test_worker_rebuilds_nothing(monkeypatch):
     assert_no_child_left()
 
 
+def test_spectra_left_here_reads_the_folds_built_before_the_fork(monkeypatch):
+    # spectra, the front half of spectra,independence, reads p's total
+    # left fold, so this process keeps the folds it built before the
+    # forks, and that fold misses once
+    p = RepParams(q=rational(5, 3), k=(1, 2, 1, 3), legs=4, n_max=3)
+    clear_operator_caches()
+    real = uqrep.interval_ops
+    missed = []
+
+    def keyed(key, *args):
+        before = real.cache_info().misses
+        try:
+            return real(key, *args)
+        finally:
+            if key == p and real.cache_info().misses > before:
+                missed.append(args)
+
+    for module in (cli, relcheck, spectra, uqrep):
+        monkeypatch.setattr(module, "interval_ops", keyed)
+    names = ["spectra", "independence"]
+    forks = _counted_forks(monkeypatch)
+    forked = [(name, _json(reports)) for name, reports, _ in suite_results(names, p, True)]
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert missed.count(((1, 4),)) == 1
+    assert forked == [(name, _json(reports)) for name, reports, _ in suite_results(names, p, False)]
+
+
 def test_forked_verify_with_wrapped_cache_names(monkeypatch):
     # the benchmark's layer tracer replaces uqrep.interval_ops with a
     # plain wrapper that has no cache_clear; the verify process still

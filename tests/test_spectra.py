@@ -3,7 +3,7 @@ import pytest
 from awalgebra import spectra
 from awalgebra.exactnum import parse, rational
 from awalgebra.lifting import seed_states, spanned_by_lifting
-from awalgebra.opalgebra import GeneratorRegistry, build_registry, consecutive_subsets, label_of_subset
+from awalgebra.opalgebra import build_registry, consecutive_subsets, label_of_subset
 from awalgebra.sparse import SparseOperator
 from awalgebra.spectra import annihilating_residual, certified_counts, spectrum_reports
 from awalgebra.uqrep import RepParams, casimir, casimir_eigenvalue, interval_ops, predicted_eigenvalues
@@ -72,7 +72,7 @@ def test_predicted_eigenvalues_list():
 def test_annihilating_two_legs():
     reg = registry(rational(2), (1, 1), 2)
     for w in range(3):
-        rep = spectrum_reports(reg, (1, 2), [w])[0]
+        rep = spectrum_reports(reg.params, (1, 2), [w], reg["Q12"])[0]
         assert rep.status == "pass", rep
         assert len(rep.inputs["eigenvalues"]) == w + 1
 
@@ -81,7 +81,7 @@ def test_annihilating_all_intervals_small():
     reg = registry(parse("5/3"), (1, 2, 1), 2)
     for interval in [(1, 1), (2, 2), (3, 3), (1, 2), (2, 3), (1, 3)]:
         for w in range(reg.params.n_max + 1):
-            assert spectrum_reports(reg, interval, [w])[0].status == "pass"
+            assert spectrum_reports(reg.params, interval, [w], reg[_label(interval)])[0].status == "pass"
 
 
 def test_annihilating_needs_every_factor():
@@ -101,7 +101,7 @@ def test_annihilating_needs_every_factor():
 def test_weight_out_of_range():
     reg = registry(rational(2), (1, 1), 1)
     with pytest.raises(ValueError):
-        spectrum_reports(reg, (1, 2), [5])[0]
+        spectrum_reports(reg.params, (1, 2), [5], reg["Q12"])[0]
 
 
 def test_annihilating_counts_an_operator_of_any_degree():
@@ -159,12 +159,11 @@ def _label(interval):
 
 def _reports(monkeypatch, p, interval, lams, op=None):
     """spectrum_reports on every block of lams (weight -> list), the
-    lists read in place of the predicted ones, for a registry holding op
-    (default: uqrep's Casimir of the interval) as the interval's label."""
+    lists read in place of the predicted ones, for op (default: uqrep's
+    Casimir of the interval) as a registry holds it."""
     op = casimir(p, interval) if op is None else op
     monkeypatch.setattr(spectra, "predicted_eigenvalues", lambda p, interval, w: lams[w])
-    reg = GeneratorRegistry(p, {_label(interval): op})
-    return {r.inputs["weight"]: r.residual_summary for r in spectrum_reports(reg, interval, sorted(lams))}
+    return {r.inputs["weight"]: r.residual_summary for r in spectrum_reports(p, interval, sorted(lams), op)}
 
 
 def _whole(p, op, lams):
@@ -217,6 +216,23 @@ def test_chain_counts_equal_whole_block_counts(params, variant, monkeypatch):
         else:
             assert _decide(p, interval, lams) is None
             assert got == whole, interval
+
+
+@pytest.mark.parametrize("variant", ["predicted", "shifted"])
+def test_no_operator_reports_as_uqreps_casimir_built_only_to_count_whole(variant, monkeypatch):
+    # op=None reports what casimir(p, interval) passed in reports; p's
+    # own Casimir of a sub-interval is built only when the certificate
+    # refuses and the blocks are counted whole
+    p = CHAIN_PARAMS["default"]
+    for interval in ((2, 3), (1, 3)):
+        lams = {w: _variants(predicted_eigenvalues(p, interval, w))[variant] for w in range(p.n_max + 1)}
+        given = _reports(monkeypatch, p, interval, lams)
+        built = []
+        monkeypatch.setattr(spectra, "casimir", lambda *key: built.append(key) or casimir(*key))
+        got = {r.inputs["weight"]: r.residual_summary for r in spectrum_reports(p, interval, sorted(lams))}
+        assert got == given, interval
+        assert ((p, interval) in built) == (variant != "predicted"), interval
+        monkeypatch.undo()
 
 
 def test_diagonal_operator_right_only_on_seeds_reports_its_whole_count(monkeypatch):
@@ -307,7 +323,7 @@ def test_single_block_has_no_chain():
     p = CHAIN_PARAMS["default"]
     reg = build_registry(p)
     for interval, seeds in (((1, 4), 10), ((2, 3), 1), ((3, 3), 0)):
-        rep = spectrum_reports(reg, interval, [3])[0]
+        rep = spectrum_reports(p, interval, [3], reg[_label(interval)])[0]
         sub = p.interval_realization(interval)
         assert len(seed_states(sub.basis, 3)) == seeds
         assert rep.residual_summary == {
@@ -333,7 +349,7 @@ def test_reports_compute_the_seed_columns_of_leg_lo(monkeypatch):
     monkeypatch.setattr(spectra, "annihilating_residual", recording)
     for interval in consecutive_subsets(p.legs):
         computed.clear()
-        reports = spectrum_reports(reg, interval, range(p.n_max + 1))
+        reports = spectrum_reports(p, interval, range(p.n_max + 1), reg[_label(interval)])
         sub = p.interval_realization(interval)
         assert computed == list(p.basis.weight_block(0))
         assert [r.residual_summary["columns_computed"] for r in reports] == [1] + [

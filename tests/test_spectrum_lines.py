@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from awalgebra import cli
+from awalgebra import cli, spectra
 from awalgebra.cli import main
 from awalgebra.exactnum import parse, rational, to_text
 from awalgebra.opalgebra import subset_of_label
@@ -69,7 +69,7 @@ def test_shifted_eigenvalue_marks_its_blocks(capsys, monkeypatch, label):
     # the last eigenvalue of every block from weight 2 on, moved by 1/den:
     # a list that is no prefix of the next sends a sub-interval back to
     # the four-leg blocks, and so does --weight 3's nonzero block of p_A
-    real = cli.predicted_eigenvalues
+    real = spectra.predicted_eigenvalues
 
     def shifted(p, interval, weight):
         lams = real(p, interval, weight)
@@ -77,7 +77,7 @@ def test_shifted_eigenvalue_marks_its_blocks(capsys, monkeypatch, label):
             lams[-1] += rational(1, lams[-1].denominator)
         return lams
 
-    monkeypatch.setattr(cli, "predicted_eigenvalues", shifted)
+    monkeypatch.setattr(spectra, "predicted_eigenvalues", shifted)
     p = RepParams(q=parse("5/3"), k=(1, 2, 1, 3), legs=4, n_max=5)
     subset = subset_of_label(label)
     interval = (subset[0], subset[-1])
@@ -113,7 +113,7 @@ def test_wrong_list_under_a_right_one_is_not_hidden(capsys, monkeypatch, label, 
     # only block 2's list is off, its last value moved or dropped; the
     # top list alone would pass p_A's chain, so the prefix and length
     # checks must send the run to the four-leg blocks
-    real = cli.predicted_eigenvalues
+    real = spectra.predicted_eigenvalues
 
     def wrong(p, interval, weight):
         lams = real(p, interval, weight)
@@ -123,7 +123,7 @@ def test_wrong_list_under_a_right_one_is_not_hidden(capsys, monkeypatch, label, 
             lams.pop()
         return lams
 
-    monkeypatch.setattr(cli, "predicted_eigenvalues", wrong)
+    monkeypatch.setattr(spectra, "predicted_eigenvalues", wrong)
     p = RepParams(q=parse("5/3"), k=(1, 2, 1, 3), legs=4, n_max=4)
     subset = subset_of_label(label)
     code, lines = _spectrum(capsys, ["--op", label, "--nmax", "4"])
