@@ -33,12 +33,16 @@ class CompassGraph(NamedTuple):
 
 
 def build_compass(reg: GeneratorRegistry) -> CompassGraph:
+    """The pentagon graph of the VERTICES of reg.  Each pair is decided
+    by reg.commutes, so a pair the registry has decided before (prop1
+    decides all ten) is read from its commutation table, not evaluated
+    again.  CompassError when the pattern contradicts DERIVED_DEFS."""
     if reg.params.legs != 4:
         raise CompassError("the pentagon needs four legs")
     commuting = set()
     noncommuting = set()
     for a, b in combinations(VERTICES, 2):
-        if reg.commutator_of(a, b).residual.is_zero():
+        if reg.commutes(a, b):
             commuting.add(frozenset((a, b)))
         else:
             noncommuting.add(frozenset((a, b)))

@@ -43,6 +43,12 @@ M_w tells them apart.  quotient_table checks, for operators ops
     (iv)  Cbar = lambda_w on M_w for every w <= top;
     (v)   lambda_0..lambda_top are pairwise distinct.
 
+A scalar op, sigma times the identity (is_scalar), commutes with every
+operator and is block diagonal, so it meets (i) and (iii) with no
+product formed; quotient_table forms neither product for it.  Q0 and
+the single-leg Casimirs are scalar, a leg being one irreducible
+lowest-weight module.
+
 Lemma.  A block diagonal Y that commutes with E on the columns of
 weight <= top - 1 and is zero on the seed columns of weight <= top is
 zero on every column of weight <= top: by induction on w, Y E v =
@@ -82,11 +88,24 @@ Ybar Xbar, and R = [X, Y] has Rbar = [Xbar, Ybar] = 0.  By the theorem,
 [X, Y] is zero on every column of weight <= top, with no product
 formed.
 
+Corollary (commutant closure).  Let x be a derived generator, computed
+in a table from the labels of its definition as s^-1 [L, R]_q - sum A B
+(opalgebra.derived_terms), and Y an operator that commutes with each of
+those labels' operators.  [., Y] is a derivation, so [x, Y] is a sum of
+products each holding a factor [c, Y] = 0 for c among L, R, A, B, and
+[x, Y] = 0 with no product formed.  A commutator recorded zero is zero
+on every column, by the theorem or by a full evaluation, and so is one
+with an operand of block scalar reduction, by the corollary above; from
+such premises the rule is exact on the full table, and on the quotient
+table, whose derived generators are the reductions of the full ones.
+
 Relation residuals (opalgebra.GeneratorRegistry.residual) use this with
 E the total Delta(E), C the total Casimir and lambda_w =
 lambda(k_1 + ... + k_legs + w); GeneratorRegistry.commutator_of answers
 a commutator with an operand of block scalar reduction (Q0, the
-single-leg Casimirs and the total Casimir) by the corollary.  Casimir
+single-leg Casimirs and the total Casimir) by the first corollary, and
+one of a derived generator with a label that commutes with its
+definition's labels by the second.  Casimir
 spectra (spectra.certified_counts) use quotient_table with ops = {C}
 alone on an interval A's own realization p_A (below): E and C are p_A's
 total Delta(E) and Casimir, lambda_w = lambda(k_A + w), and (iii) is
@@ -258,10 +277,22 @@ def block_scalar(op, top: int) -> bool:
     return seen == len(cols)  # no column off the seeds
 
 
+def is_scalar(op) -> bool:
+    """op = sigma * identity: every basis column holds exactly one
+    entry, on the diagonal, and all these entries have one value."""
+    cols = op.cols
+    if len(cols) != len(op.basis):
+        return False
+    values = {col.get(j) if len(col) == 1 else None for j, col in cols.items()}
+    return len(values) == 1 and None not in values
+
+
 def quotient_table(ops: dict, total: str, e, eigenvalues) -> dict | None:
     """{label: Xbar} for every op of ops, on the seeds (leg 1) of weight
     <= top = len(eigenvalues) - 1, when (i)-(v) of the module doc hold
-    with C = ops[total] and E = e, the total Delta(E); None otherwise."""
+    with C = ops[total] and E = e, the total Delta(E); None otherwise.
+    A scalar op (is_scalar) meets (i) and (iii) with no product formed;
+    its reduction is computed all the same."""
     top = len(eigenvalues) - 1
     basis = e.basis
     c = ops.get(total)
@@ -269,11 +300,12 @@ def quotient_table(ops: dict, total: str, e, eigenvalues) -> dict | None:
         return None
     if not all(spanned_by_lifting(e, w) for w in range(1, top + 1)):  # (ii)
         return None
-    if not all(commutes_below_top(op, e, top) for op in ops.values()):  # (i)
+    general = [op for op in ops.values() if not is_scalar(op)]
+    if not all(commutes_below_top(op, e, top) for op in general):  # (i)
         return None
     seeds = [j for w in range(top + 1) for j in seed_states(basis, w)]
     c_seeds = c.restricted(seeds)
-    for op in ops.values():  # (iii), by the lemma
+    for op in general:  # (iii), by the lemma
         if op is not c and not SparseOperator.lincomb(
             basis, ((1, op, c_seeds), (-1, c, op.restricted(seeds)))
         ).is_zero():

@@ -116,10 +116,18 @@ def involute_monomial(labels) -> tuple[str, ...]:
     return tuple(involution(x) for x in labels)
 
 
+# A run's suites use a handful of (q, c); typed, so that 1 and
+# Fraction(1) keep their own coefficients.
+@lru_cache(maxsize=32, typed=True)
+def _bracket_coefficients(q, c) -> tuple:
+    return c * q, -c * inverse(q)
+
+
 def bracket(q, a, b, c=1) -> tuple:
     """The two terms of c [a, b]_q = c (q a b - q^-1 b a) for factors a
     and b (Generators.combine); q = 1 gives the commutator c [a, b]."""
-    return ((c * q, a, b), (-c * inverse(q), b, a))
+    cq, cqinv = _bracket_coefficients(q, c)
+    return ((cq, a, b), (cqinv, b, a))
 
 
 def derived_terms(label: str, q) -> tuple:
@@ -213,8 +221,10 @@ class GeneratorRegistry:
         self.held = dict(table)
         self._full = Generators(params, table)
         self._labels = tuple(x for x in CANONICAL_ORDER if _available(x, self.held))
-        # unordered label pair -> its zero commutator's record; see commutator_of
+        # the commutation table (commutes): unordered label pair -> its
+        # zero commutator's record, and the pairs found not to commute
         self._commuting = {}
+        self._noncommuting = set()
 
     def __getitem__(self, label: str) -> SparseOperator:
         if label not in self._labels:
@@ -240,12 +250,14 @@ class GeneratorRegistry:
     def commutator_of(self, la: str, lb: str) -> Lifted:
         """[self[la], self[lb]] as the record residual gives it.
 
-        A pair with a label in central commutes by the corollary of
-        lifting.py and gets the zero record of no terms, unevaluated.  A pair found to
-        commute is remembered with its record, in either order, since
-        [b, a] = -[a, b], and gets that record from then on; nonzero
-        commutators are recomputed, which keeps the memo to zero
-        records.
+        Two rules answer a pair with the zero record of no terms,
+        unevaluated: a label in central (the corollary of central
+        commutators in lifting.py), and the commutant closure (the
+        corollary of that name, _closed).  Every other pair is evaluated
+        and entered in the commutation table, in either order, since
+        [b, a] = -[a, b]: a zero with its record, which answers the pair
+        from then on, a nonzero as the pair alone, so a pair known not
+        to commute is evaluated again.
         """
         for label in (la, lb):
             if label not in self._labels:
@@ -253,10 +265,37 @@ class GeneratorRegistry:
         pair = frozenset((la, lb))
         if pair in self._commuting:
             return self._commuting[pair]
-        lift = self.residual(bracket(1, la, lb) if self.central.isdisjoint(pair) else ())
+        ruled = not self.central.isdisjoint(pair) or self._closed(la, lb) or self._closed(lb, la)
+        lift = self.residual(() if ruled else bracket(1, la, lb))
         if lift.residual.is_zero():
             self._commuting[pair] = lift
+        else:
+            self._noncommuting.add(pair)
         return lift
+
+    def commutes(self, la: str, lb: str) -> bool:
+        """[self[la], self[lb]] = 0, answered from the commutation table
+        when the pair is in it (commutator_of returns a zero record
+        unevaluated); a pair still unknown is decided by commutator_of,
+        which enters it."""
+        if frozenset((la, lb)) in self._noncommuting:
+            return False
+        return self.commutator_of(la, lb).residual.is_zero()
+
+    def _closed(self, x: str, y: str) -> bool:
+        """x is a derived generator and y commutes with every label of
+        its DERIVED_DEFS entry, by a recorded zero or the central rule,
+        so [x, y] = 0 (the commutant closure of lifting.py)."""
+        base = x.removeprefix("I")
+        if base not in DERIVED_DEFS:
+            return False
+        (left, right), subs = DERIVED_DEFS[base]
+        central, known = self.central, self._commuting
+        # a label commutes with itself
+        return all(
+            c == y or c in central or frozenset((c, y)) in known
+            for c in (left, right, *(c for pair in subs for c in pair))
+        )
 
     @cached_property
     def quotient(self):

@@ -36,10 +36,12 @@ recomputed on the full table, so every report is the full
 evaluation's, and its summary adds columns_computed and
 certificate_held.  A commutator with Q0, a single-leg Casimir or the
 total Casimir, whose reductions are block scalar, is zero by the
-corollary of lifting.py and is not evaluated
-(GeneratorRegistry.commutator_of).  The independence rank is taken on
-the quotient table while the certificate holds, and on the full one
-when it is refused (check_independence).
+corollary of lifting.py and is not evaluated, and neither is one of a
+derived generator with a label known to commute with every label of
+its definition (commutant closure; GeneratorRegistry.commutator_of).
+The independence rank is taken on the quotient table while the
+certificate holds, and on the full one when it is refused
+(check_independence).
 
 The defining relations and coassociativity are polynomials in uqrep's
 interval generators, not the registry's, and are evaluated on every

@@ -48,7 +48,15 @@ _EXACT_TYPES = frozenset((int, Fraction, Rational))
 
 def _exact(c):
     """(numerator, denominator) of an exact rational scalar or entry as
-    ints."""
+    ints.  An int, or a Fraction of int parts, by exact type, gives its
+    parts as they are; anything else takes the checked path."""
+    t = type(c)
+    if t is int:
+        return c, 1
+    if t is Fraction:
+        n, d = c.numerator, c.denominator
+        if type(n) is int and type(d) is int:  # a Fraction may hold other Integrals
+            return n, d
     if isinstance(c, bool) or not isinstance(c, (int, Fraction, Rational)):
         raise TypeError(f"expected an exact rational, got {c!r}")
     return int(c.numerator), int(c.denominator)

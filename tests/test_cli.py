@@ -9,8 +9,9 @@ import pytest
 from awalgebra import cli, relcheck
 from awalgebra.cli import main
 from awalgebra.exactnum import rational
-from awalgebra.opalgebra import build_registry
+from awalgebra.opalgebra import GeneratorRegistry, build_registry
 from awalgebra.reporting import RelationReport
+from awalgebra.sparse import SparseOperator
 from awalgebra.uqrep import _leg_ops, casimir, interval_ops
 from helpers import run_script
 
@@ -264,14 +265,25 @@ def test_repeated_spectrum_calls_share_one_realization(capsys):
     capsys.readouterr()
 
 
-def test_compass_after_verify_reuses_the_registry(capsys):
+def test_compass_after_verify_reuses_the_registry(capsys, monkeypatch):
     params = ["--q", "3/7", "--k", "2,1,2,1", "--nmax", "2"]
     assert main(["verify", "--suite", "prop1", *params]) == 0
+    capsys.readouterr()
     before = build_registry.cache_info()
+    # and reads every pair from its commutation table, evaluating nothing
+    calls = []
+    real_residual, real_lincomb = GeneratorRegistry.residual, SparseOperator.lincomb.__func__
+    monkeypatch.setattr(GeneratorRegistry, "residual", lambda *args: calls.append(args) or real_residual(*args))
+    monkeypatch.setattr(SparseOperator, "lincomb", classmethod(lambda *args: calls.append(args) or real_lincomb(*args)))
     assert main(["compass", *params]) == 0
     after = build_registry.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
-    capsys.readouterr()
+    assert calls == []
+    monkeypatch.undo()
+    dot = capsys.readouterr().out
+    build_registry.cache_clear()
+    assert main(["compass", *params]) == 0
+    assert capsys.readouterr().out == dot
 
 
 def test_compass_stdout_and_file_agree(capsys, tmp_path):

@@ -15,6 +15,7 @@ from awalgebra.exactnum import parse, rational
 from awalgebra.lifting import (
     block_scalar,
     commutes_below_top,
+    is_scalar,
     quotient_operator,
     quotient_table,
     remainder,
@@ -463,12 +464,146 @@ def test_central_pairs_are_not_evaluated(monkeypatch):
 
 def test_a_wrongly_central_label_is_caught(default_registry):
     # Q12 added to the rule's labels answers [Q12, Q23] with zero: the
-    # pentagon's non-commuting pairs no longer match the derived table
-    reg = fresh(default_registry.params.replace(n_max=2))
-    assert build_compass(reg)
+    # pentagon's non-commuting pairs no longer match the derived table.
+    # Set before the first commutator, since a pair once decided is read
+    # from the commutation table
+    p = default_registry.params.replace(n_max=2)
+    assert build_compass(fresh(p))
+    reg = fresh(p)
     reg.central = reg.central | {"Q12"}
     with pytest.raises(CompassError):
         build_compass(reg)
+
+
+# -- commutators answered by the commutant closure ---------------------
+
+
+def closure_off(reg):
+    """reg with the commutant closure switched off: every pair outside
+    the central rule is evaluated."""
+    reg._closed = lambda x, y: False
+    return reg
+
+
+@pytest.mark.parametrize("name", PARAMS)
+def test_closure_decided_pairs_equal_the_full_evaluation(name, monkeypatch):
+    p = PARAMS[name]
+    closed = []
+    real = GeneratorRegistry._closed
+    monkeypatch.setattr(GeneratorRegistry, "_closed", lambda self, x, y: real(self, x, y) and not closed.append((x, y)))
+    runs = {}
+    for key, reg in {
+        "rule": fresh(p),
+        "evaluated": closure_off(fresh(p)),
+        "full rule": full(build_registry(p)),
+        "full evaluated": closure_off(full(build_registry(p))),
+    }.items():
+        del closed[:]
+        runs[key] = relcheck.check_prop1(reg) + relcheck.check_prop2(reg)
+        runs[key + " closed"] = {frozenset(pair) for pair in closed}
+    # after prop1 the rule decides the derived generators' pairs with an
+    # interval, in both orientations; with no central rule it also takes
+    # pairs with Q1..Q4 and Q1234 once their premises are recorded
+    derived_interval = {("Q13", "Q123"), ("Q24", "Q234"), ("Q14", "Q23"), ("Q124", "Q12"), ("Q134", "Q34")}
+    want = {frozenset((i + x, y)) for x, y in derived_interval for i in ("", "I")}
+    assert runs["rule closed"] == want
+    assert runs["full rule closed"] > want
+    assert runs["evaluated closed"] == runs["full evaluated closed"] == set()
+    # equal reports, and the lift fields of a zero found on the quotient
+    # or, with the certificate refused, on every column
+    assert [r.to_json() for r in runs["rule"]] == [r.to_json() for r in runs["evaluated"]]
+    assert [r.to_json() for r in runs["full rule"]] == [r.to_json() for r in runs["full evaluated"]]
+    assert [without_lift_fields(r) for r in runs["rule"]] == [without_lift_fields(r) for r in runs["full rule"]]
+    small = fresh(p.replace(n_max=2))
+    for pair in want:
+        assert small.combine(bracket(1, *pair)).is_zero(), pair
+
+
+def test_a_pair_with_a_noncommuting_premise_is_evaluated(monkeypatch):
+    # Q134 is defined from Q234, Q12, Q1, Q34, Q2 and Q1234; with Q12
+    # bumped on one diagonal entry, Q12 and Q34 no longer commute
+    p = PARAMS["default"]
+    reg = fresh(p)
+    bad = bumped(reg, "Q12", reg.basis.weight_block(1).start)
+    premises = ("Q234", "Q12", "Q1", "Q2", "Q1234")
+    for r in (reg, bad):
+        for c in premises:
+            r.commutes(c, "Q34")
+    assert bad._noncommuting == {frozenset(("Q12", "Q34"))}
+    calls = []
+    real = GeneratorRegistry.residual
+    monkeypatch.setattr(GeneratorRegistry, "residual", lambda self, t: (calls.append(1) if t else None) or real(self, t))
+    assert reg.commutator_of("Q34", "Q134").residual.is_zero()
+    assert not calls
+    got = bad.commutator_of("Q134", "Q34")
+    assert len(calls) == 1
+    assert got.residual == full(bad).combine(bracket(1, "Q134", "Q34"))
+    assert not got.residual.is_zero()
+
+
+# -- scalar operators in the certificate -------------------------------
+
+
+def test_is_scalar_needs_every_column_on_the_diagonal_with_one_value():
+    p = PARAMS["default"]
+    basis = fresh(p).basis
+    sigma = rational(-7, 3)
+    scalar = SparseOperator.identity(basis, sigma)
+    assert is_scalar(scalar) and is_scalar(build_registry(p)["Q0"])
+    assert all(is_scalar(build_registry(p)[x]) for x in ("Q1", "Q2", "Q3", "Q4"))
+    dropped = SparseOperator(basis, {j: {j: sigma} for j in range(1, len(basis))}, 0)
+    changed = SparseOperator(basis, {j: {j: sigma + (j == 0)} for j in range(len(basis))}, 0)
+    off = SparseOperator(basis, {j: {(j + 1) % len(basis): sigma} for j in range(len(basis))}, None)
+    k1 = interval_ops(p, (1, 1))["K"]  # diagonal, one value per leg-1 occupation
+    for op in (dropped, changed, off, k1, SparseOperator.zero(basis), build_registry(p)["Q12"]):
+        assert not is_scalar(op)
+
+
+def count_lincombs(monkeypatch):
+    calls = []
+    real = SparseOperator.lincomb.__func__
+    monkeypatch.setattr(SparseOperator, "lincomb", classmethod(lambda *args: calls.append(args) or real(*args)))
+    return calls
+
+
+def test_the_certificate_forms_no_product_for_a_scalar(monkeypatch):
+    p = PARAMS["default"]
+    reg = build_registry(p)
+    c = {"Q1234": reg["Q1234"]}
+    basis, e = reg.basis, total_e(p)
+    sigma = rational(-7, 3)
+    calls = count_lincombs(monkeypatch)
+    alone = certificate(c, p)
+    n_alone = len(calls)
+    del calls[:]
+    with_scalar = certificate({**c, "S": SparseOperator.identity(basis, sigma)}, p)
+    assert len(calls) == n_alone  # sigma I adds no lincomb
+    assert alone is not None and with_scalar is not None
+    seeds = seeds_to(basis, p.n_max)
+    assert with_scalar["S"] == quotient_operator(SparseOperator.identity(basis, sigma), e, seeds)
+    # a diagonal non-scalar, and sigma I with a column dropped or a value
+    # changed, are still checked, and none of them commutes with E
+    dropped = SparseOperator(basis, {j: {j: sigma} for j in range(1, len(basis))}, 0)
+    changed = SparseOperator(basis, {j: {j: sigma + (j == 0)} for j in range(len(basis))}, 0)
+    for op in (interval_ops(p, (1, 1))["K"], dropped, changed):
+        del calls[:]
+        assert certificate({**c, "S": op}, p) is None
+        assert any(len(t) == 3 and t[1] is op for args in calls for t in args[2])
+
+
+@pytest.mark.parametrize("name", PARAMS)
+def test_the_registry_certificate_forms_products_for_six_held_operators(name, monkeypatch):
+    p = PARAMS[name]
+    reg = fresh(p)
+    total_e(p)  # the total fold, built before counting
+    calls = count_lincombs(monkeypatch)
+    assert reg.quotient is not None
+    # (i) for the six non-scalar held operators, (iii) for five of them
+    products = [t for args in calls for t in args[2] if len(t) == 3]
+    assert len(calls) == 11
+    assert {x for x, op in reg.held.items() if any(op is f for t in products for f in t[1:])} == {
+        "Q12", "Q23", "Q34", "Q123", "Q234", "Q1234",
+    }
 
 
 # -- whole runs against the quotient switched off ----------------------

@@ -268,7 +268,7 @@ def test_product_cache(reg):
     assert d == reg["Q13"] * reg["Q24"]
 
 
-def test_commutator_of_remembers_only_commuting_pairs(reg):
+def test_commutator_of_remembers_only_commuting_pairs(reg, monkeypatch):
     fresh = GeneratorRegistry(reg.params, reg.table)
     zero = fresh.commutator_of("Q12", "Q34")
     assert zero.residual.is_zero()
@@ -278,7 +278,18 @@ def test_commutator_of_remembers_only_commuting_pairs(reg):
     assert not crossing.residual.is_zero()
     assert crossing.residual == reg["Q12"] * reg["Q23"] - reg["Q23"] * reg["Q12"]
     assert fresh._commuting == {frozenset(("Q12", "Q34")): zero}
+    # the crossing pair is entered as a pair, with no operator held
+    assert fresh._noncommuting == {frozenset(("Q12", "Q23"))}
+    assert not fresh.commutes("Q23", "Q12")
+    # and commutator_of evaluates it again
+    calls = []
+    real = GeneratorRegistry.residual
+    monkeypatch.setattr(GeneratorRegistry, "residual", lambda self, t: calls.append(t) or real(self, t))
+    again = fresh.commutator_of("Q23", "Q12")
+    assert len(calls) == 1 and calls[0]
+    assert again.residual == SparseOperator.zero(reg.basis) - crossing.residual
     assert fresh.restricted(1)._commuting == {}
+    assert fresh.restricted(1)._noncommuting == set()
 
 
 def test_monomial(reg):

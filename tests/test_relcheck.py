@@ -134,10 +134,14 @@ def test_prop2_all_pass(reg4):
 
 def test_prop2_after_prop1_equals_prop2_alone(monkeypatch):
     # 120 of prop2's 150 commutators have an operand of block scalar
-    # reduction (Q1..Q4, Q1234) and are answered by rule; of the other
-    # 30, five pairs of intervals come both ways, so alone it computes
-    # 25; after prop1, which remembers those five pairs, only the other
-    # 20 (each on the seed columns alone)
+    # reduction (Q1..Q4, Q1234) and are answered by rule.  Of the other
+    # 30, five pairs of intervals come both ways, ten pair a derived
+    # generator with an interval, and ten are derived pairs of opposite
+    # orientation.  Alone it computes 20: each interval pair once, the
+    # ten derived pairs, and the five derived-interval pairs met before
+    # the interval pairs that close them (commutant closure).  After
+    # prop1, which records every interval pair, only the ten derived
+    # pairs (each on the seed columns alone)
     base = registry("5/3", (1, 2, 1, 3), 3)
     calls = []
     real = GeneratorRegistry.residual
@@ -150,7 +154,7 @@ def test_prop2_after_prop1_equals_prop2_alone(monkeypatch):
     del calls[:]
     after = check_prop2(warm)
     assert [r.to_json() for r in after] == [r.to_json() for r in alone]
-    assert (alone_calls, len(calls)) == (25, 20)
+    assert (alone_calls, len(calls)) == (20, 10)
 
 
 def test_prop2_needs_four_legs(reg3):

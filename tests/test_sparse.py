@@ -2,12 +2,13 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from awalgebra.exactnum import ONE, rational
 from awalgebra.fockspace import TruncatedBasis
-from awalgebra.sparse import SparseOperator
+from awalgebra.sparse import SparseOperator, _exact
 from helpers import degree_is_consistent
 
 
@@ -470,6 +471,18 @@ def test_exact_scalars_are_accepted():
     for c in (3, Fraction(3), rational(3)):
         assert a.scale(c) == a * c == c * a == SparseOperator.identity(BASIS)
         assert SparseOperator.identity(BASIS, c) == SparseOperator.lincomb(BASIS, [(c, a.scale(3))])
+
+
+def test_exact_scalars_give_int_parts():
+    # an int or a Fraction of int parts gives its parts as they are; a
+    # Fraction of numpy integers or an int subclass is converted to int
+    class Count(int):
+        pass
+
+    cases = ((7, (7, 1)), (Fraction(-2, 6), (-1, 3)), (Fraction(np.int64(3), np.int64(4)), (3, 4)), (Count(5), (5, 1)))
+    for c, want in cases:
+        got = _exact(c)
+        assert got == want and all(type(x) is int for x in got), c
 
 
 @pytest.mark.parametrize("v", (True, False, 0.5, 1.0, "1"), ids=repr)
