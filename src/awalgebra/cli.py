@@ -82,9 +82,12 @@ def suite_obstacle(name: str, p: RepParams) -> str | None:
 
 def run_suite(name: str, p: RepParams) -> list:
     """Reports of one suite at p; registries come from build_registry's
-    cache, and the defining suite needs none."""
-    # imported here, so that spectrum, compass and tables runs do not
-    # load the suites
+    cache, and the defining and spectra suites need none."""
+    if name == "spectra":
+        weights = range(p.n_max + 1)
+        return [r for interval in consecutive_subsets(p.legs) for r in spectrum_reports(p, interval, weights)]
+    # imported here, so that spectrum, compass and tables runs and the
+    # spectra suite do not load the other suites
     from . import relcheck
 
     if name == "defining":
@@ -112,8 +115,6 @@ def run_suite(name: str, p: RepParams) -> list:
         return reports + relcheck.check_aw3_linear(reg)
     if name == "master":
         return relcheck.check_master_all(reg)
-    if name == "spectra":
-        return relcheck.check_spectra(reg)
     return [relcheck.check_independence(reg)]
 
 
@@ -158,10 +159,13 @@ class _Worker:
     much of its output is unread, and then until this process reads its
     next result; this process waits only on the worker whose result is
     due, so no two processes wait on each other.  At the default q and
-    k the registry-free suites' results pickle to 4.1 KB, and those of
-    master, spectra and independence to 17.1 KB at nmax 6 and 48.7 KB at
-    nmax 12 (spectra's reports grow with nmax), so at those sizes no
-    worker waits.
+    k the results of defining, aw3-quadratic and spectra pickle to 3.5,
+    0.4 and 12.7 KiB at nmax 6, 16.6 KiB in all, and those of master and
+    independence to 3.9 KiB.  spectra's reports grow with nmax: 43.5 KiB
+    at nmax 12, so the first worker sends 47.4 KiB.  A larger nmax can
+    make the first worker wait on its pipe until this process reads
+    aw3-quadratic.  That wait never deadlocks, since this process waits
+    only on the worker whose result is due.
     """
 
     def __init__(self, names, timed):
@@ -228,15 +232,16 @@ def suite_results(names, p: RepParams, worker: bool):
 
     With a worker, this process first imports relcheck and builds the
     left fold of every consecutive interval, then forks a first worker
-    for the registry-free suites, which inherits both.  Meanwhile it
-    builds the registry and its quotient table, as a serial run does
-    before its registry suites.  Of the other suites, own, it forks a
-    second worker for the back half own[(len(own) + 1) // 2:], which
-    inherits the built operators and rebuilds nothing, empties uqrep's
-    fold and leg caches (clear_fold_caches) unless a suite of the front
-    half reads p's folds, and runs the front half itself.
-    With no registry-free suite there is no first worker; with only
-    registry-free suites nothing is built and they are split as own is.
+    for the registry-free suites (defining, aw3-quadratic and spectra),
+    which inherits both.  Meanwhile it builds the registry and its
+    quotient table, as a serial run does before its registry suites.
+    Of the registry suites, own, it forks a second worker for the back
+    half own[(len(own) + 1) // 2:], which inherits the built operators
+    and rebuilds nothing, empties uqrep's fold and leg caches
+    (clear_fold_caches), which the registry suites do not read, and runs
+    the front half itself.  With no registry-free suite there is no
+    first worker; with only registry-free suites nothing is built, they
+    are split as own is and no cache is emptied.
     Each suite runs once, in one process (_Worker runs a dead worker's
     unsent suites here, rebuilding what they need).  Results are yielded
     in the order of names, a worker's read when its next suite is due.
@@ -253,13 +258,15 @@ def suite_results(names, p: RepParams, worker: bool):
     if not worker:
         yield from map(timed, names)
         return
-    # defining checks the interval folds alone, and aw3-quadratic builds
-    # its own three-leg registry: neither needs the four-leg registry
-    free = [name for name in names if name in ("defining", "aw3-quadratic")]
-    own = [name for name in names if name not in free]
+    # defining checks the interval folds alone, aw3-quadratic builds its
+    # own three-leg registry and spectra reads uqrep's Casimirs: none
+    # needs the four-leg registry
+    free = [name for name in names if name in ("defining", "aw3-quadratic", "spectra")]
+    registry = [name for name in names if name not in free]
+    own = registry or free
     workers = []
     try:
-        if own:
+        if registry:
             # loaded and built before the first fork, so that both
             # workers inherit them
             from . import relcheck  # noqa: F401
@@ -269,15 +276,12 @@ def suite_results(names, p: RepParams, worker: bool):
             if free:
                 workers.append(_Worker(free, timed))
             build_registry(p).quotient
-        else:
-            own = free
         half = (len(own) + 1) // 2
         back = own[half:]
         if back:
             workers.append(_Worker(back, timed))
-            # defining and spectra read p's folds, the other suites only
-            # the registry and its quotient
-            if not {"defining", "spectra"} & set(own[:half]):
+            # the registry suites read only the registry and its quotient
+            if registry:
                 clear_fold_caches()
         source = {name: w for w in workers for name in w.names}
         for name in names:

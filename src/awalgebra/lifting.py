@@ -79,14 +79,14 @@ P_(w-1)(lambda_w) u = P_(w-1)(C) u = 0, and P_(w-1)(lambda_w) != 0 by
 (v), so u = 0 and R s = 0.  R is also zero on E(block w-1), since
 R E v = E R v = 0, so R is zero on block w.
 
-Corollary (central commutators).  Call Xbar block scalar when Xbar =
-c_w on M_w for every w <= top: on every seed column of weight <= top it
-has at most its diagonal entry, one value per weight block, an absent
-column counting as 0 for its whole block (block_scalar).  Every Ybar,
-for Y a polynomial in ops, maps each M_w into itself, so Xbar Ybar =
-Ybar Xbar, and R = [X, Y] has Rbar = [Xbar, Ybar] = 0.  By the theorem,
-[X, Y] is zero on every column of weight <= top, with no product
-formed.
+Corollary (central commutators).  Let Y be a polynomial in ops.  Then
+[C, Y] is zero on every column of weight <= top: Cbar = lambda_w on M_w
+by (iv), and Ybar maps each M_w into itself, so R = [C, Y] has Rbar =
+[Cbar, Ybar] = 0, and the theorem applies.  A scalar op X = sigma I
+(is_scalar) commutes with every operator, so [X, Y] = 0 on every
+column.  Neither needs a product formed, and neither reads a
+reduction: GeneratorRegistry.central names C and the scalar ops from
+the certificate alone.
 
 Corollary (commutant closure).  Let x be a derived generator, computed
 in a table from the labels of its definition as s^-1 [L, R]_q - sum A B
@@ -95,17 +95,17 @@ those labels' operators.  [., Y] is a derivation, so [x, Y] is a sum of
 products each holding a factor [c, Y] = 0 for c among L, R, A, B, and
 [x, Y] = 0 with no product formed.  A commutator recorded zero is zero
 on every column, by the theorem or by a full evaluation, and so is one
-with an operand of block scalar reduction, by the corollary above; from
-such premises the rule is exact on the full table, and on the quotient
+with C or a scalar op as an operand, by the corollary above; from such
+premises the rule is exact on the full table, and on the quotient
 table, whose derived generators are the reductions of the full ones.
 
 Relation residuals (opalgebra.GeneratorRegistry.residual) use this with
 E the total Delta(E), C the total Casimir and lambda_w =
 lambda(k_1 + ... + k_legs + w); GeneratorRegistry.commutator_of answers
-a commutator with an operand of block scalar reduction (Q0, the
-single-leg Casimirs and the total Casimir) by the first corollary, and
-one of a derived generator with a label that commutes with its
-definition's labels by the second.  Casimir
+a commutator with a central operand (GeneratorRegistry.central: the
+total Casimir, and Q0 and the single-leg Casimirs, which are scalar) by
+the first corollary, and one of a derived generator with a label that
+commutes with its definition's labels by the second.  Casimir
 spectra (spectra.certified_counts) use quotient_table with ops = {C}
 alone on an interval A's own realization p_A (below): E and C are p_A's
 total Delta(E) and Casimir, lambda_w = lambda(k_A + w), and (iii) is
@@ -253,28 +253,6 @@ def quotient_operator(op, e, seeds) -> SparseOperator:
         m = common // scale
         cols[s] = {i: x * m for i, x in rest.items()} if m != 1 else rest
     return SparseOperator._reduced(op.basis, cols, 0, op.den * common)
-
-
-def block_scalar(op, top: int) -> bool:
-    """op, a reduction Xbar on the seeds (leg 1) of weight <= top, is
-    c_w on M_w for every w <= top (the corollary of the module doc)."""
-    basis = op.basis
-    cols = op.cols
-    seen = 0
-    for w in range(top + 1):
-        values = set()
-        for s in seed_states(basis, w):
-            col = cols.get(s)
-            if col is None:
-                values.add(0)
-                continue
-            if len(col) != 1 or s not in col:
-                return False
-            values.add(col[s])
-            seen += 1
-        if len(values) > 1:
-            return False
-    return seen == len(cols)  # no column off the seeds
 
 
 def is_scalar(op) -> bool:

@@ -36,7 +36,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .exactnum import ONE, inverse
-from .lifting import block_scalar, quotient_table, seed_states
+from .lifting import is_scalar, quotient_table, seed_states
 from .sparse import SparseOperator
 from .uqrep import RepParams, casimir, interval_ops, predicted_eigenvalues
 
@@ -317,12 +317,15 @@ class GeneratorRegistry:
 
     @cached_property
     def central(self) -> frozenset:
-        """The held labels whose quotient entry is block scalar
-        (lifting.block_scalar); empty when the certificate fails."""
-        quotient = self.quotient
-        if quotient is None:
+        """The labels of the corollary of central commutators in
+        lifting.py, named by the certificate: the total label, whose
+        reduction is lambda_w on M_w by (iv), and every held label whose
+        operator is sigma times the identity (lifting.is_scalar); empty
+        when the certificate is refused."""
+        if self.quotient is None:
             return frozenset()
-        return frozenset(x for x in self.held if block_scalar(quotient[x], self.params.n_max))
+        total = label_of_subset(range(1, self.params.legs + 1))
+        return frozenset({total, *(x for x, op in self.held.items() if is_scalar(op))})
 
     @cached_property
     def _seed_count(self) -> int:
@@ -375,7 +378,9 @@ class GeneratorRegistry:
         reductions of the restricted generators and their polynomial is
         Rbar on M_w for w <= max_weight; and the theorem of lifting.py
         is an induction block by block, so Rbar = 0 there gives R = 0 on
-        the columns of weight <= max_weight.  Its Lifted counts are
+        the columns of weight <= max_weight.  Its central labels are this
+        registry's: restriction keeps products of degree-0 operators, so
+        a zero commutator restricts to a zero one.  Its Lifted counts are
         those of the full registry and are never reported.
         """
         if any(op.degree != 0 for op in self.held.values()):
@@ -386,6 +391,7 @@ class GeneratorRegistry:
         sub.quotient = None if quotient is None else Generators(
             self.params, {x: quotient[x].restricted(cols) for x in self.held}
         )
+        sub.central = self.central
         return sub
 
 

@@ -18,8 +18,8 @@ aw3-quadratic  the quadratic (unshifted) relation pair and the linearized
                pair on three legs
 master         twenty six-term q-commutator exchange identities
 spectra        annihilating polynomials of every interval Casimir on
-               every weight block, certified by the quotient certificate
-               of the interval's own realization (spectra.py)
+               every weight block, run from spectra.py on uqrep's
+               Casimirs, with no registry (cli.run_suite)
 independence   exact rank of the fifteen non-central generators
 
 The residuals of prop1, prop2, the symmetric aw3 relations, master, the
@@ -34,11 +34,12 @@ column while the quotient certificate holds (the theorem of lifting.py,
 GeneratorRegistry.residual); a residual the quotient leaves nonzero is
 recomputed on the full table, so every report is the full
 evaluation's, and its summary adds columns_computed and
-certificate_held.  A commutator with Q0, a single-leg Casimir or the
-total Casimir, whose reductions are block scalar, is zero by the
-corollary of lifting.py and is not evaluated, and neither is one of a
-derived generator with a label known to commute with every label of
-its definition (commutant closure; GeneratorRegistry.commutator_of).
+certificate_held.  A commutator with the total Casimir, or with Q0 or
+a single-leg Casimir, which are scalar, is zero by the corollary of
+central commutators in lifting.py and is not evaluated, and neither is
+one of a derived generator with a label known to commute with every
+label of its definition (commutant closure;
+GeneratorRegistry.commutator_of).
 The independence rank is taken on the quotient table while the
 certificate holds, and on the full one when it is refused
 (check_independence).
@@ -69,7 +70,6 @@ from .opalgebra import (
 )
 from .reporting import RelationReport, residual_report
 from .sparse import SparseOperator, fraction_free_rank
-from .spectra import spectrum_reports
 from .uqrep import RepParams, interval_ops
 # read by no suite: the benchmark trace (perfbench/layers.py) patches it here
 from .uqrep import casimir_unshifted  # noqa: F401
@@ -619,16 +619,3 @@ def check_independence(reg: GeneratorRegistry) -> RelationReport:
             "note": f"rank {rank} of {full}",
         },
     )
-
-
-# -- spectra ------------------------------------------------------------
-
-
-def check_spectra(reg: GeneratorRegistry) -> list[RelationReport]:
-    """Annihilating polynomial of every interval Casimir on every
-    weight block, each interval's blocks decided at once (spectra.py)."""
-    out = []
-    for lo, hi in consecutive_subsets(reg.params.legs):
-        op = reg[label_of_subset(range(lo, hi + 1))]
-        out.extend(spectrum_reports(reg.params, (lo, hi), range(reg.params.n_max + 1), op))
-    return out

@@ -21,10 +21,11 @@ the states of A-weight w - |o| on the slice of o, where uqrep's
 casimir(p, A) is C_A on its block w - |o|.  When block w's list is the
 top list's first w + 1 values, P_(w-|o|) divides P_w, so P_w(casimir(p,
 A)) is zero on block w of p (certified_counts).  The lemma speaks of the
-operators uqrep builds, so every block is counted whole with
-annihilating_residual, the reference, when the table is refused, a list
-is no such prefix, or the operator reported is not casimir(p, A) (a
-registry may hold any table).  Block 0, one state, is counted whole.
+operators uqrep builds, and casimir(p, A) is the operator reported, so
+every block is counted whole with annihilating_residual, the reference,
+when the table is refused or a list is no such prefix.  Block 0, one
+state, is counted whole.  The spectra suite and the spectrum command
+make the one call spectrum_reports.
 """
 
 from __future__ import annotations
@@ -90,11 +91,11 @@ def certified_counts(sub, c_a, eigenvalues: dict) -> dict | None:
     }
 
 
-def spectrum_reports(p, interval, weights, op=None) -> list[RelationReport]:
-    """Annihilating-polynomial checks of op, the interval's Casimir as a
-    registry holds it, on the given weight blocks of p, one report each,
-    decided by certified_counts or counted whole.  op=None stands for
-    casimir(p, interval), built only when the blocks are counted whole."""
+def spectrum_reports(p, interval, weights) -> list[RelationReport]:
+    """Annihilating-polynomial checks of casimir(p, interval) on the
+    given weight blocks of p, one report each, decided by
+    certified_counts or counted whole; casimir(p, interval) is built
+    only when the blocks are counted whole."""
     lo, hi = check_interval(p, interval)
     for w in weights:
         if not 0 <= w <= p.n_max:
@@ -102,12 +103,10 @@ def spectrum_reports(p, interval, weights, op=None) -> list[RelationReport]:
     label = label_of_subset(range(lo, hi + 1))
     lams = {w: predicted_eigenvalues(p, interval, w) for w in weights}
     sub = p.interval_realization(interval)
-    counts = None
-    if op is None or op == casimir(p, interval):  # slices serve only the operators uqrep builds
-        counts = certified_counts(sub, casimir(sub, (1, sub.legs)), lams)
+    counts = certified_counts(sub, casimir(sub, (1, sub.legs)), lams)
     held = counts is not None
     if not held:
-        op = casimir(p, interval) if op is None else op
+        op = casimir(p, interval)
         counts = {w: annihilating_residual(op, lams[w], p.basis.weight_block(w)) for w in weights}
     columns = {
         w: len(seed_states(sub.basis, w) if held and w else p.basis.weight_block(w))

@@ -14,7 +14,7 @@ Criteria:
   A10 quadratic-normalized cubic pair, as printed
 """
 
-from awalgebra import relcheck
+from awalgebra import cli, relcheck
 from awalgebra.exactnum import rational
 from awalgebra.uqrep import casimir_eigenvalue
 
@@ -136,7 +136,7 @@ def test_A7_exchange_identities(default_registry, announce):
 
 
 def test_A8_spectra(default_registry, announce):
-    reports = relcheck.check_spectra(default_registry)
+    reports = cli.run_suite("spectra", default_registry.params)
     assert len(reports) == 70
     bad = [r.id for r in reports if not r.ok]
     q2 = rational(2)

@@ -265,6 +265,15 @@ def test_repeated_spectrum_calls_share_one_realization(capsys):
     capsys.readouterr()
 
 
+def test_serial_spectra_suite_builds_no_registry(capsys, monkeypatch):
+    # one suite runs serially; it reads uqrep's Casimirs, as spectrum does
+    built = []
+    monkeypatch.setattr(cli, "build_registry", lambda p: built.append(p) or build_registry(p))
+    code, out, _ = run(capsys, "verify", "--nmax", "3", "--suite", "spectra")
+    assert code == 0 and "VERDICT: PASS (1 suites, 40 checks, 0 problems" in out
+    assert built == []
+
+
 def test_compass_after_verify_reuses_the_registry(capsys, monkeypatch):
     params = ["--q", "3/7", "--k", "2,1,2,1", "--nmax", "2"]
     assert main(["verify", "--suite", "prop1", *params]) == 0

@@ -5,11 +5,8 @@ a term tuple evaluated by Generators.combine, is rebuilt here the old
 way, as the oracle: each product materialized, then scaled and summed
 pairwise, with a gcd reduction per step.  At legs=4, nmax=3 and both
 acceptance parameter sets the two must agree entry for entry; both are
-canonical, so numerators and den agree too.  A guard counts the lincomb
-calls of each suite of a serial verify.
+canonical, so numerators and den agree too.
 """
-
-import json
 
 import pytest
 
@@ -30,7 +27,7 @@ from awalgebra.uqrep import (
     casimir_unshifted,
     interval_ops,
 )
-from helpers import monomial, run_script
+from helpers import monomial
 
 PARAMS = (
     RepParams(q=rational(5, 3), k=(1, 2, 1, 3), legs=4, n_max=3),
@@ -229,56 +226,3 @@ def test_defining_residuals_match_chained(reg, residuals):
         if n % 4 == 3:
             expected = SparseOperator.lincomb(p.basis, [(1, expected.restricted(checked))])
         assert_identical(got, expected)
-
-
-# -- lincomb calls per suite ------------------------------------------------
-
-# SparseOperator.lincomb calls per suite of a serial `verify --nmax 3`
-# from cold caches, at the default q and k, before the registry
-# residuals became term tuples.  Since then aw3 reads 36: its embedded
-# linearized pair fuses the products it used to form one by one.
-# Independence makes none.
-LINCOMB_BUDGET = {
-    "defining": 88,
-    "prop1": 46,
-    "prop2": 30,
-    "aw3": 44,
-    "aw3-quadratic": 62,
-    "master": 80,
-    "spectra": 67,
-}
-
-LINCOMB_COUNTING_SCRIPT = """\
-import json
-from collections import Counter
-from awalgebra import cli
-from awalgebra.sparse import SparseOperator
-counts = Counter()
-suite = [None]
-real = SparseOperator.lincomb.__func__
-def counted(cls, basis, terms):
-    counts[suite[0]] += 1
-    return real(cls, basis, terms)
-SparseOperator.lincomb = classmethod(counted)
-run_suite = cli.run_suite
-def tagged(name, p):
-    suite[0] = name
-    try:
-        return run_suite(name, p)
-    finally:
-        suite[0] = None
-cli.run_suite = tagged
-cli.usable_cpus = lambda: 1
-code = cli.main(["verify", "--nmax", "3"])
-print(json.dumps({"exit": code, "counts": counts}))
-"""
-
-
-def test_no_suite_makes_more_lincomb_calls(tmp_path):
-    out = run_script(tmp_path / "count_lincomb.py", LINCOMB_COUNTING_SCRIPT)
-    got = json.loads(out.stdout.splitlines()[-1])
-    assert got["exit"] == 0
-    counts = got["counts"]
-    assert counts.keys() == LINCOMB_BUDGET.keys()
-    assert {s: n for s, n in counts.items() if n > LINCOMB_BUDGET[s]} == {}
-    assert counts["aw3"] == 36

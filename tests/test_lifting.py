@@ -13,7 +13,6 @@ from awalgebra import cli, opalgebra, relcheck
 from awalgebra.compass import CompassError, build_compass
 from awalgebra.exactnum import parse, rational
 from awalgebra.lifting import (
-    block_scalar,
     commutes_below_top,
     is_scalar,
     quotient_operator,
@@ -402,7 +401,7 @@ def three_legs(p, n_max=4):
 
 
 @pytest.mark.parametrize("name", ["default", "alt"])
-def test_block_scalar_labels_are_the_central_ones(name, default_registry, alt_registry):
+def test_certificate_names_the_central_labels(name, default_registry, alt_registry):
     reg = {"default": default_registry, "alt": alt_registry}[name]
     assert reg.central == {"Q0", "Q1", "Q2", "Q3", "Q4", "Q1234"}
     assert fresh(three_legs(reg.params)).central == {"Q0", "Q1", "Q2", "Q3", "Q123"}
@@ -420,30 +419,6 @@ def test_no_label_is_central_when_the_certificate_refuses():
     assert full(reg).central == frozenset()
     # so a central label's commutators are evaluated, and found nonzero
     assert not bad.commutator_of("Q1234", "Q12").residual.is_zero()
-
-
-def test_block_scalar_needs_one_value_per_block_on_the_seeds():
-    reg = build_registry(PARAMS["default"])
-    basis = reg.basis
-    top = basis.n_max
-    assert block_scalar(reg.quotient["Q1234"], top)
-    assert not block_scalar(reg.quotient["Q12"], top)
-    seeds = seeds_to(basis, top)
-    lam = {s: rational(basis.weights[s] + 2) for s in seeds}
-    assert block_scalar(SparseOperator(basis, {s: {s: lam[s]} for s in seeds}, 0), top)
-    assert block_scalar(SparseOperator.zero(basis), top)
-    s, t = seed_states(basis, 2)[:2]
-    cases = [
-        {**lam, s: lam[s] + 1},  # two values in block 2
-        {x: v for x, v in lam.items() if x != s},  # an absent column is 0 for block 2
-    ]
-    for diag in cases:
-        assert not block_scalar(SparseOperator(basis, {x: {x: v} for x, v in diag.items()}, 0), top)
-    off = {x: {x: v} for x, v in lam.items()}
-    off[s] = {s: lam[s], t: rational(1)}
-    assert not block_scalar(SparseOperator(basis, off, 0), top)
-    j = basis.index_of((1, 0, 1, 0))  # a column off the seeds
-    assert not block_scalar(SparseOperator(basis, {**{x: {x: v} for x, v in lam.items()}, j: {j: rational(4)}}, 0), top)
 
 
 def test_central_pairs_are_not_evaluated(monkeypatch):

@@ -1,9 +1,10 @@
 """A check that cannot fail proves nothing: a one-unit change in a single
 stored numerator of Q12 must flip the checks that use it to FAIL, and so
 must two exchanged labels in a master row, one flipped monomial sign in
-an aw3 relation and one wrong product in the definition of Q13.  A
-realization that is not block diagonal must end verify and spectrum in
-a failing report, not an exception."""
+an aw3 relation, one wrong product in the definition of Q13 and, for
+the spectra, which read uqrep's Casimirs, one wrong entry of a leg's E
+table.  A realization that is not block diagonal must end verify and
+spectrum in a failing report, not an exception."""
 
 import json
 
@@ -15,7 +16,7 @@ from awalgebra.opalgebra import GeneratorRegistry, build_registry
 from awalgebra.sparse import SparseOperator
 from awalgebra.spectra import annihilating_residual
 from awalgebra.uqrep import RepParams, predicted_eigenvalues
-from helpers import FullEvaluation, degree_breaking_couple
+from helpers import FullEvaluation, clear_operator_caches, degree_breaking_couple
 
 WEIGHT = 1  # the bumped entry sits on the diagonal of this weight block
 
@@ -67,10 +68,26 @@ def test_master_flips(reg, mutated):
     assert all(r.status == "fail" for r in bad if r.id in rows_with_q12)
 
 
-def test_spectra_flips(reg, mutated):
-    assert flipped(relcheck.check_spectra(reg), relcheck.check_spectra(mutated)) == [
-        f"spectra/Q12/w{WEIGHT}"
-    ]
+def test_spectra_flips(monkeypatch):
+    # spectra reads uqrep's Casimirs, not a registry, so the bumped Q12
+    # reaches prop1 and master but not spectra.  The perturbed E table of
+    # label 2 (test_slices) reaches it: the suite flips the Casimirs of
+    # exactly the intervals holding leg 2, from block 2 on, where they
+    # meet two quanta on that leg
+    from test_slices import perturbed_cached_e_table
+
+    p = RepParams(q=rational(5, 3), k=(1, 2, 1, 3), legs=4, n_max=3)
+    clear_operator_caches()
+    try:
+        good = cli.run_suite("spectra", p)
+        clear_operator_caches()
+        perturbed_cached_e_table(monkeypatch)
+        bad = cli.run_suite("spectra", p)
+    finally:
+        monkeypatch.undo()
+        clear_operator_caches()
+    holding_2 = ("Q2", "Q12", "Q23", "Q123", "Q234", "Q1234")
+    assert flipped(good, bad) == [f"spectra/{x}/w{w}" for x in holding_2 for w in (2, 3)]
 
 
 def test_shifted_eigenvalue_leaves_a_residual(reg):
@@ -120,8 +137,9 @@ def test_aw3_with_a_flipped_monomial_sign_fails(reg, monkeypatch):
 
 def every_suite(reg):
     """The reports of verify's suites at reg's parameters, every
-    registry suite on reg (with no aw3 probe, as at nmax 3) and
-    aw3-quadratic on reg's three-leg sub-realization, built alike."""
+    registry suite on reg (with no aw3 probe, as at nmax 3),
+    aw3-quadratic on reg's three-leg sub-realization, built alike, and
+    spectra, which reads no registry."""
     p = reg.params
     reg3 = type(reg)(p.interval_realization((1, 3)), build_registry(p.interval_realization((1, 3))).held)
     reports = relcheck.check_defining_relations(p) + relcheck.check_coassociativity(p)
@@ -129,7 +147,7 @@ def every_suite(reg):
     for triple in relcheck.enumerate_allowable():
         reports += relcheck.check_aw3_symmetric(reg, triple)
     reports += relcheck.check_aw3_linear(reg) + relcheck.check_aw3_quadratic(reg3)
-    reports += relcheck.check_master_all(reg) + relcheck.check_spectra(reg)
+    reports += relcheck.check_master_all(reg) + cli.run_suite("spectra", p)
     return reports + [relcheck.check_independence(reg)]
 
 

@@ -67,7 +67,7 @@ def test_worker_results_equal_serial_results(monkeypatch):
 SMALL = RepParams(q=rational(5, 3), k=(1, 2, 1, 3), legs=4, n_max=2)
 
 # the suites that need no four-leg registry
-REGISTRY_FREE = {"defining", "aw3-quadratic"}
+REGISTRY_FREE = {"defining", "aw3-quadratic", "spectra"}
 
 
 def _counted_forks(monkeypatch):
@@ -84,9 +84,11 @@ SPLITS = {
     "prop1,prop2": ({"prop1"}, [{"prop2"}]),
     "defining,prop1,prop2": ({"prop1"}, [{"defining"}, {"prop2"}]),
     "defining,prop1": ({"prop1"}, [{"defining"}]),
+    "defining,spectra": ({"defining"}, [{"spectra"}]),
+    "spectra,independence": ({"independence"}, [{"spectra"}]),
     "all": (
         {"prop1", "prop2", "aw3"},
-        [{"defining", "aw3-quadratic"}, {"master", "spectra", "independence"}],
+        [{"defining", "aw3-quadratic", "spectra"}, {"master", "independence"}],
     ),
 }
 
@@ -164,7 +166,7 @@ def test_worker_dying_after_some_results_leaves_the_rest_here(monkeypatch, sent)
     monkeypatch.setattr(cli, "run_suite", run_or_die)
     forked = [(name, _json(reports)) for name, reports, _ in suite_results(SUITE_ORDER, p, True)]
     assert forked == serial
-    first, second = ["defining", "aw3-quadratic"], ["master", "spectra", "independence"]
+    first, second = ["defining", "aw3-quadratic", "spectra"], ["master", "independence"]
     unsent = set(first[sent:] + second[sent:])
     assert here == [name for name in SUITE_ORDER if name in {"prop1", "prop2", "aw3"} | unsent]
     assert_no_child_left()
@@ -283,15 +285,15 @@ def test_one_worker_that_cannot_start_leaves_its_suites_here(monkeypatch, refuse
     monkeypatch.setattr(cli, "run_suite", run)
     forked = [(name, _json(reports)) for name, reports, _ in suite_results(SUITE_ORDER, p, True)]
     assert forked == serial
-    refused_names = ["defining", "aw3-quadratic"] if attempt == "1" else ["master", "spectra", "independence"]
+    refused_names = ["defining", "aw3-quadratic", "spectra"] if attempt == "1" else ["master", "independence"]
     assert here == [name for name in SUITE_ORDER if name in {"prop1", "prop2", "aw3", *refused_names}]
     assert_no_child_left()
 
 
 def test_first_worker_runs_the_registry_free_suites(monkeypatch):
     # the first worker is forked before any registry is built, and
-    # builds only the three-leg sub-realization's; this process never
-    # builds it
+    # builds only the three-leg sub-realization's (spectra builds none);
+    # this process never builds it
     p = RepParams(q=rational(5, 3), k=(1, 2, 1, 3), legs=4, n_max=3)
     built = []
     real_build = cli.build_registry
@@ -307,7 +309,7 @@ def test_first_worker_runs_the_registry_free_suites(monkeypatch):
     first = rows["defining"][0]
     assert first != os.getpid()
     assert {name for name, (pid, _) in rows.items() if pid == first} == REGISTRY_FREE
-    assert rows["aw3-quadratic"][1] == [3]
+    assert rows["aw3-quadratic"][1] == rows["spectra"][1] == [3]
     assert set(built) == {4}
     assert_no_child_left()
 
@@ -315,11 +317,12 @@ def test_first_worker_runs_the_registry_free_suites(monkeypatch):
 def test_worker_rebuilds_nothing(monkeypatch):
     # the first worker is forked after the left folds are built, so its
     # suites miss, of the cache entries keyed on p itself, only the
-    # three right folds coassociativity compares; the second is forked
-    # after the registry, so its suites miss none (its registry, leg
-    # operators, folds and Casimirs), and spectra builds each
-    # interval's own realization there; fork carries these patches into
-    # both.  This process ends with empty fold and leg caches
+    # three right folds coassociativity compares and the total Casimir,
+    # which spectra builds for the total interval's p_A = p, while it
+    # builds each other interval's own realization there; the second is
+    # forked after the registry, so its suites miss none (its registry,
+    # leg operators, folds and Casimirs); fork carries these patches
+    # into both.  This process ends with empty fold and leg caches
     p = RepParams(q=rational(7, 4), k=(2, 1, 3, 1), legs=4, n_max=5)
     caches = (cli.build_registry, uqrep._leg_ops, uqrep.interval_ops, uqrep.casimir)
     clear_operator_caches()
@@ -351,22 +354,24 @@ def test_worker_rebuilds_nothing(monkeypatch):
 
     monkeypatch.setattr(cli, "run_suite", counted)
     rows = {name: reports[0] for name, reports, _ in suite_results(SUITE_ORDER, p, True)}
-    second = {pid for name, (pid, _, _) in rows.items() if name in ("master", "spectra", "independence")}
+    second = {pid for name, (pid, _, _) in rows.items() if name in ("master", "independence")}
     assert len(second) == 1 and os.getpid() not in second
     assert all(missed == [] for pid, missed, _ in rows.values() if pid in second)
     assert rows["spectra"][2] > 0
     first = rows["defining"][0]
-    assert first not in second | {os.getpid()} and rows["aw3-quadratic"][0] == first
+    assert first not in second | {os.getpid()} and rows["aw3-quadratic"][0] == rows["spectra"][0] == first
     right = [("interval_ops", (interval, "right")) for interval in ((1, 3), (1, 4), (2, 4))]
     assert sorted(rows["defining"][1] + rows["aw3-quadratic"][1]) == right
+    assert rows["spectra"][1] == [("casimir", ((1, 4),))]
     assert [c.cache_info().currsize for c in caches[1:3]] == [0, 0]
     assert_no_child_left()
 
 
-def test_spectra_left_here_reads_the_folds_built_before_the_fork(monkeypatch):
-    # spectra, the front half of spectra,independence, reads p's total
-    # left fold, so this process keeps the folds it built before the
-    # forks, and that fold misses once
+def test_spectra_in_the_first_worker_reads_the_folds_built_before_the_fork(monkeypatch):
+    # spectra, the registry-free suite of spectra,independence, runs in
+    # the first worker, forked once p's left folds are built, and reads
+    # p's total left fold from there; independence alone forks no second
+    # worker, and that fold misses once, before the fork
     p = RepParams(q=rational(5, 3), k=(1, 2, 1, 3), legs=4, n_max=3)
     clear_operator_caches()
     real = uqrep.interval_ops

@@ -16,7 +16,7 @@ from awalgebra.opalgebra import (
 )
 from awalgebra.sparse import RANK_PRIME, fraction_free_rank, rank_mod_prime
 from awalgebra.uqrep import RepParams
-from awalgebra import relcheck
+from awalgebra import cli, relcheck
 from helpers import FullEvaluation, bumped
 from awalgebra.relcheck import (
     MasterRow,
@@ -30,7 +30,6 @@ from awalgebra.relcheck import (
     check_master_all,
     check_prop1,
     check_prop2,
-    check_spectra,
     enumerate_allowable,
     load_master_rows,
     triple_text,
@@ -133,8 +132,8 @@ def test_prop2_all_pass(reg4):
 
 
 def test_prop2_after_prop1_equals_prop2_alone(monkeypatch):
-    # 120 of prop2's 150 commutators have an operand of block scalar
-    # reduction (Q1..Q4, Q1234) and are answered by rule.  Of the other
+    # 120 of prop2's 150 commutators have a central operand (Q1..Q4,
+    # Q1234) and are answered by rule.  Of the other
     # 30, five pairs of intervals come both ways, ten pair a derived
     # generator with an interval, and ten are derived pairs of opposite
     # orientation.  Alone it computes 20: each interval pair once, the
@@ -569,6 +568,6 @@ def test_fraction_free_rank_simple_cases():
 
 
 def test_spectra_suite(reg4):
-    reports = check_spectra(reg4)
+    reports = cli.run_suite("spectra", reg4.params)
     assert len(reports) == 10 * (reg4.params.n_max + 1)
     assert all(r.status == "pass" for r in reports)

@@ -257,7 +257,7 @@ def test_spectra_suite_flips_the_intervals_holding_leg_2(cold_caches, monkeypatc
     for lo, hi in consecutive_subsets(p.legs):
         label = "Q" + "".join(map(str, range(lo, hi + 1)))
         op = casimir(p, (lo, hi))
-        reports = spectrum_reports(p, (lo, hi), range(p.n_max + 1), op)
+        reports = spectrum_reports(p, (lo, hi), range(p.n_max + 1))
         for w, r in enumerate(reports):
             lams = predicted_eigenvalues(p, (lo, hi), w)
             whole = annihilating_residual(op, lams, p.basis.weight_block(w))

@@ -72,7 +72,7 @@ def test_predicted_eigenvalues_list():
 def test_annihilating_two_legs():
     reg = registry(rational(2), (1, 1), 2)
     for w in range(3):
-        rep = spectrum_reports(reg.params, (1, 2), [w], reg["Q12"])[0]
+        rep = spectrum_reports(reg.params, (1, 2), [w])[0]
         assert rep.status == "pass", rep
         assert len(rep.inputs["eigenvalues"]) == w + 1
 
@@ -81,7 +81,7 @@ def test_annihilating_all_intervals_small():
     reg = registry(parse("5/3"), (1, 2, 1), 2)
     for interval in [(1, 1), (2, 2), (3, 3), (1, 2), (2, 3), (1, 3)]:
         for w in range(reg.params.n_max + 1):
-            assert spectrum_reports(reg.params, interval, [w], reg[_label(interval)])[0].status == "pass"
+            assert spectrum_reports(reg.params, interval, [w])[0].status == "pass"
 
 
 def test_annihilating_needs_every_factor():
@@ -101,7 +101,7 @@ def test_annihilating_needs_every_factor():
 def test_weight_out_of_range():
     reg = registry(rational(2), (1, 1), 1)
     with pytest.raises(ValueError):
-        spectrum_reports(reg.params, (1, 2), [5], reg["Q12"])[0]
+        spectrum_reports(reg.params, (1, 2), [5])[0]
 
 
 def test_annihilating_counts_an_operator_of_any_degree():
@@ -153,17 +153,22 @@ CHAIN_PARAMS = {
 }
 
 
-def _label(interval):
-    return label_of_subset(range(interval[0], interval[1] + 1))
+@pytest.mark.parametrize("params", CHAIN_PARAMS)
+def test_registry_interval_entries_are_uqreps_casimirs(params):
+    # the spectra suite decides casimir(p, A) and reports it under A's
+    # label, with no registry: build_registry must hold that operator
+    # under that label, so that a label mix-up there still fails
+    p = CHAIN_PARAMS[params]
+    held = build_registry(p).held
+    for lo, hi in consecutive_subsets(p.legs):
+        assert held[label_of_subset(range(lo, hi + 1))] == casimir(p, (lo, hi)), (lo, hi)
 
 
-def _reports(monkeypatch, p, interval, lams, op=None):
+def _reports(monkeypatch, p, interval, lams):
     """spectrum_reports on every block of lams (weight -> list), the
-    lists read in place of the predicted ones, for op (default: uqrep's
-    Casimir of the interval) as a registry holds it."""
-    op = casimir(p, interval) if op is None else op
+    lists read in place of the predicted ones."""
     monkeypatch.setattr(spectra, "predicted_eigenvalues", lambda p, interval, w: lams[w])
-    return {r.inputs["weight"]: r.residual_summary for r in spectrum_reports(p, interval, sorted(lams), op)}
+    return {r.inputs["weight"]: r.residual_summary for r in spectrum_reports(p, interval, sorted(lams))}
 
 
 def _whole(p, op, lams):
@@ -220,26 +225,22 @@ def test_chain_counts_equal_whole_block_counts(params, variant, monkeypatch):
 
 @pytest.mark.parametrize("variant", ["predicted", "shifted"])
 def test_no_operator_reports_as_uqreps_casimir_built_only_to_count_whole(variant, monkeypatch):
-    # op=None reports what casimir(p, interval) passed in reports; p's
-    # own Casimir of a sub-interval is built only when the certificate
-    # refuses and the blocks are counted whole
+    # p's own Casimir of a sub-interval is built only when the
+    # certificate refuses and the blocks are counted whole
     p = CHAIN_PARAMS["default"]
     for interval in ((2, 3), (1, 3)):
         lams = {w: _variants(predicted_eigenvalues(p, interval, w))[variant] for w in range(p.n_max + 1)}
-        given = _reports(monkeypatch, p, interval, lams)
         built = []
         monkeypatch.setattr(spectra, "casimir", lambda *key: built.append(key) or casimir(*key))
-        got = {r.inputs["weight"]: r.residual_summary for r in spectrum_reports(p, interval, sorted(lams))}
-        assert got == given, interval
+        _reports(monkeypatch, p, interval, lams)
         assert ((p, interval) in built) == (variant != "predicted"), interval
         monkeypatch.undo()
 
 
-def test_diagonal_operator_right_only_on_seeds_reports_its_whole_count(monkeypatch):
+def test_diagonal_operator_right_only_on_seeds_reports_its_whole_count():
     # lambda_0 on the seed states and lambda_0 + 1/den elsewhere: the
     # seeds are annihilated but the operator does not commute with E, so
-    # the certificate refuses it as p_A's Casimir, and as the registry's
-    # Q123 it is not uqrep's: every column is counted
+    # the certificate refuses it as p_A's Casimir
     p = CHAIN_PARAMS["default"]
     interval = (1, 3)
     lams = {w: predicted_eigenvalues(p, interval, w) for w in range(p.n_max + 1)}
@@ -251,11 +252,6 @@ def test_diagonal_operator_right_only_on_seeds_reports_its_whole_count(monkeypat
 
     sub = p.interval_realization(interval)
     assert certified_counts(sub, diagonal(sub.basis), lams) is None
-    diag = diagonal(p.basis)
-    got = _reports(monkeypatch, p, interval, lams, op=diag)
-    assert got == _whole(p, diag, lams)
-    for w, summary in got.items():
-        assert summary["nonzero_entries"] == len(p.basis.weight_block(w)) - len(seed_states(p.basis, w))
 
 
 def _without_entry(e, row, col):
@@ -321,9 +317,8 @@ def test_wrong_value_at_one_interval_weight_falls_back_from_its_block(interval, 
 def test_single_block_has_no_chain():
     # a block asked for alone is decided on p_A, from the lists up to it
     p = CHAIN_PARAMS["default"]
-    reg = build_registry(p)
     for interval, seeds in (((1, 4), 10), ((2, 3), 1), ((3, 3), 0)):
-        rep = spectrum_reports(p, interval, [3], reg[_label(interval)])[0]
+        rep = spectrum_reports(p, interval, [3])[0]
         sub = p.interval_realization(interval)
         assert len(seed_states(sub.basis, 3)) == seeds
         assert rep.residual_summary == {
@@ -339,7 +334,6 @@ def test_reports_compute_the_seed_columns_of_leg_lo(monkeypatch):
     # decided by p_A's seeds (no quanta on its first leg, the interval's
     # leg lo)
     p = RepParams(q=parse("5/3"), k=(1, 2, 1, 3), legs=4, n_max=3)
-    reg = build_registry(p)
     computed = []
 
     def recording(op, lams, cols):
@@ -349,7 +343,7 @@ def test_reports_compute_the_seed_columns_of_leg_lo(monkeypatch):
     monkeypatch.setattr(spectra, "annihilating_residual", recording)
     for interval in consecutive_subsets(p.legs):
         computed.clear()
-        reports = spectrum_reports(p, interval, range(p.n_max + 1), reg[_label(interval)])
+        reports = spectrum_reports(p, interval, range(p.n_max + 1))
         sub = p.interval_realization(interval)
         assert computed == list(p.basis.weight_block(0))
         assert [r.residual_summary["columns_computed"] for r in reports] == [1] + [
